@@ -10,7 +10,6 @@ from .qpoly import (
     NonUnitConstantTerm,
     TruncatedSeries,
     q_factorial,
-    series_invert,
 )
 from .permstat import (
     DuplicateLetters,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .linfq import DEFAULT_BUDGET, TooLarge, count_invertible_support
+from .linfq import count_invertible_support  # noqa: F401  re-exported; perfbench traces it here
 from .permstat import Perm, hook_number
 from .qpoly import LaurentPoly, ONE, Q, ZERO
 
@@ -84,28 +84,6 @@ def haglund_hook_sum(parts: Sequence[int]) -> LaurentPoly:
         e = hook_number(s)
         acc[e] = acc.get(e, 0) + 1
     return (Q - ONE) ** len(t) * LaurentPoly(acc)
-
-
-def haglund_routes_check(max_parts: int, primes: Sequence[int] = (2, 3),
-                         brute_max_parts: int = 3,
-                         budget: int = DEFAULT_BUDGET) -> bool:
-    """Product form == hook sum for every partition with up to max_parts
-    parts; additionally both match the brute-force matrix count at the
-    given primes for partitions small enough to enumerate."""
-    for n in range(1, max_parts + 1):
-        for parts in partitions_bounded(n):
-            product = haglund_product(parts)
-            if product != haglund_hook_sum(parts):
-                return False
-            if n <= brute_max_parts:
-                for p in primes:
-                    try:
-                        brute = count_invertible_support(parts, p, budget)
-                    except TooLarge:
-                        continue
-                    if product.evaluate(p) != brute:
-                        return False
-    return True
 
 
 def partitions_bounded(n: int) -> Iterator[Partition]:

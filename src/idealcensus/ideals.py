@@ -38,7 +38,8 @@ from .permstat import (
     inversions,
 )
 from .qpoly import LaurentPoly, ONE, Q
-from .words import CodeTree, TreeSignature, enumerate_trees, signature, tree_stats, word_compact
+from .words import (CodeTree, TreeSignature, TreeStats, enumerate_trees, signature,
+                    tree_stats, word_compact)
 
 Contribution = Union[LaurentPoly, int]
 
@@ -104,7 +105,10 @@ class IdealCountReport:
 
 def tree_contribution(tree: CodeTree) -> Contribution:
     """(q-1)^k * q^(a_cells + b_cells) * staircase count of the tree."""
-    st = tree_stats(tree)
+    return _stats_contribution(tree_stats(tree))
+
+
+def _stats_contribution(st: TreeStats) -> Contribution:
     return ((Q - ONE) ** st.a_count
             * haglund_product(st.partition).shift(st.a_cells + st.b_cells))
 
@@ -115,7 +119,7 @@ def ideal_count_by_trees(n: int) -> IdealCountReport:
     for tree in enumerate_trees(n):
         st = tree_stats(tree)
         entries.append(TreeEntry(signature(tree), st.a_count, st.a_cells,
-                                 st.b_cells, st.partition, tree_contribution(tree)))
+                                 st.b_cells, st.partition, _stats_contribution(st)))
     total = sum((e.contribution for e in entries), 0)
     return IdealCountReport(n, "structural", None, total, tuple(entries))
 

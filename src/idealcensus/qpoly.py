@@ -194,18 +194,6 @@ def as_poly(value: PolyLike) -> LaurentPoly:
     raise TypeError(f"cannot interpret {value!r} as a polynomial")
 
 
-def poly_add(p: PolyLike, r: PolyLike) -> LaurentPoly:
-    return as_poly(p) + r
-
-
-def poly_mul(p: PolyLike, r: PolyLike) -> LaurentPoly:
-    return as_poly(p) * r
-
-
-def poly_eval(p: PolyLike, point: int | Fraction) -> int | Fraction:
-    return as_poly(p).evaluate(point)
-
-
 def geometric(n: int) -> LaurentPoly:
     """1 + q + ... + q**(n-1); the q-analog of the integer n."""
     if n < 0:
@@ -304,7 +292,3 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries(order={self._order}, coeffs={[str(c) for c in self._coeffs]})"
-
-
-def series_invert(s: TruncatedSeries) -> TruncatedSeries:
-    return s.invert()

@@ -455,11 +455,3 @@ def branch_floor_check(max_n: int) -> bool:
                     if d <= c and twisted_key(strip_last_run(d)) > bound:
                         return False
     return True
-
-
-def order_properties_check(max_len: int) -> bool:
-    """All exhaustive order checks at word length (and tree size) max_len."""
-    return (power_separation_check(max_len)
-            and class_interval_check(max_len)
-            and twist_order_check(max_len)
-            and branch_floor_check(max_len))

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+import idealcensus.checks as checks
 import idealcensus.cli as cli
 import idealcensus.ideals as ideals
 from idealcensus.qpoly import LaurentPoly
@@ -67,6 +68,14 @@ def test_count_structural_json(capsys):
     assert total == {6: 1, 5: -1, 4: -3, 3: 5, 2: -2}
     tree = payload["trees"][0]
     assert set(tree) == {"signature", "k", "N", "M", "lambda", "contribution"}
+
+
+def test_count_structural_skips_the_formula_route(capsys, monkeypatch):
+    monkeypatch.setattr(ideals, "ideal_count_formula", lambda n: 1 / 0)
+    code, out, _ = run(capsys, "count", "--codim", "2", "--method", "structural",
+                       "--no-header")
+    assert code == 0
+    assert out.splitlines()[0] == "codim 2 census, structural route"
 
 
 def test_count_json_meta_present_by_default(capsys):
@@ -191,7 +200,7 @@ def test_verify_tiny_bound_passes(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    monkeypatch.setitem(cli.SUITES, "words", [
+    monkeypatch.setitem(checks.SUITES, "words", [
         ("forced failure", lambda cfg: (False, "induced")),
         ("forced crash", lambda cfg: 1 / 0),
     ])
@@ -204,26 +213,11 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert lines[-1] == "0/2 checks passed"
 
 
-def test_verify_threaded_output_matches_sequential(capsys, monkeypatch):
-    code, base, _ = run(capsys, "verify", "--suite", "haglund", "--max-n", "2")
-    assert code == 0
-    monkeypatch.setenv("CENSUS_THREADS", "4")
-    code, threaded, _ = run(capsys, "verify", "--suite", "haglund", "--max-n", "2")
-    assert code == 0
-
-    def skeleton(text):
-        return [line.split(" (")[0] for line in text.splitlines()]
-
-    assert skeleton(base) == skeleton(threaded)
-
-
-def test_verify_invalid_arguments(capsys, monkeypatch):
+def test_verify_invalid_arguments(capsys):
     assert run(capsys, "verify", "--suite", "nope")[0] == 2
     assert run(capsys, "verify", "--primes", "2,4")[0] == 2
     assert run(capsys, "verify", "--primes", "x")[0] == 2
     assert run(capsys, "verify", "--max-n", "0")[0] == 2
-    monkeypatch.setenv("CENSUS_THREADS", "many")
-    assert run(capsys, "verify", "--suite", "words")[0] == 2
 
 
 # -- export -----------------------------------------------------------------
@@ -361,7 +355,7 @@ def test_version_and_usage(capsys):
 
 def test_budget_must_be_positive(capsys):
     for argv in (("count", "--codim", "2", "--budget", "0"),
-                 ("verify", "--suite", "qpoly", "--budget", "-5"),
+                 ("verify", "--suite", "words", "--budget", "-5"),
                  ("export", "--object", "cells", "--n", "1", "--budget", "0")):
         code, _, err = run(capsys, *argv)
         assert code == 2

@@ -7,7 +7,6 @@ from idealcensus.haglund import (
     constrained_permutations,
     haglund_hook_sum,
     haglund_product,
-    haglund_routes_check,
     partitions_bounded,
     support_set,
 )
@@ -73,7 +72,3 @@ def test_degree_of_nonzero_products():
         n = len(parts)
         assert h.degree == n * (n - 1) // 2 + sum(v - i for i, v in enumerate(parts))
         assert h.evaluate(1) == 0  # every factor vanishes at q=1
-
-
-def test_routes_check_runs_green():
-    assert haglund_routes_check(3, primes=(2,), brute_max_parts=2)
