@@ -58,6 +58,7 @@ from .linfq import (
     FqMatrix,
     NonSquare,
     TooLarge,
+    count_invertible_rows,
     count_invertible_support,
     enumerate_support_matrices,
     is_invertible,

@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from datetime import datetime, timezone
 
@@ -128,12 +129,23 @@ def report_csv_rows(report: IdealCountReport) -> list[list[str]]:
 
 
 def emit(text: str, out_path: str | None) -> int:
+    """Write to stdout, or replace ``out_path`` atomically: the text goes
+    to a new file beside it, renamed onto it only once fully written, so
+    a failed write leaves no partial output and no temporary file."""
     if out_path is None:
         sys.stdout.write(text)
         return 0
+    directory, name = os.path.split(os.path.abspath(out_path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        fh = open(tmp, "x")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, out_path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as exc:
         print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
         return 7

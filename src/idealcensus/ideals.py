@@ -16,8 +16,12 @@ Counting routes, all exact polynomials in q:
   sum, no shift;
 * ``ideal_count_by_trees``: sum over trees of
   (q-1)^k * q^(free cells) * staircase count;
-* ``ideal_count_brute_force``: enumerate every coefficient assignment
-  over F_p and test both action matrices for invertibility.
+* ``ideal_count_brute_force``: count over F_p the coefficient
+  assignments for which both action matrices are invertible.  Each slot
+  touches one cell of one matrix, so the per-tree count is the a-count
+  times the b-count; each letter's count walks its matrix row by row
+  (``linfq.count_invertible_rows``), and the joint odometer
+  ``count_invertible_pairs`` witnesses the factorisation.
 
 ``cell_decomposition`` records the partition of the census into cells
 (F_q*)^(n+1) x F_q^d indexed by indecomposable permutations.
@@ -29,7 +33,8 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence, Union
 
 from .haglund import haglund_product
-from .linfq import DEFAULT_BUDGET, FqMatrix, TooLarge, _full_rank, check_prime
+from .linfq import (DEFAULT_BUDGET, FqMatrix, TooLarge, _full_rank, check_prime,
+                    count_invertible_rows)
 from .permstat import (
     Perm,
     enumerate_indecomposables,
@@ -161,28 +166,40 @@ class CoefficientAssignment:
         return dict(zip(assignment_slots(self.tree), self.values))
 
 
+def _action_cells(tree: CodeTree) -> tuple[list[tuple[str, int, int]],
+                                             list[tuple[str, int, int]]]:
+    """Layout of the two action matrices on the quotient basis P (sorted
+    alphabetically), as (letter, row, col) cells: the unit entries, where
+    p.x = r stays in P, and the slots, aligned with ``assignment_slots``,
+    where px is a leading word and r < px.  Every other entry is 0, and
+    each slot touches exactly one cell of one of the two matrices."""
+    index = {p: i for i, p in enumerate(tree.prefixes)}
+    units = [(letter, i, index[p + letter]) for letter in ("a", "b")
+             for i, p in enumerate(tree.prefixes) if p + letter in index]
+    slots = [(c[-1], index[c[:-1]], index[p]) for c, p in assignment_slots(tree)]
+    return units, slots
+
+
+def _action_grids(tree: CodeTree, values: Sequence[int]) -> dict[str, list[list[int]]]:
+    """Both action matrices as mutable grids, slots set to ``values``."""
+    n = len(tree.prefixes)
+    grids = {letter: [[0] * n for _ in range(n)] for letter in ("a", "b")}
+    units, slots = _action_cells(tree)
+    for letter, i, j in units:
+        grids[letter][i][j] = 1
+    for (letter, i, j), v in zip(slots, values):
+        grids[letter][i][j] = v
+    return grids
+
+
 def build_action_matrices(ca: CoefficientAssignment) -> tuple[FqMatrix, FqMatrix]:
     """Matrices of the two letters acting on the quotient basis P
     (sorted alphabetically): row p, column r holds 1 when p.x = r stays
     in P, the slot value for (px, r) when px is a leading word and
     r < px, and 0 otherwise."""
-    tree = ca.tree
-    prefixes = tree.prefixes
-    index = {p: i for i, p in enumerate(prefixes)}
-    prefix_set = set(prefixes)
-    alpha = ca.as_dict()
-    n = len(prefixes)
-    out = []
-    for letter in ("a", "b"):
-        rows = []
-        for p in prefixes:
-            w = p + letter
-            if w in prefix_set:
-                rows.append([int(j == index[w]) for j in range(n)])
-            else:
-                rows.append([alpha[(w, r)] if r < w else 0 for r in prefixes])
-        out.append(FqMatrix.from_rows(rows, ca.modulus))
-    return out[0], out[1]
+    grids = _action_grids(ca.tree, ca.values)
+    return (FqMatrix.from_rows(grids["a"], ca.modulus),
+            FqMatrix.from_rows(grids["b"], ca.modulus))
 
 
 @dataclass(frozen=True)
@@ -218,44 +235,41 @@ def ideal_generators(ca: CoefficientAssignment) -> tuple[IdealGenerator, ...]:
 # -- brute-force censuses --------------------------------------------------
 
 
-def _slot_cells(tree: CodeTree) -> list[tuple[str, int, int]]:
-    """Slots as matrix cells: (letter, row, col) aligned with
-    ``assignment_slots``; each slot touches exactly one cell of one of
-    the two action matrices."""
-    index = {p: i for i, p in enumerate(tree.prefixes)}
-    return [(c[-1], index[c[:-1]], index[p])
-            for c, p in assignment_slots(tree)]
+def _letter_rows(tree: CodeTree, letter: str) -> list[tuple[list[int], list[int]]]:
+    """The letter's action matrix as ``count_invertible_rows`` rows: unit
+    rows are fixed, every other row is free exactly in its slots."""
+    _, slots = _action_cells(tree)
+    grid = _action_grids(tree, [0] * len(slots))[letter]
+    return [(row, [j for x, r, j in slots if x == letter and r == i])
+            for i, row in enumerate(grid)]
 
 
-def _base_grids(tree: CodeTree) -> dict[str, list[list[int]]]:
-    index = {p: i for i, p in enumerate(tree.prefixes)}
-    prefix_set = set(tree.prefixes)
-    n = len(tree.prefixes)
-    grids = {}
-    for letter in ("a", "b"):
-        grid = [[0] * n for _ in range(n)]
-        for p in tree.prefixes:
-            w = p + letter
-            if w in prefix_set:
-                grid[index[p]][index[w]] = 1
-        grids[letter] = grid
-    return grids
+def count_invertible_a_actions(tree: CodeTree, p: int,
+                               budget: int = DEFAULT_BUDGET) -> int:
+    return count_invertible_rows(_letter_rows(tree, "a"), p, budget)
 
 
-def _count_assignments(tree: CodeTree, p: int, letters: str,
-                       budget: int) -> int:
-    """Odometer over the slots of the given letters; count assignments
-    whose selected action matrices are all invertible."""
-    cells = [cell for cell in _slot_cells(tree) if cell[0] in letters]
+def count_invertible_b_actions(tree: CodeTree, p: int,
+                               budget: int = DEFAULT_BUDGET) -> int:
+    return count_invertible_rows(_letter_rows(tree, "b"), p, budget)
+
+
+def count_invertible_pairs(tree: CodeTree, p: int,
+                           budget: int = DEFAULT_BUDGET) -> int:
+    """Joint odometer over the slots of both letters: count the
+    assignments whose two action matrices are both invertible.  It never
+    uses the per-letter counts, so it witnesses that the census may
+    multiply them."""
+    check_prime(p)
+    _, cells = _action_cells(tree)
     if p ** len(cells) > budget:
         raise TooLarge(f"{p}**{len(cells)} assignments exceed budget {budget}")
-    grids = _base_grids(tree)
+    grids = _action_grids(tree, [0] * len(cells))
     n = len(tree.prefixes)
-    active = [grids[letter] for letter in ("a", "b") if letter in letters]
     digits = [0] * len(cells)
     count = 0
     while True:
-        if all(_full_rank([row[:] for row in g], n, p) for g in active):
+        if all(_full_rank([row[:] for row in g], n, p) for g in grids.values()):
             count += 1
         pos = 0
         while pos < len(cells):
@@ -269,24 +283,6 @@ def _count_assignments(tree: CodeTree, p: int, letters: str,
             pos += 1
         if pos == len(cells):
             return count
-
-
-def count_invertible_a_actions(tree: CodeTree, p: int,
-                               budget: int = DEFAULT_BUDGET) -> int:
-    check_prime(p)
-    return _count_assignments(tree, p, "a", budget)
-
-
-def count_invertible_b_actions(tree: CodeTree, p: int,
-                               budget: int = DEFAULT_BUDGET) -> int:
-    check_prime(p)
-    return _count_assignments(tree, p, "b", budget)
-
-
-def count_invertible_pairs(tree: CodeTree, p: int,
-                           budget: int = DEFAULT_BUDGET) -> int:
-    check_prime(p)
-    return _count_assignments(tree, p, "ab", budget)
 
 
 def per_tree_action_count_check(n: int, p: int,
@@ -312,17 +308,22 @@ def per_tree_action_count_check(n: int, p: int,
 
 def ideal_count_brute_force(n: int, p: int,
                             budget: int = DEFAULT_BUDGET) -> IdealCountReport:
-    """Exhaustive census at q = p: every coefficient assignment over
-    every tree, keeping those with both action matrices invertible.
-    The budget bounds the assignments per tree."""
+    """Exhaustive census at q = p: per tree, the coefficient assignments
+    with both action matrices invertible.  Each slot touches one cell of
+    one matrix, so that number is the count for letter a times the count
+    for letter b.  The budget bounds the assignments per tree."""
     _check_codim(n)
     check_prime(p)
     entries = []
     for tree in enumerate_trees(n):
+        slots = len(assignment_slots(tree))
+        if p ** slots > budget:
+            raise TooLarge(f"{p}**{slots} assignments exceed budget {budget}")
         st = tree_stats(tree)
+        count = (count_invertible_a_actions(tree, p, budget)
+                 * count_invertible_b_actions(tree, p, budget))
         entries.append(TreeEntry(signature(tree), st.a_count, st.a_cells,
-                                 st.b_cells, st.partition,
-                                 count_invertible_pairs(tree, p, budget)))
+                                 st.b_cells, st.partition, count))
     total = sum(e.contribution for e in entries)
     return IdealCountReport(n, "bruteforce", p, total, tuple(entries))
 

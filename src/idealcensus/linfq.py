@@ -1,15 +1,21 @@
 """Dense matrices over a prime field F_p and exhaustive support counts.
 
 Entries are plain ints reduced mod p; the matrix carries the modulus,
-whose primality is checked on construction.  Everything here is exact
-and deliberately naive: the brute-force enumeration over a support is
-one side of a dual check against closed product formulas and must stay
-independent of them.
+whose primality is checked on construction.  Everything here is exact.
+The support counts are one side of a dual check against closed product
+formulas and must stay independent of them: ``count_invertible_rows``
+walks the matrices row by row, prunes a row as soon as it falls into
+the span of the rows above it, and counts the surviving last rows one
+by one.  Pruning only skips singular matrices, so every invertible
+matrix is still visited, and no count is ever multiplied out from a
+formula.  ``enumerate_support_matrices`` stays the plain odometer that
+tests compare the counts against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Sequence
 
 DEFAULT_BUDGET = 1 << 26
@@ -23,14 +29,39 @@ class TooLarge(Exception):
     """Enumeration would exceed the assignment budget."""
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the bases _SMALL_PRIMES has no strong pseudoprime
+# below this bound (Sorenson and Webster, Math. Comp. 2017).
+MAX_CERTIFIED_PRIME = 318665857834031151167461
+
+
 def check_prime(p: int) -> int:
+    """p itself if it is a prime; ValueError otherwise, and for moduli
+    too large for the deterministic Miller-Rabin test to certify."""
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"modulus must be a prime: {p!r}")
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p in _SMALL_PRIMES:
+        return p
+    if any(p % b == 0 for b in _SMALL_PRIMES):
+        raise ValueError(f"modulus must be a prime: {p}")
+    if p < 41 * 41:
+        return p
+    if p >= MAX_CERTIFIED_PRIME:
+        raise ValueError(f"modulus too large to certify as a prime "
+                         f"(must be below {MAX_CERTIFIED_PRIME}): {p}")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _SMALL_PRIMES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             raise ValueError(f"modulus must be a prime: {p}")
-        d += 1
     return p
 
 
@@ -132,34 +163,70 @@ def enumerate_support_matrices(support: Sequence[tuple[int, int]], p: int,
             return
 
 
+def count_invertible_rows(rows: Sequence[tuple[Sequence[int], Sequence[int]]],
+                          p: int, budget: int = DEFAULT_BUDGET) -> int:
+    """Number of invertible n x n matrices over F_p whose row i is
+    ``rows[i][0]`` with each column in ``rows[i][1]`` (0-based, the free
+    columns) set to every value of F_p.
+
+    A depth-first search picks one row at a time and carries the span of
+    the rows picked so far as a set of vectors.  A candidate in that span
+    is pruned with its whole subtree; on the last row every candidate
+    outside the span is counted.  Rows are visited in order of increasing
+    freedom, which does not change whether a matrix is invertible, so the
+    widest row is only tested, never expanded.  The budget bounds
+    p**(free cells), the number of matrices described; a span set holds
+    at most p**(n-1) vectors.
+    """
+    check_prime(p)
+    n = len(rows)
+    for fixed, free in rows:
+        if len(fixed) != n:
+            raise NonSquare(f"row of length {len(fixed)} in a {n}-row matrix")
+        if len(set(free)) != len(free) or any(not 0 <= j < n for j in free):
+            raise ValueError(f"free columns must be distinct and in 0..{n - 1}: {free!r}")
+    cells = sum(len(free) for _, free in rows)
+    if p ** cells > budget:
+        raise TooLarge(f"{p}**{cells} assignments exceed budget {budget}")
+    if n == 0:
+        return 1
+    candidates = sorted((_row_candidates(fixed, free, p) for fixed, free in rows), key=len)
+    last = candidates.pop()
+
+    def descend(level: int, span: set[tuple[int, ...]]) -> int:
+        if level == len(candidates):
+            return sum(1 for v in last if v not in span)
+        return sum(descend(level + 1, _extend_span(span, v, p))
+                   for v in candidates[level] if v not in span)
+
+    return descend(0, {(0,) * n})
+
+
+def _row_candidates(fixed: Sequence[int], free: Sequence[int],
+                    p: int) -> list[tuple[int, ...]]:
+    row = [v % p for v in fixed]
+    out = []
+    for values in product(range(p), repeat=len(free)):
+        for j, v in zip(free, values):
+            row[j] = v
+        out.append(tuple(row))
+    return out
+
+
+def _extend_span(span: set[tuple[int, ...]], v: tuple[int, ...],
+                 p: int) -> set[tuple[int, ...]]:
+    """The span of ``span`` and v: every s + c*v with c in F_p."""
+    multiples = [tuple(c * x % p for x in v) for c in range(p)]
+    return {tuple((a + b) % p for a, b in zip(s, m)) for s in span for m in multiples}
+
+
 def count_invertible_support(parts: Sequence[int], p: int,
                              budget: int = DEFAULT_BUDGET) -> int:
     """Brute-force count of invertible n x n matrices over F_p whose
     support lies in the staircase of the partition: row i may be nonzero
     only in columns 1..parts[i-1]."""
-    check_prime(p)
     parts = tuple(parts)
     n = len(parts)
     if any(v < 0 or v > n for v in parts) or list(parts) != sorted(parts):
         raise ValueError(f"not a bounded weakly increasing partition: {parts!r}")
-    cells = [(i, j) for i in range(n) for j in range(parts[i])]  # 0-based here
-    if p ** len(cells) > budget:
-        raise TooLarge(f"{p}**{len(cells)} assignments exceed budget {budget}")
-    grid = [[0] * n for _ in range(n)]
-    digits = [0] * len(cells)
-    count = 0
-    while True:
-        if _full_rank([row[:] for row in grid], n, p):
-            count += 1
-        pos = 0
-        while pos < len(cells):
-            digits[pos] += 1
-            i, j = cells[pos]
-            if digits[pos] < p:
-                grid[i][j] = digits[pos]
-                break
-            digits[pos] = 0
-            grid[i][j] = 0
-            pos += 1
-        if pos == len(cells):
-            return count
+    return count_invertible_rows([([0] * n, range(v)) for v in parts], p, budget)

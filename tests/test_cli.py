@@ -6,6 +6,7 @@ route to lie.
 """
 
 import json
+import time
 
 import pytest
 
@@ -121,6 +122,43 @@ def test_count_out_file(tmp_path, capsys):
                        "--out", str(target))
     assert code == 0 and out == ""
     assert "expanded: q^6" in target.read_text()
+    assert [f.name for f in tmp_path.iterdir()] == ["census.txt"]
+
+
+def test_count_out_failed_write_keeps_old_file(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "census.txt"
+    target.write_text("old\n")
+
+    def refuse(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    code, _, err = run(capsys, "count", "--codim", "2", "--no-header",
+                       "--out", str(target))
+    assert code == 7 and "cannot write" in err
+    assert target.read_text() == "old\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["census.txt"]
+
+
+def test_count_out_unwritable_leaves_no_temp_file(tmp_path, capsys):
+    target = tmp_path / "census.txt"
+    target.mkdir()
+    code, _, err = run(capsys, "count", "--codim", "2", "--no-header",
+                       "--out", str(target))
+    assert code == 7 and "cannot write" in err
+    assert [f.name for f in tmp_path.iterdir()] == ["census.txt"]
+    assert list(target.iterdir()) == []
+
+
+def test_count_huge_prime_is_quick(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "count", "--codim", "1", "--q", "1000000000000000003",
+                       "--no-header")
+    assert code == 0
+    assert "value at q=1000000000000000003: " in out
+    assert time.perf_counter() - start < 1.0
+    code, _, err = run(capsys, "count", "--codim", "1", "--q", str(2 ** 89 - 1))
+    assert code == 2 and "too large" in err
 
 
 # -- bijection -----------------------------------------------------------------

@@ -5,6 +5,8 @@ must produce it, and evaluating at small primes must match exhaustive
 enumeration of coefficient assignments.
 """
 
+from itertools import product
+
 import pytest
 
 from idealcensus.ideals import (
@@ -24,9 +26,9 @@ from idealcensus.ideals import (
     per_tree_action_count_check,
     tree_contribution,
 )
-from idealcensus.linfq import TooLarge, is_invertible
+from idealcensus.linfq import FqMatrix, TooLarge, enumerate_support_matrices, is_invertible
 from idealcensus.qpoly import LaurentPoly
-from idealcensus.words import CodeTree
+from idealcensus.words import CodeTree, enumerate_trees
 
 EXAMPLE_TREE = CodeTree.from_leaves(["aa", "ab", "baa", "bab", "bba", "bbb"])
 EDGE = CodeTree.from_leaves(["a", "b"])
@@ -138,6 +140,10 @@ def test_brute_force_census_frozen(n, p, expected):
     assert report.method == "bruteforce" and report.q == p
 
 
+def test_brute_force_census_codim_four():
+    assert ideal_count_brute_force(4, 2).total == 290816 == ideal_count_formula(4).evaluate(2)
+
+
 def test_brute_force_budget():
     with pytest.raises(TooLarge):
         ideal_count_brute_force(3, 3, budget=10)
@@ -161,6 +167,40 @@ def test_example_tree_action_legs():
 @pytest.mark.parametrize("p", (2, 3))
 def test_per_tree_action_counts(n, p):
     assert per_tree_action_count_check(n, p)
+
+
+def small_trees():
+    return [tree for n in range(1, 4) for tree in enumerate_trees(n)]
+
+
+@pytest.mark.parametrize("tree", small_trees(), ids=str)
+def test_joint_assignments_factor_per_letter(tree):
+    # every assignment of both letters' slots at once, against the product
+    p = 2
+    joint = 0
+    for values in product(range(p), repeat=len(assignment_slots(tree))):
+        ma, mb = build_action_matrices(CoefficientAssignment(tree, p, values))
+        joint += is_invertible(ma) and is_invertible(mb)
+    assert joint == count_invertible_a_actions(tree, p) * count_invertible_b_actions(tree, p)
+
+
+@pytest.mark.parametrize("tree", small_trees(), ids=str)
+@pytest.mark.parametrize("p", (2, 3))
+def test_letter_counts_match_filtered_enumeration(tree, p):
+    # the support odometer over one letter's slots plus its fixed unit entries
+    index = {w: i for i, w in enumerate(tree.prefixes)}
+    n = len(index)
+    units = build_action_matrices(CoefficientAssignment.from_dict(tree, p))
+    for letter, unit, count in (("a", units[0], count_invertible_a_actions),
+                                ("b", units[1], count_invertible_b_actions)):
+        cells = [(index[c[:-1]] + 1, index[w] + 1)
+                 for c, w in assignment_slots(tree) if c[-1] == letter]
+        direct = sum(
+            1 for m in enumerate_support_matrices(cells, p, rows=n, cols=n)
+            if is_invertible(FqMatrix.from_rows(
+                [[x + u for x, u in zip(row, urow)]
+                 for row, urow in zip(m.entries, unit.entries)], p)))
+        assert count(tree, p) == direct
 
 
 def test_cell_decomposition_small():

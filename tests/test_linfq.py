@@ -8,8 +8,10 @@ import pytest
 from idealcensus.linfq import (
     FqMatrix,
     NonSquare,
+    MAX_CERTIFIED_PRIME,
     TooLarge,
     check_prime,
+    count_invertible_rows,
     count_invertible_support,
     enumerate_support_matrices,
     is_invertible,
@@ -40,6 +42,32 @@ def test_check_prime():
     for bad in (0, 1, 4, 9, -3, 2.0):
         with pytest.raises(ValueError):
             check_prime(bad)
+
+
+def test_check_prime_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    for n in range(10 ** 4):
+        try:
+            check_prime(n)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == trial(n), n
+
+
+def test_check_prime_large():
+    # 561 is a Carmichael number, the next two are strong pseudoprimes to
+    # the bases 2..7 resp. 2..23, and 2^67 - 1 = 193707721 * 761838257287.
+    for composite in (561, 3215031751, 3825123056546413051, 2 ** 67 - 1):
+        with pytest.raises(ValueError):
+            check_prime(composite)
+    for prime in (10 ** 18 + 3, 2 ** 61 - 1):
+        assert check_prime(prime) == prime
+    with pytest.raises(ValueError, match="too large"):
+        check_prime(2 ** 89 - 1)
+    assert MAX_CERTIFIED_PRIME < 2 ** 89 - 1
 
 
 def test_from_rows_reduces_mod_p():
@@ -146,3 +174,42 @@ def test_count_matches_filtered_enumeration(p):
         direct = sum(1 for m in enumerate_support_matrices(
             cells, p, rows=n, cols=n) if is_invertible(m))
         assert count_invertible_support(parts, p) == direct
+
+
+def test_staircase_three_rows_at_five():
+    assert count_invertible_support((3, 3, 3), 5) == 1488000  # |GL_3(F_5)|
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rows_count_matches_filtered_enumeration(p):
+    # rows with fixed entries outside their free columns, against the odometer
+    rng = random.Random(p)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        rows = []
+        for _ in range(n):
+            free = rng.sample(range(n), rng.randint(0, n))
+            fixed = [0 if j in free else rng.randrange(p) for j in range(n)]
+            rows.append((fixed, free))
+        cells = [(i + 1, j + 1) for i, (_, free) in enumerate(rows) for j in free]
+        base = [fixed for fixed, _ in rows]
+        direct = sum(1 for m in enumerate_support_matrices(cells, p, rows=n, cols=n)
+                     if is_invertible(FqMatrix.from_rows(
+                         [[a + b for a, b in zip(r, f)] for r, f in zip(m.entries, base)], p)))
+        assert count_invertible_rows(rows, p) == direct
+
+
+def test_count_invertible_rows_validation():
+    assert count_invertible_rows([], 2) == 1
+    assert count_invertible_rows([([1, 0], []), ([1, 0], [])], 3) == 0
+    assert count_invertible_rows([([0, 0], [0, 1])] * 2, 3) == 48  # |GL_2(F_3)|
+    with pytest.raises(NonSquare):
+        count_invertible_rows([([0, 0], [0])], 2)
+    with pytest.raises(ValueError):
+        count_invertible_rows([([0], [1])], 2)
+    with pytest.raises(ValueError):
+        count_invertible_rows([([0, 0], [0, 0]), ([0, 0], [])], 2)
+    with pytest.raises(ValueError):
+        count_invertible_rows([([0], [0])], 4)
+    with pytest.raises(TooLarge):
+        count_invertible_rows([([0] * 3, range(3))] * 3, 5, budget=5 ** 9 - 1)
