@@ -19,6 +19,7 @@ from .permstat import (
     hook_union_size,
     indec_hook_polynomial,
     indec_inversion_polynomial,
+    indec_inversion_polynomials,
     inversions,
     is_indecomposable,
     lr_maxima,

@@ -42,10 +42,13 @@ def run_check(fn: Callable[[CheckConfig], tuple[bool, str]],
 def check_frozen_polynomials(cfg: CheckConfig) -> tuple[bool, str]:
     table = {1: LaurentPoly({0: 1}), 2: LaurentPoly({1: 1}),
              3: LaurentPoly({3: 1, 2: 2}), 4: LaurentPoly({6: 1, 5: 3, 4: 5, 3: 4})}
+    recursion = permstat.indec_inversion_polynomials(len(table))
     for m, expect in table.items():
         got = permstat.indec_inversion_polynomial(m)
         if got != expect:
             return False, f"m={m}: {got}"
+        if recursion[m - 1] != expect:
+            return False, f"m={m}: recursion gives {recursion[m - 1]}"
     return True, ""
 
 
@@ -383,8 +386,8 @@ def check_census_routes(cfg: CheckConfig) -> tuple[bool, str]:
 def check_census_brute(cfg: CheckConfig) -> tuple[bool, str]:
     for n in range(1, min(cfg.max_n, 3) + 1):
         expected_formula = ideals.ideal_count_formula(n)
+        slots = max(max(ideals.letter_slots(t)) for t in words.enumerate_trees(n))
         for p in cfg.primes:
-            slots = max(len(ideals.assignment_slots(t)) for t in words.enumerate_trees(n))
             if p ** slots > min(cfg.budget, 1 << 17):
                 continue
             report = ideals.ideal_count_brute_force(n, p, cfg.budget)

@@ -56,7 +56,7 @@ def poly_terms(p: LaurentPoly) -> list[dict]:
 
 
 def factored_census_str(n: int) -> str:
-    core = permstat.indec_inversion_polynomial(n + 1)
+    core = permstat.indec_inversion_polynomials(n + 1)[-1]
     e = (n + 1) * (n - 2) // 2
     pieces = [f"(q-1)^{n + 1}"]
     if e:
@@ -176,19 +176,20 @@ def cmd_count(args) -> int:
         if args.method == "formula":
             result: IdealCountReport | LaurentPoly = ideals.ideal_count_formula(n)
         elif args.method == "structural":
-            result = ideals.ideal_count_by_trees(n)
+            result = ideals.ideal_count_by_trees(n, args.budget)
         else:
             result = ideals.ideal_count_brute_force(n, args.q, args.budget)
+        if args.cross_check:
+            formula = result if args.method == "formula" else ideals.ideal_count_formula(n)
+            hook = ideals.ideal_count_hook_formula(n, args.budget)
+            structural = (result.total if isinstance(result, IdealCountReport)
+                          and result.method == "structural"
+                          else ideals.ideal_count_by_trees(n, args.budget).total)
     except TooLarge as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return 3
 
     if args.cross_check:
-        formula = result if args.method == "formula" else ideals.ideal_count_formula(n)
-        hook = ideals.ideal_count_hook_formula(n)
-        structural = (result.total if isinstance(result, IdealCountReport)
-                      and result.method == "structural"
-                      else ideals.ideal_count_by_trees(n).total)
         mismatches = []
         if hook != formula:
             mismatches.append(f"hook route {hook} != formula {formula}")
@@ -337,7 +338,7 @@ def build_export(args) -> tuple[dict, list[list[str]]]:
     """Returns (json payload, csv rows including the column header)."""
     n = args.n
     if args.object == "indec-polys":
-        polys = [(m, permstat.indec_inversion_polynomial(m)) for m in range(1, n + 1)]
+        polys = list(enumerate(permstat.indec_inversion_polynomials(n), start=1))
         payload = {"max_m": n,
                    "polynomials": [{"m": m, "terms": poly_terms(p)} for m, p in polys]}
         rows = [["m", "exp", "coef"]]
@@ -346,7 +347,7 @@ def build_export(args) -> tuple[dict, list[list[str]]]:
         return payload, rows
     if args.object == "ideal-census":
         if args.q is None:
-            report = ideals.ideal_count_by_trees(n)
+            report = ideals.ideal_count_by_trees(n, args.budget)
         else:
             report = ideals.ideal_count_brute_force(n, args.q, args.budget)
         return report_json(report), report_csv_rows(report)
@@ -432,7 +433,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--cross-check", action="store_true",
                          help="run the independent routes and compare")
     p_count.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                         help="max assignments per tree for bruteforce")
+                         help="bound on each enumeration: matrices per letter "
+                              "and tree (bruteforce), trees (structural), "
+                              "permutations (hook route of --cross-check); "
+                              "exit 3 when exceeded")
     p_count.add_argument("--format", choices=["text", "json"], default="text")
     p_count.add_argument("--out", default=None, metavar="PATH")
     p_count.add_argument("--no-header", dest="header", action="store_false")
@@ -475,7 +479,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--format", choices=["json", "csv"], default="json")
     p_export.add_argument("--out", default=None, metavar="PATH")
     p_export.add_argument("--no-header", dest="header", action="store_false")
-    p_export.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_export.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                          help="bound on the ideal-census enumeration (trees, or "
+                               "matrices per letter and tree with --q); exit 3 "
+                               "when exceeded")
     p_export.set_defaults(func=cmd_export)
 
     return parser

@@ -11,11 +11,14 @@ ideal data is admissible exactly when both actions are invertible.
 Counting routes, all exact polynomials in q:
 
 * ``ideal_count_formula``: closed product over the indecomposable
-  inversion polynomial of size n+1;
+  inversion polynomial of size n+1, taken from the inverse-series
+  recursion (``permstat.indec_inversion_polynomials``), which enumerates
+  nothing;
 * ``ideal_count_hook_formula``: same prefactor against the hook-statistic
-  sum, no shift;
+  sum over the indecomposables of size n+1, which it enumerates;
 * ``ideal_count_by_trees``: sum over trees of
-  (q-1)^k * q^(free cells) * staircase count;
+  (q-1)^k * q^(free cells) * staircase count.  That term depends only on
+  the tree's key (k, free cells, partition), so it is built once per key;
 * ``ideal_count_brute_force``: count over F_p the coefficient
   assignments for which both action matrices are invertible.  Each slot
   touches one cell of one matrix, so the per-tree count is the a-count
@@ -23,13 +26,20 @@ Counting routes, all exact polynomials in q:
   (``linfq.count_invertible_rows``), and the joint odometer
   ``count_invertible_pairs`` witnesses the factorisation.
 
+The enumerating routes take a budget and raise ``TooLarge`` before they
+start when their enumeration would exceed it: (n+1)! permutations for
+the hook route, Catalan(n) trees for the tree sum, p**(cells) matrices
+per letter for brute force.
+
 ``cell_decomposition`` records the partition of the census into cells
 (F_q*)^(n+1) x F_q^d indexed by indecomposable permutations.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from math import comb, factorial
 from typing import Iterator, Mapping, Sequence, Union
 
 from .haglund import haglund_product
@@ -39,7 +49,7 @@ from .permstat import (
     Perm,
     enumerate_indecomposables,
     hook_number,
-    indec_inversion_polynomial,
+    indec_inversion_polynomials,
     inversions,
 )
 from .qpoly import LaurentPoly, ONE, Q
@@ -61,19 +71,23 @@ def _check_codim(n: int) -> int:
 
 def ideal_count_formula(n: int) -> LaurentPoly:
     """(q-1)^(n+1) * q^((n+1)(n-2)/2) * (indecomposable inversion
-    polynomial of size n+1); always an ordinary polynomial."""
+    polynomial of size n+1, from the inverse-series recursion); always an
+    ordinary polynomial."""
     _check_codim(n)
     count = ((Q - ONE) ** (n + 1)
-             * indec_inversion_polynomial(n + 1).shift((n + 1) * (n - 2) // 2))
+             * indec_inversion_polynomials(n + 1)[-1].shift((n + 1) * (n - 2) // 2))
     if not count.is_zero and count.valuation < 0:
         raise ArithmeticError("census count must be an ordinary polynomial")
     return count
 
 
-def ideal_count_hook_formula(n: int) -> LaurentPoly:
+def ideal_count_hook_formula(n: int, budget: int = DEFAULT_BUDGET) -> LaurentPoly:
     """(q-1)^(n+1) * sum of q^(hook(theta) - (n+1)) over indecomposable
-    theta of size n+1; an independent route to the same polynomial."""
+    theta of size n+1; an independent route to the same polynomial.  It
+    walks S_(n+1), so (n+1)! above ``budget`` raises TooLarge."""
     _check_codim(n)
+    if factorial(n + 1) > budget:
+        raise TooLarge(f"{n + 1}! permutations exceed budget {budget}")
     acc: dict[int, int] = {}
     for theta in enumerate_indecomposables(n + 1):
         e = hook_number(theta) - (n + 1)
@@ -118,14 +132,29 @@ def _stats_contribution(st: TreeStats) -> Contribution:
             * haglund_product(st.partition).shift(st.a_cells + st.b_cells))
 
 
-def ideal_count_by_trees(n: int) -> IdealCountReport:
+def ideal_count_by_trees(n: int, budget: int = DEFAULT_BUDGET) -> IdealCountReport:
+    """One entry per code tree, in ``enumerate_trees`` order.  Trees with
+    the same key (k, a_cells + b_cells, partition) share one immutable
+    contribution, built once; the total is the sum over keys of the
+    contribution times its number of trees, and the report checks it
+    against the sum of the entries.  Catalan(n) trees above ``budget``
+    raise TooLarge."""
     _check_codim(n)
+    trees = comb(2 * n, n) // (n + 1)
+    if trees > budget:
+        raise TooLarge(f"Catalan({n}) = {trees} trees exceed budget {budget}")
+    contributions: dict[tuple, Contribution] = {}
+    multiplicity: Counter[tuple] = Counter()
     entries = []
     for tree in enumerate_trees(n):
         st = tree_stats(tree)
+        key = (st.a_count, st.a_cells + st.b_cells, st.partition)
+        if key not in contributions:
+            contributions[key] = _stats_contribution(st)
+        multiplicity[key] += 1
         entries.append(TreeEntry(signature(tree), st.a_count, st.a_cells,
-                                 st.b_cells, st.partition, _stats_contribution(st)))
-    total = sum((e.contribution for e in entries), 0)
+                                 st.b_cells, st.partition, contributions[key]))
+    total = sum((contributions[key] * m for key, m in multiplicity.items()), 0)
     return IdealCountReport(n, "structural", None, total, tuple(entries))
 
 
@@ -178,6 +207,14 @@ def _action_cells(tree: CodeTree) -> tuple[list[tuple[str, int, int]],
              for i, p in enumerate(tree.prefixes) if p + letter in index]
     slots = [(c[-1], index[c[:-1]], index[p]) for c, p in assignment_slots(tree)]
     return units, slots
+
+
+def letter_slots(tree: CodeTree) -> tuple[int, int]:
+    """Slots in the a-action matrix and in the b-action matrix; a
+    letter's brute-force count walks p**(its slots) matrices."""
+    _, slots = _action_cells(tree)
+    a = sum(1 for letter, _, _ in slots if letter == "a")
+    return a, len(slots) - a
 
 
 def _action_grids(tree: CodeTree, values: Sequence[int]) -> dict[str, list[list[int]]]:
@@ -311,14 +348,12 @@ def ideal_count_brute_force(n: int, p: int,
     """Exhaustive census at q = p: per tree, the coefficient assignments
     with both action matrices invertible.  Each slot touches one cell of
     one matrix, so that number is the count for letter a times the count
-    for letter b.  The budget bounds the assignments per tree."""
+    for letter b.  The budget bounds the matrices each letter's count
+    describes, p**(its cells), which is the space it walks."""
     _check_codim(n)
     check_prime(p)
     entries = []
     for tree in enumerate_trees(n):
-        slots = len(assignment_slots(tree))
-        if p ** slots > budget:
-            raise TooLarge(f"{p}**{slots} assignments exceed budget {budget}")
         st = tree_stats(tree)
         count = (count_invertible_a_actions(tree, p, budget)
                  * count_invertible_b_actions(tree, p, budget))

@@ -12,6 +12,13 @@ A permutation is indecomposable when no proper prefix {1..i}, i < n, is
 stabilized.  ``enumerate_indecomposables`` streams them in lexicographic
 order; the size-0 permutation is the unit of shifted concatenation and is
 excluded from that stream.
+
+The inversion polynomial P_m of the indecomposables of size m has two
+routes here: ``indec_inversion_polynomials`` solves the inverse-series
+recursion P_m = [m]_q! - sum_{k<m} P_k [m-k]_q! in O(m^2) polynomial
+products (Comtet; OEIS A003319 at q = 1), and
+``indec_inversion_polynomial`` enumerates S_m.  The census formula uses
+the first; the second stays as its witness.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .qpoly import LaurentPoly, ONE, TruncatedSeries, q_factorial
+from .qpoly import LaurentPoly, ONE, ZERO, TruncatedSeries, geometric, q_factorial
 
 Perm = tuple[int, ...]
 
@@ -216,6 +223,27 @@ def indec_inversion_polynomial(m: int) -> LaurentPoly:
         e = inversions(s)
         acc[e] = acc.get(e, 0) + 1
     return LaurentPoly(acc)
+
+
+def indec_inversion_polynomials(m: int) -> list[LaurentPoly]:
+    """[P_1, ..., P_m], P_j the sum of q**inv over the indecomposable
+    permutations of size j, from the recursion
+    P_j = [j]_q! - sum_{k<j} P_k [j-k]_q!.
+
+    Every permutation factors uniquely as an indecomposable prefix
+    followed by an arbitrary permutation, and inversions add under
+    shifted concatenation; nothing is enumerated.
+    """
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    fact = [ONE]
+    for j in range(1, m + 1):
+        fact.append(fact[-1] * geometric(j))
+    polys: list[LaurentPoly] = []
+    for j in range(1, m + 1):
+        tail = sum((polys[k - 1] * fact[j - k] for k in range(1, j)), ZERO)
+        polys.append(fact[j] - tail)
+    return polys
 
 
 def indec_hook_polynomial(m: int) -> LaurentPoly:

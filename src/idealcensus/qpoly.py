@@ -5,7 +5,10 @@ integer coefficients; intermediate values (prefactors of the shape q^e with
 e < 0) need negative exponents, so the base object is a Laurent polynomial.
 A value is stored as a tuple of (exponent, coefficient) pairs sorted by
 exponent with no zero coefficient ever kept, so equality of values is
-equality of representations and hashing is safe.
+equality of representations and hashing is safe.  The public constructor
+checks that every exponent and coefficient is an int; the ring operations
+build their results from int-keyed data they made themselves and go
+through ``LaurentPoly._trusted``, which only drops zeros and sorts.
 
 ``TruncatedSeries`` layers formal power series in an auxiliary variable t
 on top, with LaurentPoly coefficients, up to a fixed truncation order.  It
@@ -46,6 +49,16 @@ class LaurentPoly:
         object.__setattr__(self, "_terms",
                            tuple(sorted((e, c) for e, c in acc.items() if c)))
 
+    @classmethod
+    def _trusted(cls, acc: dict[int, int]) -> "LaurentPoly":
+        """The canonical value of ``acc``, whose keys and values are known
+        to be ints: zero coefficients dropped, exponents sorted, nothing
+        type-checked.  For the ring operations only."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "_terms",
+                           tuple(sorted((e, c) for e, c in acc.items() if c)))
+        return poly
+
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("LaurentPoly is immutable")
 
@@ -85,12 +98,12 @@ class LaurentPoly:
         acc = dict(self._terms)
         for e, c in other._terms:
             acc[e] = acc.get(e, 0) + c
-        return LaurentPoly(acc)
+        return LaurentPoly._trusted(acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(tuple((e, -c) for e, c in self._terms))
+        return LaurentPoly._trusted({e: -c for e, c in self._terms})
 
     def __sub__(self, other: PolyLike) -> "LaurentPoly":
         return self + (-as_poly(other))
@@ -105,7 +118,7 @@ class LaurentPoly:
             for e2, c2 in other._terms:
                 e = e1 + e2
                 acc[e] = acc.get(e, 0) + c1 * c2
-        return LaurentPoly(acc)
+        return LaurentPoly._trusted(acc)
 
     __rmul__ = __mul__
 
@@ -123,7 +136,9 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by q**k (k may be negative)."""
-        return LaurentPoly(tuple((e + k, c) for e, c in self._terms))
+        if not isinstance(k, int):
+            raise TypeError("exponents and coefficients must be int")
+        return LaurentPoly._trusted({e + k: c for e, c in self._terms})
 
     # -- evaluation ------------------------------------------------------
 
@@ -190,7 +205,7 @@ def as_poly(value: PolyLike) -> LaurentPoly:
     if isinstance(value, LaurentPoly):
         return value
     if isinstance(value, int):
-        return LaurentPoly(((0, value),))
+        return LaurentPoly._trusted({0: value})
     raise TypeError(f"cannot interpret {value!r} as a polynomial")
 
 

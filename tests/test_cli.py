@@ -108,9 +108,39 @@ def test_count_budget_exceeded(capsys):
     assert "budget" in err
 
 
+def test_count_bruteforce_budget_is_per_letter(capsys):
+    # 5**12 assignments in the widest tree, but at most 5**9 per letter
+    code, out, _ = run(capsys, "count", "--codim", "3", "--q", "5",
+                       "--method", "bruteforce", "--no-header")
+    assert code == 0
+    assert out.splitlines()[1] == "total: 183200000"
+    assert ideals.ideal_count_formula(3).evaluate(5) == 183200000
+
+
+def test_enumerating_routes_exit_3_quickly(capsys):
+    start = time.perf_counter()
+    for argv in (("count", "--codim", "12", "--cross-check"),  # 13! permutations
+                 ("count", "--codim", "20", "--method", "structural"),  # Catalan(20)
+                 ("export", "--object", "ideal-census", "--n", "20"),
+                 ("count", "--codim", "4", "--method", "structural", "--budget", "13")):
+        code, _, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert "budget" in err
+    assert time.perf_counter() - start < 5.0
+
+
+def test_count_formula_codim_thirty(capsys):
+    code, out, _ = run(capsys, "count", "--codim", "30", "--no-header")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "codim 30 census, formula route"
+    assert lines[1].startswith("factored: (q-1)^31 * q^434 * (q^465 + 30q^464 + ")
+    assert lines[2].startswith("expanded: q^930 - q^929 - q^928 + ")
+
+
 def test_count_cross_check_mismatch(capsys, monkeypatch):
     monkeypatch.setattr(cli.ideals, "ideal_count_hook_formula",
-                        lambda n: LaurentPoly({0: 1}))
+                        lambda n, budget: LaurentPoly({0: 1}))
     code, _, err = run(capsys, "count", "--codim", "2", "--cross-check")
     assert code == 4
     assert "cross-check mismatch" in err

@@ -6,9 +6,11 @@ enumeration of coefficient assignments.
 """
 
 from itertools import product
+from math import comb
 
 import pytest
 
+import idealcensus.ideals as ideals
 from idealcensus.ideals import (
     CodimensionZero,
     CoefficientAssignment,
@@ -28,7 +30,7 @@ from idealcensus.ideals import (
 )
 from idealcensus.linfq import FqMatrix, TooLarge, enumerate_support_matrices, is_invertible
 from idealcensus.qpoly import LaurentPoly
-from idealcensus.words import CodeTree, enumerate_trees
+from idealcensus.words import CodeTree, enumerate_trees, signature, tree_stats
 
 EXAMPLE_TREE = CodeTree.from_leaves(["aa", "ab", "baa", "bab", "bba", "bbb"])
 EDGE = CodeTree.from_leaves(["a", "b"])
@@ -58,6 +60,48 @@ def test_three_polynomial_routes_agree(n):
     assert report.total == formula
     assert report.method == "structural" and report.q is None
     assert sum((e.contribution for e in report.entries), 0) == report.total
+
+
+def test_formula_at_codim_thirty():
+    f = ideal_count_formula(30)
+    assert f.valuation >= 0
+    assert f.degree == 31 * 28 // 2 + 31 + comb(31, 2)
+    assert f.evaluate(1) == 0
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_tree_entries_equal_tree_contributions(n):
+    trees = list(enumerate_trees(n))
+    report = ideal_count_by_trees(n)
+    assert len(report.entries) == len(trees)
+    for tree, entry in zip(trees, report.entries):
+        assert entry.sig == signature(tree)
+        assert entry.contribution == tree_contribution(tree)
+
+
+def test_one_haglund_product_per_tree_key(monkeypatch):
+    calls = []
+    real = ideals.haglund_product
+
+    def counted(parts):
+        calls.append(tuple(parts))
+        return real(parts)
+
+    monkeypatch.setattr(ideals, "haglund_product", counted)
+    stats = [tree_stats(tree) for tree in enumerate_trees(6)]
+    keys = {(st.a_count, st.a_cells + st.b_cells, st.partition) for st in stats}
+    report = ideal_count_by_trees(6)
+    assert len(calls) == len(keys) < len(report.entries) == 132
+    assert len({id(e.contribution) for e in report.entries}) == len(keys)
+
+
+def test_enumerating_routes_charge_the_budget():
+    with pytest.raises(TooLarge):
+        ideal_count_hook_formula(4, budget=119)  # 5! = 120 permutations
+    assert ideal_count_hook_formula(4, budget=120) == ideal_count_formula(4)
+    with pytest.raises(TooLarge):
+        ideal_count_by_trees(5, budget=41)  # Catalan(5) = 42 trees
+    assert ideal_count_by_trees(5, budget=42).total == ideal_count_formula(5)
 
 
 def test_example_tree_contribution():
@@ -147,6 +191,15 @@ def test_brute_force_census_codim_four():
 def test_brute_force_budget():
     with pytest.raises(TooLarge):
         ideal_count_brute_force(3, 3, budget=10)
+
+
+def test_brute_force_budget_counts_matrices_per_letter():
+    # codim 2: up to 6 slots per tree, at most 4 of them in one letter
+    assert max(max(ideals.letter_slots(t)) for t in enumerate_trees(2)) == 4
+    assert max(len(assignment_slots(t)) for t in enumerate_trees(2)) == 6
+    assert ideal_count_brute_force(2, 2, budget=2 ** 4).total == 16
+    with pytest.raises(TooLarge):
+        ideal_count_brute_force(2, 2, budget=2 ** 4 - 1)
 
 
 def test_edge_tree_counts():

@@ -19,6 +19,7 @@ from idealcensus.permstat import (
     hook_union_size,
     indec_hook_polynomial,
     indec_inversion_polynomial,
+    indec_inversion_polynomials,
     indecomposable_factors,
     inverse,
     inversion_distribution,
@@ -34,6 +35,7 @@ from idealcensus.permstat import (
     strip_lr_maxima,
     versions,
 )
+from idealcensus.congruence import hall_count
 from idealcensus.qpoly import LaurentPoly, q_factorial
 
 perms = st.permutations(range(1, 8)).map(tuple)
@@ -116,6 +118,26 @@ def test_inversion_polynomials_frozen():
     assert indec_inversion_polynomial(2) == LaurentPoly({1: 1})
     assert indec_inversion_polynomial(3) == LaurentPoly({3: 1, 2: 2})
     assert indec_inversion_polynomial(4) == LaurentPoly({6: 1, 5: 3, 4: 5, 3: 4})
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_recursion_matches_enumeration(m):
+    polys = indec_inversion_polynomials(m)
+    assert len(polys) == m
+    assert polys[-1] == indec_inversion_polynomial(m)
+
+
+def test_recursion_counts_are_hall_counts():
+    # P_{n+1}(1) counts the indecomposables of size n+1 (OEIS A003319)
+    polys = indec_inversion_polynomials(21)
+    assert [p.evaluate(1) for p in polys[:7]] == [1, 1, 3, 13, 71, 461, 3447]
+    assert [polys[n].evaluate(1) for n in range(1, 21)] == \
+        [hall_count(n) for n in range(1, 21)]
+
+
+def test_recursion_rejects_empty_size():
+    with pytest.raises(ValueError):
+        indec_inversion_polynomials(0)
 
 
 @pytest.mark.parametrize("m", range(1, 7))

@@ -1,5 +1,6 @@
 """Laurent polynomial and truncated series arithmetic."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,53 @@ def test_rejects_non_int_terms():
         LaurentPoly({0: 1.5})
     with pytest.raises(TypeError):
         as_poly("q")
+
+
+def test_shift_rejects_non_int():
+    with pytest.raises(TypeError):
+        Q.shift(1.5)
+
+
+def _dict_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return out
+
+
+def _dict_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return out
+
+
+def test_ring_operations_build_the_canonical_form():
+    # the ring operations skip validation; their results must be exactly
+    # what the validating constructor makes of the same data
+    rng = random.Random(7)
+    for _ in range(400):
+        a = {rng.randint(-5, 8): rng.randint(-9, 9) for _ in range(rng.randint(0, 6))}
+        b = {rng.randint(-5, 8): rng.randint(-9, 9) for _ in range(rng.randint(0, 6))}
+        b.update({e: -c for e, c in a.items() if rng.random() < 0.5})  # cancellations
+        k = rng.randint(-6, 6)
+        p, r = LaurentPoly(a), LaurentPoly(b)
+        cases = [
+            (p + r, _dict_add(a, b)),
+            (p - r, _dict_add(a, {e: -c for e, c in b.items()})),
+            (p * r, _dict_mul(a, b)),
+            (-p, {e: -c for e, c in a.items()}),
+            (p.shift(k), {e + k: c for e, c in a.items()}),
+            (p + (-p), {}),
+            (p * 3 + 2, _dict_add(_dict_mul(a, {0: 3}), {0: 2})),
+        ]
+        for got, raw in cases:
+            assert got.terms == LaurentPoly(raw).terms
+            exps = [e for e, _ in got.terms]
+            assert exps == sorted(set(exps))
+            assert all(c for _, c in got.terms)
+            assert got == LaurentPoly(raw) and hash(got) == hash(LaurentPoly(raw))
 
 
 def test_immutable():
