@@ -55,8 +55,8 @@ def poly_terms(p: LaurentPoly) -> list[dict]:
     return [{"exp": e, "coef": str(c)} for e, c in p.terms]
 
 
-def factored_census_str(n: int) -> str:
-    core = permstat.indec_inversion_polynomials(n + 1)[-1]
+def factored_census_str(n: int, core: LaurentPoly) -> str:
+    """The formula route's census, with core = P_(n+1) left unexpanded."""
     e = (n + 1) * (n - 2) // 2
     pieces = [f"(q-1)^{n + 1}"]
     if e:
@@ -174,7 +174,8 @@ def cmd_count(args) -> int:
 
     try:
         if args.method == "formula":
-            result: IdealCountReport | LaurentPoly = ideals.ideal_count_formula(n)
+            core = permstat.indec_inversion_polynomials(n + 1)[-1]
+            result: IdealCountReport | LaurentPoly = ideals.ideal_count_from_indec(n, core)
         elif args.method == "structural":
             result = ideals.ideal_count_by_trees(n, args.budget)
         else:
@@ -209,7 +210,7 @@ def cmd_count(args) -> int:
             payload = report_json(result)
         else:
             payload = {"n": n, "method": "formula", "total": poly_terms(result),
-                       "factored": factored_census_str(n)}
+                       "factored": factored_census_str(n, core)}
             if args.q is not None:
                 payload["q"] = args.q
                 payload["value_at_q"] = result.evaluate(args.q)
@@ -228,7 +229,7 @@ def cmd_count(args) -> int:
         lines.extend(report_text_lines(result))
     else:
         lines.append(f"codim {n} census, formula route")
-        lines.append(f"factored: {factored_census_str(n)}")
+        lines.append(f"factored: {factored_census_str(n, core)}")
         lines.append(f"expanded: {result}")
         if args.q is not None:
             lines.append(f"value at q={args.q}: {result.evaluate(args.q)}")
@@ -352,7 +353,7 @@ def build_export(args) -> tuple[dict, list[list[str]]]:
             report = ideals.ideal_count_brute_force(n, args.q, args.budget)
         return report_json(report), report_csv_rows(report)
     if args.object == "cells":
-        cd = ideals.cell_decomposition(n)
+        cd = ideals.cell_decomposition(n, args.budget)
         payload = {"n": n, "cells": [{"theta": permutation_str(c.theta),
                                       "torus_rank": c.torus_rank,
                                       "affine_dim": c.affine_dim} for c in cd.cells]}
@@ -481,8 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--no-header", dest="header", action="store_false")
     p_export.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                           help="bound on the ideal-census enumeration (trees, or "
-                               "matrices per letter and tree with --q); exit 3 "
-                               "when exceeded")
+                               "matrices per letter and tree with --q) and on the "
+                               "cells' (n+1)! permutations; exit 3 when exceeded")
     p_export.set_defaults(func=cmd_export)
 
     return parser

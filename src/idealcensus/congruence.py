@@ -27,6 +27,7 @@ from math import factorial
 from typing import Iterable, Iterator, Mapping
 
 from . import permstat
+from .haglund import constrained_permutations
 from .permstat import Perm
 from .words import (
     A_INVERSE,
@@ -35,6 +36,7 @@ from .words import (
     enumerate_trees,
     reconstruct,
     strip_a_run,
+    tree_stats,
     twisted_key,
     word_str,
 )
@@ -125,42 +127,22 @@ def enumerate_regular(n: int) -> Iterator[RightCongruence]:
     """Every regular congruence with n+1 leaves, each exactly once.
 
     The reduction map is forced on 'a'-ending leaves (strip the trailing
-    'a'-run) and ranges over the below-diagonal bijections C_b -> P_a on
-    the rest; regularity is still checked, never assumed.
+    'a'-run).  On the rest it is a bijection C_b -> P_a sending each leaf
+    below itself; since the members of P_a below c are the first
+    lambda(c) of sorted P_a, these are the permutations s fitting the
+    tree's staircase lambda, with c_b[i] -> p_a[s(i) - 1].  Regularity is
+    still checked, never assumed.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     for tree in enumerate_trees(n):
         c_a, c_b, p_a, _ = tree.parts
         base = {c: strip_a_run(c) for c in c_a}
-        for assignment in _below_bijections(c_b, p_a):
-            rc = RightCongruence.from_map(tree, base | assignment)
+        for s in constrained_permutations(tree_stats(tree).partition):
+            rc = RightCongruence.from_map(
+                tree, base | {c: p_a[v - 1] for c, v in zip(c_b, s)})
             if is_regular(rc):
                 yield rc
-
-
-def _below_bijections(c_b: tuple[str, ...],
-                      p_a: tuple[str, ...]) -> Iterator[dict[str, str]]:
-    """Bijections C_b -> P_a with every image alphabetically below its leaf."""
-    if not c_b:
-        yield {}
-        return
-    used = [False] * len(p_a)
-    chosen: list[str] = []
-
-    def backtrack(i: int) -> Iterator[dict[str, str]]:
-        if i == len(c_b):
-            yield dict(zip(c_b, chosen))
-            return
-        for j, p in enumerate(p_a):
-            if not used[j] and p < c_b[i]:
-                used[j] = True
-                chosen.append(p)
-                yield from backtrack(i + 1)
-                chosen.pop()
-                used[j] = False
-
-    yield from backtrack(0)
 
 
 def to_indecomposable(rc: RightCongruence) -> Perm:

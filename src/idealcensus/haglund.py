@@ -11,11 +11,15 @@ polynomial in q with two very different descriptions:
   the staircase (s(i) <= l_i), with p the hook-union statistic.
 
 Both are implemented from their definitions and checked against each
-other and against brute-force matrix enumeration.
+other and against brute-force matrix enumeration.  The fitting
+permutations (``constrained_permutations``) are also the reduction maps
+C_b -> P_a of a code tree with staircase l, which
+``congruence.enumerate_regular`` walks.
 """
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from typing import Iterator, Sequence
 
 from .linfq import count_invertible_support  # noqa: F401  re-exported; perfbench traces it here
@@ -87,13 +91,6 @@ def haglund_hook_sum(parts: Sequence[int]) -> LaurentPoly:
 
 
 def partitions_bounded(n: int) -> Iterator[Partition]:
-    """All weakly increasing tuples 0 <= l_1 <= ... <= l_n <= n."""
-    def rec(i: int, low: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield ()
-            return
-        for v in range(low, n + 1):
-            for rest in rec(i + 1, v):
-                yield (v,) + rest
-
-    yield from rec(0, 0)
+    """All weakly increasing tuples 0 <= l_1 <= ... <= l_n <= n, in
+    lexicographic order."""
+    return combinations_with_replacement(range(n + 1), n)

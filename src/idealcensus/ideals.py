@@ -23,8 +23,9 @@ Counting routes, all exact polynomials in q:
   assignments for which both action matrices are invertible.  Each slot
   touches one cell of one matrix, so the per-tree count is the a-count
   times the b-count; each letter's count walks its matrix row by row
-  (``linfq.count_invertible_rows``), and the joint odometer
-  ``count_invertible_pairs`` witnesses the factorisation.
+  (``linfq.count_invertible_rows``), and ``count_invertible_pairs``,
+  which walks the joint assignments of both letters, witnesses the
+  factorisation.
 
 The enumerating routes take a budget and raise ``TooLarge`` before they
 start when their enumeration would exceed it: (n+1)! permutations for
@@ -32,13 +33,15 @@ the hook route, Catalan(n) trees for the tree sum, p**(cells) matrices
 per letter for brute force.
 
 ``cell_decomposition`` records the partition of the census into cells
-(F_q*)^(n+1) x F_q^d indexed by indecomposable permutations.
+(F_q*)^(n+1) x F_q^d indexed by indecomposable permutations; like the
+hook route it walks S_(n+1) and is bounded by (n+1)!.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 from math import comb, factorial
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -74,8 +77,14 @@ def ideal_count_formula(n: int) -> LaurentPoly:
     polynomial of size n+1, from the inverse-series recursion); always an
     ordinary polynomial."""
     _check_codim(n)
-    count = ((Q - ONE) ** (n + 1)
-             * indec_inversion_polynomials(n + 1)[-1].shift((n + 1) * (n - 2) // 2))
+    return ideal_count_from_indec(n, indec_inversion_polynomials(n + 1)[-1])
+
+
+def ideal_count_from_indec(n: int, indec: LaurentPoly) -> LaurentPoly:
+    """(q-1)^(n+1) * q^((n+1)(n-2)/2) * indec, where indec is the
+    indecomposable inversion polynomial P_(n+1); the formula route once
+    P_(n+1) is known."""
+    count = (Q - ONE) ** (n + 1) * indec.shift((n + 1) * (n - 2) // 2)
     if not count.is_zero and count.valuation < 0:
         raise ArithmeticError("census count must be an ordinary polynomial")
     return count
@@ -293,33 +302,24 @@ def count_invertible_b_actions(tree: CodeTree, p: int,
 
 def count_invertible_pairs(tree: CodeTree, p: int,
                            budget: int = DEFAULT_BUDGET) -> int:
-    """Joint odometer over the slots of both letters: count the
-    assignments whose two action matrices are both invertible.  It never
-    uses the per-letter counts, so it witnesses that the census may
-    multiply them."""
+    """Walk every assignment of the slots of both letters
+    (``itertools.product``) and count those whose two action matrices
+    are both invertible.  It never uses the per-letter counts, so it
+    witnesses that the census may multiply them."""
     check_prime(p)
     _, cells = _action_cells(tree)
     if p ** len(cells) > budget:
         raise TooLarge(f"{p}**{len(cells)} assignments exceed budget {budget}")
     grids = _action_grids(tree, [0] * len(cells))
+    targets = [(grids[letter][i], j) for letter, i, j in cells]
     n = len(tree.prefixes)
-    digits = [0] * len(cells)
     count = 0
-    while True:
+    for values in product(range(p), repeat=len(cells)):
+        for (row, j), v in zip(targets, values):
+            row[j] = v
         if all(_full_rank([row[:] for row in g], n, p) for g in grids.values()):
             count += 1
-        pos = 0
-        while pos < len(cells):
-            digits[pos] += 1
-            letter, i, j = cells[pos]
-            if digits[pos] < p:
-                grids[letter][i][j] = digits[pos]
-                break
-            digits[pos] = 0
-            grids[letter][i][j] = 0
-            pos += 1
-        if pos == len(cells):
-            return count
+    return count
 
 
 def per_tree_action_count_check(n: int, p: int,
@@ -379,14 +379,22 @@ class CellDecomposition:
     cells: tuple[Cell, ...]
 
     def total_poly(self) -> LaurentPoly:
-        return sum(((Q - ONE) ** c.torus_rank * LaurentPoly.monomial(c.affine_dim)
-                    for c in self.cells), LaurentPoly())
+        """Sum of (q-1)^torus_rank * q^affine_dim over the cells, with one
+        power of (q-1) per torus rank."""
+        dims: dict[int, Counter[int]] = {}
+        for c in self.cells:
+            dims.setdefault(c.torus_rank, Counter())[c.affine_dim] += 1
+        return sum(((Q - ONE) ** rank * LaurentPoly(counts)
+                    for rank, counts in dims.items()), LaurentPoly())
 
 
-def cell_decomposition(n: int) -> CellDecomposition:
+def cell_decomposition(n: int, budget: int = DEFAULT_BUDGET) -> CellDecomposition:
     """One cell (F_q*)^(n+1) x F_q^((n+1)(n-2)/2 + inv(theta)) per
-    indecomposable theta of size n+1, in lexicographic order."""
+    indecomposable theta of size n+1, in lexicographic order.  It walks
+    S_(n+1), so (n+1)! above ``budget`` raises TooLarge."""
     _check_codim(n)
+    if factorial(n + 1) > budget:
+        raise TooLarge(f"{n + 1}! permutations exceed budget {budget}")
     base = (n + 1) * (n - 2) // 2
     cells = tuple(Cell(theta, n + 1, base + inversions(theta))
                   for theta in enumerate_indecomposables(n + 1))

@@ -8,8 +8,9 @@ walks the matrices row by row, prunes a row as soon as it falls into
 the span of the rows above it, and counts the surviving last rows one
 by one.  Pruning only skips singular matrices, so every invertible
 matrix is still visited, and no count is ever multiplied out from a
-formula.  ``enumerate_support_matrices`` stays the plain odometer that
-tests compare the counts against.
+formula.  ``enumerate_support_matrices`` walks every assignment of the
+support with ``itertools.product`` and stays the reference that tests
+compare the counts against.
 """
 
 from __future__ import annotations
@@ -130,10 +131,11 @@ def enumerate_support_matrices(support: Sequence[tuple[int, int]], p: int,
                                budget: int = DEFAULT_BUDGET) -> Iterator[FqMatrix]:
     """All p**|support| matrices that vanish outside the 1-based support.
 
-    Cells run row-major and digits advance little-endian in p, so the
-    stream is deterministic and starts at the zero matrix.  Dimensions
-    default to the largest index mentioned; pass them explicitly when a
-    bounding row or column is absent from the support.
+    Cells run row-major and the assignments advance little-endian in p
+    (the first cell turns fastest), so the stream is deterministic and
+    starts at the zero matrix.  Dimensions default to the largest index
+    mentioned; pass them explicitly when a bounding row or column is
+    absent from the support.
     """
     check_prime(p)
     cells = sorted(set(support))
@@ -145,22 +147,13 @@ def enumerate_support_matrices(support: Sequence[tuple[int, int]], p: int,
         raise ValueError("support cell outside the matrix")
     if p ** len(cells) > budget:
         raise TooLarge(f"{p}**{len(cells)} assignments exceed budget {budget}")
-    digits = [0] * len(cells)
     grid = [[0] * ncols for _ in range(nrows)]
-    while True:
+    # product() turns its last slot fastest, so feed it the cells reversed.
+    targets = [(grid[i - 1], j - 1) for i, j in reversed(cells)]
+    for values in product(range(p), repeat=len(cells)):
+        for (row, j), v in zip(targets, values):
+            row[j] = v
         yield FqMatrix.from_rows(grid, p)
-        pos = 0
-        while pos < len(cells):
-            digits[pos] += 1
-            i, j = cells[pos]
-            if digits[pos] < p:
-                grid[i - 1][j - 1] = digits[pos]
-                break
-            digits[pos] = 0
-            grid[i - 1][j - 1] = 0
-            pos += 1
-        if pos == len(cells):
-            return
 
 
 def count_invertible_rows(rows: Sequence[tuple[Sequence[int], Sequence[int]]],

@@ -328,11 +328,10 @@ def tree_stats(tree: CodeTree) -> TreeStats:
     if tree.n == 0:
         return TreeStats(0, (), 0, 0, ())
     c_a, c_b, p_a, p_b = tree.parts
-    lengths = signature(tree).lengths
     sums: list[int] = []
     total = 0
-    for l in lengths:
-        total += l
+    for c in c_a:
+        total += len(c) - len(strip_a_run(c))
         sums.append(total)
     a_cells = sum(s - 1 for s in sums)
     b_cells = sum(1 for p in p_b if p for c in c_b if p < c)

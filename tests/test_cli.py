@@ -13,6 +13,7 @@ import pytest
 import idealcensus.checks as checks
 import idealcensus.cli as cli
 import idealcensus.ideals as ideals
+import idealcensus.permstat as permstat
 from idealcensus.qpoly import LaurentPoly
 
 
@@ -77,6 +78,21 @@ def test_count_structural_skips_the_formula_route(capsys, monkeypatch):
                        "--no-header")
     assert code == 0
     assert out.splitlines()[0] == "codim 2 census, structural route"
+
+
+def test_count_formula_solves_the_recursion_once(capsys, monkeypatch):
+    calls = []
+    real = permstat.indec_inversion_polynomials
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(permstat, "indec_inversion_polynomials", counted)
+    monkeypatch.setattr(ideals, "indec_inversion_polynomials", counted)
+    code, _, _ = run(capsys, "count", "--codim", "5", "--no-header")
+    assert code == 0
+    assert calls == [6]
 
 
 def test_count_json_meta_present_by_default(capsys):
@@ -401,6 +417,14 @@ def test_export_budget_exceeded(capsys):
     code, _, err = run(capsys, "export", "--object", "ideal-census", "--n", "3",
                        "--q", "3", "--budget", "10")
     assert code == 3
+    assert "budget" in err
+
+
+def test_export_cells_budget_exceeded(capsys):
+    code, out, err = run(capsys, "export", "--object", "cells", "--n", "7",
+                         "--budget", "1")  # 8! permutations
+    assert code == 3
+    assert out == ""
     assert "budget" in err
 
 

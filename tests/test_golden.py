@@ -24,6 +24,7 @@ ARGVS = [
     ["verify", "--suite", "all", "--max-n", "3", "--primes", "2"],
     *(["export", "--object", obj, "--n", "3", "--format", fmt, "--no-header"]
       for obj in EXPORTS for fmt in ("json", "csv")),
+    ["export", "--object", "congruences", "--n", "4", "--format", "csv", "--no-header"],
 ]
 
 

@@ -59,6 +59,7 @@ def test_product_equals_hook_sum(n):
 
 def test_partitions_bounded():
     assert list(partitions_bounded(1)) == [(0,), (1,)]
+    assert list(partitions_bounded(2)) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
     assert len(list(partitions_bounded(3))) == 20
     for parts in partitions_bounded(3):
         assert check_partition(parts) == parts

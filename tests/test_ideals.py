@@ -11,6 +11,7 @@ from math import comb
 import pytest
 
 import idealcensus.ideals as ideals
+import idealcensus.words as words
 from idealcensus.ideals import (
     CodimensionZero,
     CoefficientAssignment,
@@ -95,6 +96,20 @@ def test_one_haglund_product_per_tree_key(monkeypatch):
     assert len({id(e.contribution) for e in report.entries}) == len(keys)
 
 
+def test_one_signature_per_tree(monkeypatch):
+    calls = []
+    real = words.signature
+
+    def counted(tree):
+        calls.append(tree)
+        return real(tree)
+
+    monkeypatch.setattr(words, "signature", counted)
+    monkeypatch.setattr(ideals, "signature", counted)
+    ideal_count_by_trees(6)
+    assert len(calls) == 132  # Catalan(6)
+
+
 def test_enumerating_routes_charge_the_budget():
     with pytest.raises(TooLarge):
         ideal_count_hook_formula(4, budget=119)  # 5! = 120 permutations
@@ -102,6 +117,9 @@ def test_enumerating_routes_charge_the_budget():
     with pytest.raises(TooLarge):
         ideal_count_by_trees(5, budget=41)  # Catalan(5) = 42 trees
     assert ideal_count_by_trees(5, budget=42).total == ideal_count_formula(5)
+    with pytest.raises(TooLarge):
+        cell_decomposition(4, budget=119)  # the cells walk S_5 too
+    assert cell_decomposition(4, budget=120).total_poly() == ideal_count_formula(4)
 
 
 def test_example_tree_contribution():
@@ -240,7 +258,7 @@ def test_joint_assignments_factor_per_letter(tree):
 @pytest.mark.parametrize("tree", small_trees(), ids=str)
 @pytest.mark.parametrize("p", (2, 3))
 def test_letter_counts_match_filtered_enumeration(tree, p):
-    # the support odometer over one letter's slots plus its fixed unit entries
+    # the support enumeration over one letter's slots plus its fixed unit entries
     index = {w: i for i, w in enumerate(tree.prefixes)}
     n = len(index)
     units = build_action_matrices(CoefficientAssignment.from_dict(tree, p))

@@ -125,6 +125,11 @@ def test_enumerate_support_matrices_shape():
         assert m.entry(0, 1) == 0 and m.entry(1, 0) == 0
 
 
+def test_enumerate_support_little_endian_from_zero():
+    mats = list(enumerate_support_matrices([(1, 1), (1, 2)], 2))
+    assert [m.entries for m in mats[:4]] == [((0, 0),), ((1, 0),), ((0, 1),), ((1, 1),)]
+
+
 def test_enumerate_support_explicit_dims():
     mats = list(enumerate_support_matrices([(1, 1)], 2, rows=2, cols=3))
     assert len(mats) == 2
@@ -182,7 +187,7 @@ def test_staircase_three_rows_at_five():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_rows_count_matches_filtered_enumeration(p):
-    # rows with fixed entries outside their free columns, against the odometer
+    # rows with fixed entries outside their free columns, against the support enumeration
     rng = random.Random(p)
     for _ in range(40):
         n = rng.randint(1, 3)
