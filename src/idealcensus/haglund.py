@@ -83,11 +83,8 @@ def constrained_permutations(parts: Sequence[int]) -> Iterator[Perm]:
 def haglund_hook_sum(parts: Sequence[int]) -> LaurentPoly:
     """(q-1)^n times the hook-statistic sum over fitting permutations."""
     t = check_partition(parts)
-    acc: dict[int, int] = {}
-    for s in constrained_permutations(t):
-        e = hook_number(s)
-        acc[e] = acc.get(e, 0) + 1
-    return (Q - ONE) ** len(t) * LaurentPoly(acc)
+    return (Q - ONE) ** len(t) * LaurentPoly((hook_number(s), 1)
+                                             for s in constrained_permutations(t))
 
 
 def partitions_bounded(n: int) -> Iterator[Partition]:

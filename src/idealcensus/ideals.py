@@ -51,7 +51,7 @@ from .linfq import (DEFAULT_BUDGET, FqMatrix, TooLarge, _full_rank, check_prime,
 from .permstat import (
     Perm,
     enumerate_indecomposables,
-    hook_number,
+    indec_hook_polynomial,
     indec_inversion_polynomials,
     inversions,
 )
@@ -97,11 +97,7 @@ def ideal_count_hook_formula(n: int, budget: int = DEFAULT_BUDGET) -> LaurentPol
     _check_codim(n)
     if factorial(n + 1) > budget:
         raise TooLarge(f"{n + 1}! permutations exceed budget {budget}")
-    acc: dict[int, int] = {}
-    for theta in enumerate_indecomposables(n + 1):
-        e = hook_number(theta) - (n + 1)
-        acc[e] = acc.get(e, 0) + 1
-    return (Q - ONE) ** (n + 1) * LaurentPoly(acc)
+    return (Q - ONE) ** (n + 1) * indec_hook_polynomial(n + 1).shift(-(n + 1))
 
 
 @dataclass(frozen=True)

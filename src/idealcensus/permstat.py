@@ -218,11 +218,7 @@ def indec_inversion_polynomial(m: int) -> LaurentPoly:
     """Sum of q**inv over indecomposable permutations of size m."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    acc: dict[int, int] = {}
-    for s in enumerate_indecomposables(m):
-        e = inversions(s)
-        acc[e] = acc.get(e, 0) + 1
-    return LaurentPoly(acc)
+    return LaurentPoly((inversions(s), 1) for s in enumerate_indecomposables(m))
 
 
 def indec_inversion_polynomials(m: int) -> list[LaurentPoly]:
@@ -251,20 +247,12 @@ def indec_hook_polynomial(m: int) -> LaurentPoly:
     polynomial shifted by C(m,2)."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    acc: dict[int, int] = {}
-    for s in enumerate_indecomposables(m):
-        e = hook_number(s)
-        acc[e] = acc.get(e, 0) + 1
-    return LaurentPoly(acc)
+    return LaurentPoly((hook_number(s), 1) for s in enumerate_indecomposables(m))
 
 
 def inversion_distribution(n: int) -> LaurentPoly:
     """Sum of q**inv over all of S_n (equals the q-factorial)."""
-    acc: dict[int, int] = {}
-    for s in enumerate_permutations(n):
-        e = inversions(s)
-        acc[e] = acc.get(e, 0) + 1
-    return LaurentPoly(acc)
+    return LaurentPoly((inversions(s), 1) for s in enumerate_permutations(n))
 
 
 def series_identity_check(order: int) -> bool:

@@ -29,6 +29,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 ALPHABET = ("a", "b")
+MAX_WORD_LENGTH = 1000  # longest word parse_word builds
 
 
 class EmptyWord(ValueError):
@@ -50,12 +51,13 @@ def check_word(w: str) -> str:
 
 
 def parse_word(text: str) -> str:
-    """Parse 'ba^2b' or plain 'baab'; '1' is the empty word."""
+    """Parse 'ba^2b' or plain 'baab'; '1' is the empty word.  A word
+    longer than MAX_WORD_LENGTH is rejected before it is built."""
     text = text.strip()
     if text == "1":
         return ""
     out: list[str] = []
-    i = 0
+    length = i = 0
     while i < len(text):
         ch = text[i]
         if ch not in "ab":
@@ -68,10 +70,14 @@ def parse_word(text: str) -> str:
                 j += 1
             if j == i:
                 raise ValueError(f"missing exponent in word {text!r}")
-            out.append(ch * int(text[i:j]))
+            power = int(text[i:j])
             i = j
         else:
-            out.append(ch)
+            power = 1
+        length += power
+        if length > MAX_WORD_LENGTH:
+            raise ValueError(f"word {text[:40]!r} is longer than {MAX_WORD_LENGTH} letters")
+        out.append(ch * power)
     return "".join(out)
 
 

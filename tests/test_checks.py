@@ -16,5 +16,6 @@ def test_table_shape():
 
 @pytest.mark.parametrize("label", ENTRIES)
 def test_check(label):
-    ok, detail, _ = run_check(ENTRIES[label], CheckConfig(max_n=6, primes=(2,), seed=0))
+    ok, detail, cases, _ = run_check(ENTRIES[label], CheckConfig(max_n=6, primes=(2,), seed=0))
     assert ok, detail
+    assert cases > 0

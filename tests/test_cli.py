@@ -12,9 +12,12 @@ import pytest
 
 import idealcensus.checks as checks
 import idealcensus.cli as cli
+import idealcensus.congruence as congruence
 import idealcensus.ideals as ideals
 import idealcensus.permstat as permstat
+from idealcensus.ideals import IdealCountReport, TreeEntry
 from idealcensus.qpoly import LaurentPoly
+from idealcensus.words import TreeSignature
 
 
 def run(capsys, *argv):
@@ -250,6 +253,22 @@ def test_bijection_invalid_inputs(capsys, tmp_path):
     assert run(capsys, "bijection", "--congruence-file", str(garbled))[0] == 2
 
 
+def test_bijection_file_rejects_repeated_leaf(tmp_path, capsys):
+    source = tmp_path / "repeated.txt"
+    source.write_text("a -> 1\nb -> 1\na -> 1\n")
+    code, _, err = run(capsys, "bijection", "--congruence-file", str(source))
+    assert code == 2
+    assert "given twice" in err
+
+
+def test_bijection_file_rejects_overlong_word(tmp_path, capsys):
+    source = tmp_path / "long.txt"
+    source.write_text("a^1000000000000 -> 1\nb -> 1\n")
+    code, _, err = run(capsys, "bijection", "--congruence-file", str(source))
+    assert code == 2
+    assert "longer than" in err
+
+
 def test_bijection_non_regular_file(tmp_path, capsys):
     source = tmp_path / "irregular.txt"
     source.write_text("a^2 -> a\nab -> 1\nb -> 1\n")
@@ -280,13 +299,14 @@ def test_verify_suite_green(capsys):
 def test_verify_tiny_bound_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "haglund", "--max-n", "1")
     assert code == 0
-    assert out.splitlines()[-1] == "4/4 checks passed"
+    assert out.splitlines()[1].startswith("[skip] haglund: product formula peels one row")
+    assert out.splitlines()[-1] == "3/4 checks passed, 1 skipped"
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setitem(checks.SUITES, "words", [
-        ("forced failure", lambda cfg: (False, "induced")),
-        ("forced crash", lambda cfg: 1 / 0),
+        ("forced failure", lambda cfg: iter([("induced", False)])),
+        ("forced crash", lambda cfg: ((1 / 0, True) for _ in range(1))),
     ])
     code, out, _ = run(capsys, "verify", "--suite", "words")
     assert code == 1
@@ -295,6 +315,17 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert lines[0].endswith(": induced")
     assert "raised ZeroDivisionError" in lines[1]
     assert lines[-1] == "0/2 checks passed"
+
+
+def test_verify_marks_a_check_without_cases_skipped(capsys):
+    # the per-tree witness only runs at p <= 3, so these primes give it no case
+    code, out, _ = run(capsys, "verify", "--suite", "ideals", "--primes", "5,7",
+                       "--max-n", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[2].startswith("[skip] ideals: per-tree action counts factor as predicted")
+    assert sum(line.startswith("[ ok ]") for line in lines) == 4
+    assert lines[-1] == "4/5 checks passed, 1 skipped"
 
 
 def test_verify_invalid_arguments(capsys):
@@ -384,17 +415,54 @@ def test_export_header_breaks_nothing(capsys):
     assert out.splitlines()[0].startswith("# idealcensus")
 
 
+def report_from_json(payload: dict) -> IdealCountReport:
+    """Inverse of ``cli.report_json``."""
+
+    def uncontrib(value):
+        if isinstance(value, int):
+            return value
+        return LaurentPoly({t["exp"]: int(t["coef"]) for t in value})
+
+    entries = tuple(TreeEntry(
+        sig=TreeSignature(size=payload["n"],
+                          ranks=tuple(t["signature"]["ranks"]),
+                          lengths=tuple(t["signature"]["lengths"])),
+        a_count=t["k"],
+        a_cells=t["N"],
+        b_cells=t["M"],
+        partition=tuple(t["lambda"]),
+        contribution=uncontrib(t["contribution"]),
+    ) for t in payload["trees"])
+    return IdealCountReport(n=payload["n"], method=payload["method"],
+                            q=payload.get("q"), total=uncontrib(payload["total"]),
+                            entries=entries)
+
+
 def test_export_census_reimport_roundtrip(capsys):
     # parsing an exported census back recovers the exact in-process report
     code, out, _ = run(capsys, "export", "--object", "ideal-census", "--n", "3",
                        "--no-header")
     assert code == 0
-    assert cli.report_from_json(json.loads(out)) == ideals.ideal_count_by_trees(3)
+    assert report_from_json(json.loads(out)) == ideals.ideal_count_by_trees(3)
 
     code, out, _ = run(capsys, "export", "--object", "ideal-census", "--n", "2",
                        "--q", "3", "--no-header")
     assert code == 0
-    assert cli.report_from_json(json.loads(out)) == ideals.ideal_count_brute_force(2, 3)
+    assert report_from_json(json.loads(out)) == ideals.ideal_count_brute_force(2, 3)
+
+
+def test_export_subgroups_builds_each_generator_list_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(rc):
+        calls.append(rc)
+        return congruence.subgroup_generators(rc)
+
+    monkeypatch.setattr(cli, "subgroup_generators", counted)
+    code, _, _ = run(capsys, "export", "--object", "subgroups", "--n", "4",
+                     "--format", "csv")
+    assert code == 0
+    assert len(calls) == congruence.hall_count(4) == 71
 
 
 def test_export_help_documents_csv_columns(capsys):

@@ -1,10 +1,13 @@
 """Words over {a, b}, the twisted order, code trees and signatures."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
 from idealcensus.words import (
     A_INVERSE,
+    MAX_WORD_LENGTH,
     CodeTree,
     EmptyWord,
     InvalidSignature,
@@ -49,6 +52,18 @@ def test_parse_word():
         parse_word("ac")
     with pytest.raises(ValueError):
         parse_word("a^")
+
+
+def test_parse_word_rejects_a_long_word_before_building_it():
+    assert len(parse_word(f"ba^{MAX_WORD_LENGTH - 1}")) == MAX_WORD_LENGTH
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="longer than"):
+            parse_word("ba^1000000000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_word_rendering():
