@@ -3,9 +3,14 @@
 compares independent routes case by case up to ``cfg.max_n`` and yields
 one ``(case, ok)`` per case it checked; ``run_check`` walks it, counts
 the cases and names the first case that fails.  A check that yields no
-case checked nothing, and ``verify`` prints it as skipped.  Library
-functions are looked up as ``module.name`` at call time, so a rebinding
-of them reaches the checks.
+case checked nothing, and ``verify`` prints it as skipped.
+
+Check predicates live only here.  Those the per-module tests also run,
+at their own bounds, take explicit bounds instead of a config
+(``hook_strip_identity``, ``per_tree_action_counts``, ...); like every
+check they yield per case, so a failure names its permutation, t-order,
+tree, word pair or tree and prime.  Library functions are looked up as
+``module.name`` at call time, so a rebinding of them reaches the checks.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Callable, Iterator
 
 from . import congruence, haglund, ideals, linfq, permstat, qpoly, words
 from .linfq import DEFAULT_BUDGET
-from .qpoly import LaurentPoly
+from .qpoly import ONE, LaurentPoly, TruncatedSeries
 
 Cases = Iterator[tuple[object, bool]]  # one (case, ok) per case checked
 Check = Callable[["CheckConfig"], Cases]
@@ -103,9 +108,16 @@ def check_indec_criteria(cfg: CheckConfig) -> Cases:
         yield s, permstat.is_indecomposable(s) == permstat.is_indecomposable_lr(s)
 
 
-def check_hook_strip(cfg: CheckConfig) -> Cases:
-    for s in perms(1, cfg.max_n):
-        yield s, permstat.hook_strip_identity_check(s)
+def hook_strip_identity(lo: int, hi: int) -> Cases:
+    """Hook statistic of each t of size lo..hi against the stripped
+    permutation: p(t) = p(sigma) + k*n - k(k+1)/2 + sum(values - positions)."""
+    for t in perms(lo, hi):
+        lr = permstat.lr_maxima(t)
+        k = lr.count
+        expected = (permstat.hook_union_size(permstat.strip_lr_maxima(t))
+                    + k * len(t) - k * (k + 1) // 2
+                    + sum(j - i for i, j in zip(lr.positions, lr.values)))
+        yield t, permstat.hook_union_size(t) == expected
 
 
 def check_factorization(cfg: CheckConfig) -> Cases:
@@ -131,9 +143,15 @@ def check_inversion_distribution(cfg: CheckConfig) -> Cases:
         yield f"n={n}", permstat.inversion_distribution(n) == qpoly.q_factorial(n)
 
 
-def check_series_identity(cfg: CheckConfig) -> Cases:
-    order = min(8, cfg.max_n + 3)
-    yield f"order {order}", permstat.series_identity_check(order)
+def series_identity(order: int) -> Cases:
+    """The q-factorial series is the reciprocal of 1 - sum of the
+    indecomposable inversion polynomials, coefficient by coefficient up
+    to t**order.  The left side is the closed q-factorials, the right
+    side enumerates, so agreement is a genuine cross-check."""
+    body = [ONE] + [-permstat.indec_inversion_polynomial(m) for m in range(1, order + 1)]
+    rhs = TruncatedSeries(order, body).invert()
+    for k in range(order + 1):
+        yield f"t-order {k}", rhs.coefficient(k) == qpoly.q_factorial(k)
 
 
 def _random_poly(rng: random.Random) -> LaurentPoly:
@@ -187,9 +205,18 @@ def check_prefix_sum_route(cfg: CheckConfig) -> Cases:
         yield tree, parents == words.tree_stats(tree).prefix_sums
 
 
-def check_rank_sum(cfg: CheckConfig) -> Cases:
-    for tree in trees(0, cfg.max_n):
-        yield tree, words.rank_sum_identity_check(tree)
+def rank_sum_identity(lo: int, hi: int) -> Cases:
+    """b_cells plus the rank sum is determined by n and k alone, for every
+    tree with lo..hi internal nodes; the one-leaf tree's 'a'-part is read
+    as {1} with rank 1."""
+    for tree in trees(lo, hi):
+        n = tree.n
+        if n == 0:
+            k, rank_sum, b_cells = 1, 1, 0
+        else:
+            ranks = words.signature(tree).ranks
+            k, rank_sum, b_cells = len(ranks), sum(ranks), words.tree_stats(tree).b_cells
+        yield tree, b_cells + rank_sum == (n + 1) * (k - 1) + k - k * (k - 1) // 2
 
 
 def check_rank_bijection(cfg: CheckConfig) -> Cases:
@@ -209,12 +236,65 @@ def check_leaf_orders_agree(cfg: CheckConfig) -> Cases:
         yield tree, tuple(sorted(tree.leaves, key=words.twisted_key)) == tree.leaves
 
 
+def power_separation(max_len: int) -> Cases:
+    """p <= q forces p·a^i < q·b^j for every i >= 0, j >= 1, one case per
+    word pair (p, q) of length at most max_len."""
+    a_runs = ["a" * i for i in range(max_len + 1)]
+    b_runs = ["b" * j for j in range(1, max_len + 1)]
+    for p, q in itertools.combinations_with_replacement(sorted(words.all_words(max_len)), 2):
+        yield (p, q), all(p + x < q + y for x in a_runs for y in b_runs)
+
+
+def class_intervals(max_len: int) -> Cases:
+    """Each class w·a* is an interval of the sorted words of length at
+    most max_len: no class starts two runs."""
+    seen: set[str] = set()
+    for rep, _ in itertools.groupby(sorted(words.all_words(max_len)), key=words.strip_a_run):
+        yield f"class {words.word_str(rep)}·a*", rep not in seen
+        seen.add(rep)
+
+
+def twist_order(max_len: int) -> Cases:
+    """Twisted versus alphabetical comparison, one case per word pair.
+    Same class: the two orders are opposite.  Different classes: they
+    agree and depend only on the class representatives.  Words ending in
+    'a': stripping the 'a'-run is monotone up to classes."""
+    ws = list(words.all_words(max_len))
+    for u, v in itertools.combinations(ws, 2):
+        ru, rv = words.strip_a_run(u), words.strip_a_run(v)
+        alph = words.alph_compare(u, v)
+        twist = words.twisted_compare(u, v)
+        if ru == rv:
+            yield (u, v), twist == -alph
+        else:
+            yield (u, v), twist == alph == words.alph_compare(ru, rv)
+    for u, v in itertools.combinations(sorted(w for w in ws if w.endswith("a")), 2):
+        ru, rv = words.strip_a_run(u), words.strip_a_run(v)
+        yield (u, v), ru == rv or (ru < rv and words.twisted_compare(ru, rv) < 0)
+
+
+def branch_floor(max_n: int) -> Cases:
+    """For every tree with 1..max_n internal nodes and every leaf c, with
+    c' the largest 'a'-ending leaf at most c: every leaf d <= c has
+    stripped form at most the stripped form of c' in the twisted order."""
+    for tree in trees(1, max_n):
+        a_leaves = [c for c in tree.leaves if c.endswith("a")]
+        for c in tree.leaves:
+            floor = [x for x in a_leaves if x <= c]
+            ok = bool(floor)
+            if ok:
+                bound = words.twisted_key(words.strip_last_run(max(floor)))
+                ok = all(words.twisted_key(words.strip_last_run(d)) <= bound
+                         for d in tree.leaves if d <= c)
+            yield f"{tree} at leaf {c}", ok
+
+
 def check_order_properties(cfg: CheckConfig) -> Cases:
     bound = min(cfg.max_n, 7)
-    yield "power separation", words.power_separation_check(bound)
-    yield "class intervals", words.class_interval_check(bound)
-    yield "twist comparison", words.twist_order_check(bound)
-    yield "branch floor", words.branch_floor_check(min(bound, 6))
+    yield from power_separation(bound)
+    yield from class_intervals(bound)
+    yield from twist_order(bound)
+    yield from branch_floor(min(bound, 6))
 
 
 def check_congruence_counts(cfg: CheckConfig) -> Cases:
@@ -286,7 +366,7 @@ def check_haglund_routes(cfg: CheckConfig) -> Cases:
 
 
 def check_haglund_recursion(cfg: CheckConfig) -> Cases:
-    for parts in partitions(2, cfg.max_n):
+    for parts in partitions(1, cfg.max_n):
         if _vanishes(parts):
             continue
         peeled = tuple(v - 1 for v in parts[1:])
@@ -332,11 +412,26 @@ def check_census_brute(cfg: CheckConfig) -> Cases:
             yield f"n={n}, p={p}: {total}", total == expected.evaluate(p)
 
 
+def per_tree_action_counts(n: int, p: int, budget: int = DEFAULT_BUDGET) -> Cases:
+    """For every tree with n internal nodes: the letter actions over F_p
+    are invertible for exactly (p-1)^k * p^(a_cells) resp.
+    p^(b_cells) * staircase(p) assignments, and jointly for exactly the
+    product (the two letters are independent)."""
+    for tree in words.enumerate_trees(n):
+        st = words.tree_stats(tree)
+        expect_a = (p - 1) ** st.a_count * p ** st.a_cells
+        expect_b = p ** st.b_cells * haglund.haglund_product(st.partition).evaluate(p)
+        yield f"{tree} at p={p}", (
+            ideals.count_invertible_a_actions(tree, p, budget) == expect_a
+            and ideals.count_invertible_b_actions(tree, p, budget) == expect_b
+            and ideals.count_invertible_pairs(tree, p, budget) == expect_a * expect_b)
+
+
 def check_per_tree_counts(cfg: CheckConfig) -> Cases:
     for n in range(1, min(cfg.max_n, 3) + 1):
         for p in cfg.primes:
             if p <= 3:
-                yield f"n={n}, p={p}", ideals.per_tree_action_count_check(n, p, cfg.budget)
+                yield from per_tree_action_counts(n, p, cfg.budget)
 
 
 def check_cells(cfg: CheckConfig) -> Cases:
@@ -360,10 +455,11 @@ SUITES: dict[str, list[tuple[str, Check]]] = {
         ("hook statistic: grid route = inversion routes", check_hook_routes),
         ("transpose symmetry of inv and hook", check_transpose_symmetry),
         ("indecomposability criteria agree", check_indec_criteria),
-        ("hook statistic strip identity", check_hook_strip),
+        ("hook statistic strip identity", lambda cfg: hook_strip_identity(1, cfg.max_n)),
         ("unique factorization into indecomposables", check_factorization),
         ("inversion distribution equals the q-factorial", check_inversion_distribution),
-        ("factorial series is the indecomposable reciprocal", check_series_identity),
+        ("factorial series is the indecomposable reciprocal",
+         lambda cfg: series_identity(min(8, cfg.max_n + 3))),
         ("polynomial ring axioms on seeded samples", check_ring_axioms),
         ("evaluation is a ring morphism on seeded samples", check_eval_morphism),
     ],
@@ -372,7 +468,7 @@ SUITES: dict[str, list[tuple[str, Check]]] = {
         ("leaf/prefix parts match under run stripping", check_tree_parts),
         ("signature reconstruction roundtrip", check_signature_roundtrip),
         ("prefix sums equal parent ranks", check_prefix_sum_route),
-        ("rank-sum identity", check_rank_sum),
+        ("rank-sum identity", lambda cfg: rank_sum_identity(0, cfg.max_n)),
         ("rank identity bijection", check_rank_bijection),
         ("alphabetical and twisted order agree on leaves", check_leaf_orders_agree),
         ("exhaustive order properties", check_order_properties),

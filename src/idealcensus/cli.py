@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from math import factorial
 
 from . import __version__, checks, congruence, ideals, linfq, permstat
 from .congruence import (
@@ -135,7 +136,7 @@ def emit(text: str, out_path: str | None) -> int:
 
 def cmd_count(args) -> int:
     try:
-        n = ideals._check_codim(args.codim)
+        n = ideals._require_codim(args.codim)
     except CodimensionZero as exc:
         print(f"error: {exc} (the codimension-0 count is 1; the closed formula "
               f"does not cover it)", file=sys.stderr)
@@ -297,6 +298,11 @@ def cmd_verify(args) -> int:
     if args.max_n < 1:
         print("error: --max-n must be at least 1", file=sys.stderr)
         return 2
+    # no check walks past S_(max_n+1), and (max_n+1)! >= 2**max_n
+    if args.max_n >= args.budget.bit_length() or factorial(args.max_n + 1) > args.budget:
+        print(f"error: budget exceeded: {args.max_n + 1}! permutations exceed "
+              f"budget {args.budget}", file=sys.stderr)
+        return 3
     cfg = checks.CheckConfig(max_n=args.max_n, primes=primes, seed=args.seed,
                              budget=args.budget)
     names = list(checks.SUITES) if args.suite == "all" else [args.suite]
@@ -344,6 +350,10 @@ def build_export(args) -> tuple[dict, list[list[str]]]:
         rows.extend([permutation_str(c.theta), str(c.torus_rank), str(c.affine_dim)]
                     for c in cd.cells)
         return payload, rows
+    # enumerate_regular(n) visits hall_count(n) >= n! >= 2**(n-1) candidates
+    if args.object in ("congruences", "subgroups") and (
+            n > args.budget.bit_length() or congruence.hall_count(n) > args.budget):
+        raise TooLarge(f"hall_count({n}) candidates exceed budget {args.budget}")
     if args.object == "congruences":
         items = list(congruence.enumerate_regular(n))
         payload = {"n": n, "congruences": [
@@ -442,7 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-n", type=int, default=5)
     p_verify.add_argument("--primes", default="2,3", metavar="P1,P2,...")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                          help="bound on each enumeration; exit 3 when the "
+                               "(max-n+1)! permutations exceed it")
     p_verify.set_defaults(func=cmd_verify)
 
     p_export = sub.add_parser(
@@ -465,8 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--no-header", dest="header", action="store_false")
     p_export.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                           help="bound on the ideal-census enumeration (trees, or "
-                               "matrices per letter and tree with --q) and on the "
-                               "cells' (n+1)! permutations; exit 3 when exceeded")
+                               "matrices per letter and tree with --q), on the "
+                               "cells' (n+1)! permutations and on the congruences' "
+                               "hall_count(n) candidates; exit 3 when exceeded")
     p_export.set_defaults(func=cmd_export)
 
     return parser

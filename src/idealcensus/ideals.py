@@ -25,7 +25,8 @@ Counting routes, all exact polynomials in q:
   times the b-count; each letter's count walks its matrix row by row
   (``linfq.count_invertible_rows``), and ``count_invertible_pairs``,
   which walks the joint assignments of both letters, witnesses the
-  factorisation.
+  factorisation (``checks.per_tree_action_counts``, tree by tree and
+  prime by prime).
 
 The enumerating routes take a budget and raise ``TooLarge`` before they
 start when their enumeration would exceed it: (n+1)! permutations for
@@ -66,7 +67,7 @@ class CodimensionZero(ValueError):
     """The closed formulas are stated for codimension n >= 1."""
 
 
-def _check_codim(n: int) -> int:
+def _require_codim(n: int) -> int:
     if not isinstance(n, int) or n < 1:
         raise CodimensionZero(f"codimension must be an integer >= 1, got {n!r}")
     return n
@@ -76,7 +77,7 @@ def ideal_count_formula(n: int) -> LaurentPoly:
     """(q-1)^(n+1) * q^((n+1)(n-2)/2) * (indecomposable inversion
     polynomial of size n+1, from the inverse-series recursion); always an
     ordinary polynomial."""
-    _check_codim(n)
+    _require_codim(n)
     return ideal_count_from_indec(n, indec_inversion_polynomials(n + 1)[-1])
 
 
@@ -94,7 +95,7 @@ def ideal_count_hook_formula(n: int, budget: int = DEFAULT_BUDGET) -> LaurentPol
     """(q-1)^(n+1) * sum of q^(hook(theta) - (n+1)) over indecomposable
     theta of size n+1; an independent route to the same polynomial.  It
     walks S_(n+1), so (n+1)! above ``budget`` raises TooLarge."""
-    _check_codim(n)
+    _require_codim(n)
     if factorial(n + 1) > budget:
         raise TooLarge(f"{n + 1}! permutations exceed budget {budget}")
     return (Q - ONE) ** (n + 1) * indec_hook_polynomial(n + 1).shift(-(n + 1))
@@ -144,7 +145,7 @@ def ideal_count_by_trees(n: int, budget: int = DEFAULT_BUDGET) -> IdealCountRepo
     contribution times its number of trees, and the report checks it
     against the sum of the entries.  Catalan(n) trees above ``budget``
     raise TooLarge."""
-    _check_codim(n)
+    _require_codim(n)
     trees = comb(2 * n, n) // (n + 1)
     if trees > budget:
         raise TooLarge(f"Catalan({n}) = {trees} trees exceed budget {budget}")
@@ -318,27 +319,6 @@ def count_invertible_pairs(tree: CodeTree, p: int,
     return count
 
 
-def per_tree_action_count_check(n: int, p: int,
-                                budget: int = DEFAULT_BUDGET) -> bool:
-    """For every tree: the letter actions are invertible for exactly
-    (p-1)^k * p^(a_cells) resp. p^(b_cells) * staircase(p) assignments,
-    and jointly for exactly the product (the two letters are
-    independent)."""
-    _check_codim(n)
-    check_prime(p)
-    for tree in enumerate_trees(n):
-        st = tree_stats(tree)
-        expect_a = (p - 1) ** st.a_count * p ** st.a_cells
-        expect_b = p ** st.b_cells * haglund_product(st.partition).evaluate(p)
-        if count_invertible_a_actions(tree, p, budget) != expect_a:
-            return False
-        if count_invertible_b_actions(tree, p, budget) != expect_b:
-            return False
-        if count_invertible_pairs(tree, p, budget) != expect_a * expect_b:
-            return False
-    return True
-
-
 def ideal_count_brute_force(n: int, p: int,
                             budget: int = DEFAULT_BUDGET) -> IdealCountReport:
     """Exhaustive census at q = p: per tree, the coefficient assignments
@@ -346,7 +326,7 @@ def ideal_count_brute_force(n: int, p: int,
     one matrix, so that number is the count for letter a times the count
     for letter b.  The budget bounds the matrices each letter's count
     describes, p**(its cells), which is the space it walks."""
-    _check_codim(n)
+    _require_codim(n)
     check_prime(p)
     entries = []
     for tree in enumerate_trees(n):
@@ -388,7 +368,7 @@ def cell_decomposition(n: int, budget: int = DEFAULT_BUDGET) -> CellDecompositio
     """One cell (F_q*)^(n+1) x F_q^((n+1)(n-2)/2 + inv(theta)) per
     indecomposable theta of size n+1, in lexicographic order.  It walks
     S_(n+1), so (n+1)! above ``budget`` raises TooLarge."""
-    _check_codim(n)
+    _require_codim(n)
     if factorial(n + 1) > budget:
         raise TooLarge(f"{n + 1}! permutations exceed budget {budget}")
     base = (n + 1) * (n - 2) // 2

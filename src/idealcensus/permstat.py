@@ -18,7 +18,9 @@ routes here: ``indec_inversion_polynomials`` solves the inverse-series
 recursion P_m = [m]_q! - sum_{k<m} P_k [m-k]_q! in O(m^2) polynomial
 products (Comtet; OEIS A003319 at q = 1), and
 ``indec_inversion_polynomial`` enumerates S_m.  The census formula uses
-the first; the second stays as its witness.
+the first; the second stays as its witness.  The hook strip identity and
+the generating-series identity are checked in ``checks``, which names the
+permutation or t-order that fails.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .qpoly import LaurentPoly, ONE, ZERO, TruncatedSeries, geometric, q_factorial
+from .qpoly import LaurentPoly, ONE, ZERO, geometric
 
 Perm = tuple[int, ...]
 
@@ -172,18 +174,6 @@ def strip_lr_maxima(s: Perm) -> Perm:
     return standardize([v for v in s if v not in keep])
 
 
-def hook_strip_identity_check(t: Perm) -> bool:
-    """Hook statistic of t against the stripped permutation:
-    p(t) = p(sigma) + k*n - k(k+1)/2 + sum(values - positions)."""
-    n = len(t)
-    lr = lr_maxima(t)
-    k = lr.count
-    sigma = strip_lr_maxima(t)
-    expected = (hook_union_size(sigma) + k * n - k * (k + 1) // 2
-                + sum(j - i for i, j in zip(lr.positions, lr.values)))
-    return hook_union_size(t) == expected
-
-
 def shifted_concat(a: Perm, b: Perm) -> Perm:
     """Place b after a, shifted up by len(a); inversions add."""
     n = len(a)
@@ -253,19 +243,6 @@ def indec_hook_polynomial(m: int) -> LaurentPoly:
 def inversion_distribution(n: int) -> LaurentPoly:
     """Sum of q**inv over all of S_n (equals the q-factorial)."""
     return LaurentPoly((inversions(s), 1) for s in enumerate_permutations(n))
-
-
-def series_identity_check(order: int) -> bool:
-    """The q-factorial series is the reciprocal of 1 - sum of the
-    indecomposable inversion polynomials: checked exactly to t**order.
-
-    Left side uses the closed q-factorial products; right side uses
-    enumeration, so agreement is a genuine cross-check.
-    """
-    lhs = TruncatedSeries(order, [q_factorial(n) for n in range(order + 1)])
-    body = [ONE] + [-indec_inversion_polynomial(k) for k in range(1, order + 1)]
-    rhs = TruncatedSeries(order, body).invert()
-    return lhs == rhs
 
 
 if __name__ == "__main__":

@@ -19,6 +19,11 @@ where the leaves ending in 'a' sit inside sorted C and how long their
 trailing 'a'-runs are; a tree can be reconstructed from its signature
 alone by a single scan, which is how permutations are turned back into
 trees elsewhere in the package.
+
+The identities and order properties stated here (the rank-sum identity,
+power separation, class intervals, the twist comparison, the branch
+floor) are checked case by case in ``checks``, which names the word
+pair or tree that fails.
 """
 
 from __future__ import annotations
@@ -52,7 +57,8 @@ def check_word(w: str) -> str:
 
 def parse_word(text: str) -> str:
     """Parse 'ba^2b' or plain 'baab'; '1' is the empty word.  A word
-    longer than MAX_WORD_LENGTH is rejected before it is built."""
+    longer than MAX_WORD_LENGTH is rejected before it is built, and an
+    exponent with more digits than MAX_WORD_LENGTH before it is read."""
     text = text.strip()
     if text == "1":
         return ""
@@ -70,7 +76,9 @@ def parse_word(text: str) -> str:
                 j += 1
             if j == i:
                 raise ValueError(f"missing exponent in word {text!r}")
-            power = int(text[i:j])
+            digits = text[i:j].lstrip("0")
+            too_long = len(digits) > len(str(MAX_WORD_LENGTH))
+            power = MAX_WORD_LENGTH + 1 if too_long else int(digits or "0")
             i = j
         else:
             power = 1
@@ -345,24 +353,8 @@ def tree_stats(tree: CodeTree) -> TreeStats:
     return TreeStats(len(c_a), tuple(sums), a_cells, b_cells, partition)
 
 
-def rank_sum_identity_check(tree: CodeTree) -> bool:
-    """b_cells plus the rank sum is determined by n and k alone.
-
-    For the one-leaf tree the 'a'-part is read as {1} with rank 1.
-    """
-    n = tree.n
-    if n == 0:
-        k, rank_sum, b_cells = 1, 1, 0
-    else:
-        sig = signature(tree)
-        k = len(sig.ranks)
-        rank_sum = sum(sig.ranks)
-        b_cells = tree_stats(tree).b_cells
-    return b_cells + rank_sum == (n + 1) * (k - 1) + k - k * (k - 1) // 2
-
-
 def rank_identity_bijection(tree: CodeTree) -> dict:
-    """Explicit bijection behind ``rank_sum_identity_check``.
+    """Explicit bijection behind the rank-sum identity.
 
     Domain: pairs (c, g) with c in C, g in C_a, g < c.  Image: the
     disjoint union of the dominance pairs of ``tree_stats``, the leaves
@@ -384,79 +376,3 @@ def rank_identity_bijection(tree: CodeTree) -> dict:
             else:
                 out[(c, g)] = ("pair_a", (g, c))
     return out
-
-
-# -- exhaustive order checks -------------------------------------------
-
-def power_separation_check(max_len: int) -> bool:
-    """p <= q forces p·a^i < q·b^j for every i >= 0, j >= 1."""
-    words = list(all_words(max_len))
-    powers = range(max_len + 1)
-    for p, q in itertools.product(words, repeat=2):
-        if p > q:
-            continue
-        if not all(p + "a" * i < q + "b" * j
-                   for i in powers for j in powers if j >= 1):
-            return False
-    return True
-
-
-def class_interval_check(max_len: int) -> bool:
-    """Each class w·a* is an interval of the sorted word list."""
-    ordered = sorted(all_words(max_len))
-    reps = [strip_a_run(w) for w in ordered]
-    seen: set[str] = set()
-    i = 0
-    while i < len(ordered):
-        rep = reps[i]
-        if rep in seen:
-            return False
-        seen.add(rep)
-        while i < len(ordered) and reps[i] == rep:
-            i += 1
-    return True
-
-
-def twist_order_check(max_len: int) -> bool:
-    """Twisted versus alphabetical comparison, class by class.
-
-    Same class: the two orders are opposite.  Different classes: the two
-    orders agree and depend only on the class representatives.  Words
-    ending in 'a': stripping the 'a'-run is monotone up to classes.
-    """
-    words = list(all_words(max_len))
-    for u, v in itertools.combinations(words, 2):
-        ru, rv = strip_a_run(u), strip_a_run(v)
-        alph = alph_compare(u, v)
-        twist = twisted_compare(u, v)
-        if ru == rv:
-            if twist != -alph:
-                return False
-        else:
-            if twist != alph or alph != alph_compare(ru, rv):
-                return False
-    enders = [w for w in words if w.endswith("a")]
-    for u, v in itertools.combinations(sorted(enders), 2):
-        # u < v here
-        ru, rv = strip_a_run(u), strip_a_run(v)
-        if ru != rv and not (ru < rv and twisted_compare(ru, rv) < 0):
-            return False
-    return True
-
-
-def branch_floor_check(max_n: int) -> bool:
-    """For every tree and every c in C, with c' the largest 'a'-ending
-    leaf at most c: every leaf d <= c has stripped form at most the
-    stripped form of c' in the twisted order."""
-    for n in range(1, max_n + 1):
-        for tree in enumerate_trees(n):
-            a_leaves = [c for c in tree.leaves if c.endswith("a")]
-            for c in tree.leaves:
-                floor_candidates = [x for x in a_leaves if x <= c]
-                if not floor_candidates:
-                    return False
-                bound = twisted_key(strip_last_run(max(floor_candidates)))
-                for d in tree.leaves:
-                    if d <= c and twisted_key(strip_last_run(d)) > bound:
-                        return False
-    return True

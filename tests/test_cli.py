@@ -6,6 +6,7 @@ route to lie.
 """
 
 import json
+import re
 import time
 
 import pytest
@@ -15,6 +16,7 @@ import idealcensus.cli as cli
 import idealcensus.congruence as congruence
 import idealcensus.ideals as ideals
 import idealcensus.permstat as permstat
+import idealcensus.words as words
 from idealcensus.ideals import IdealCountReport, TreeEntry
 from idealcensus.qpoly import LaurentPoly
 from idealcensus.words import TreeSignature
@@ -263,10 +265,12 @@ def test_bijection_file_rejects_repeated_leaf(tmp_path, capsys):
 
 def test_bijection_file_rejects_overlong_word(tmp_path, capsys):
     source = tmp_path / "long.txt"
-    source.write_text("a^1000000000000 -> 1\nb -> 1\n")
-    code, _, err = run(capsys, "bijection", "--congruence-file", str(source))
-    assert code == 2
-    assert "longer than" in err
+    for exponent in ("1000000000000", "9" * 5000):  # the second is past int()'s digit limit
+        source.write_text(f"a^{exponent} -> 1\nb -> 1\n")
+        code, _, err = run(capsys, "bijection", "--congruence-file", str(source))
+        assert code == 2
+        assert "longer than 1000 letters" in err
+        assert "'a^" in err
 
 
 def test_bijection_non_regular_file(tmp_path, capsys):
@@ -299,8 +303,10 @@ def test_verify_suite_green(capsys):
 def test_verify_tiny_bound_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "haglund", "--max-n", "1")
     assert code == 0
-    assert out.splitlines()[1].startswith("[skip] haglund: product formula peels one row")
-    assert out.splitlines()[-1] == "3/4 checks passed, 1 skipped"
+    lines = out.splitlines()
+    assert lines[1].startswith("[ ok ] haglund: product formula peels one row")
+    assert all(line.startswith("[ ok ]") for line in lines[:-1])
+    assert lines[-1] == "4/4 checks passed"
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -326,6 +332,50 @@ def test_verify_marks_a_check_without_cases_skipped(capsys):
     assert lines[2].startswith("[skip] ideals: per-tree action counts factor as predicted")
     assert sum(line.startswith("[ ok ]") for line in lines) == 4
     assert lines[-1] == "4/5 checks passed, 1 skipped"
+
+
+def failing_line(out, label):
+    line, = [line for line in out.splitlines() if label in line]
+    assert line.startswith("[FAIL]")
+    return line.rsplit("s): ", 1)[1]
+
+
+def test_verify_names_the_failing_word_pair(capsys, monkeypatch):
+    monkeypatch.setattr(words, "twisted_key", lambda x: (len(x), x))
+    code, out, _ = run(capsys, "verify", "--suite", "words", "--max-n", "3")
+    assert code == 1
+    detail = failing_line(out, "exhaustive order properties")
+    assert re.fullmatch(r"\('[ab]*', '[ab]*'\)", detail), detail
+
+
+def test_verify_names_the_failing_tree_and_prime(capsys, monkeypatch):
+    honest = ideals.count_invertible_b_actions
+    monkeypatch.setattr(ideals, "count_invertible_b_actions",
+                        lambda tree, p, budget: honest(tree, p, budget) + 1)
+    code, out, _ = run(capsys, "verify", "--suite", "ideals", "--max-n", "2",
+                       "--primes", "3")
+    assert code == 1
+    assert failing_line(out, "per-tree action counts") == "{a, b} at p=3"
+
+
+def test_verify_names_the_failing_t_order(capsys, monkeypatch):
+    honest = permstat.indec_inversion_polynomial
+    monkeypatch.setattr(permstat, "indec_inversion_polynomial",
+                        lambda m: honest(m) + (m == 3))
+    code, out, _ = run(capsys, "verify", "--suite", "permstat", "--max-n", "3")
+    assert code == 1
+    assert failing_line(out, "factorial series") == "t-order 3"
+
+
+def test_verify_max_n_is_bounded_by_the_budget(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--suite", "words", "--max-n", "40")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "41! permutations exceed budget" in err
+    assert run(capsys, "verify", "--suite", "words", "--max-n", "2", "--budget", "5")[0] == 3
+    assert run(capsys, "verify", "--suite", "words", "--max-n", "2", "--budget", "6")[0] == 0
 
 
 def test_verify_invalid_arguments(capsys):
@@ -494,6 +544,24 @@ def test_export_cells_budget_exceeded(capsys):
     assert code == 3
     assert out == ""
     assert "budget" in err
+
+
+def test_export_congruences_budget(capsys):
+    # enumerate_regular(4) visits hall_count(4) = 71 candidates
+    code, out, _ = run(capsys, "export", "--object", "subgroups", "--n", "4",
+                       "--budget", "71", "--no-header")
+    assert code == 0
+    assert len(json.loads(out)["subgroups"]) == 71
+    for obj in ("congruences", "subgroups"):
+        code, out, err = run(capsys, "export", "--object", obj, "--n", "4",
+                             "--budget", "70")
+        assert code == 3
+        assert out == ""
+        assert "budget" in err
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "export", "--object", "congruences", "--n", "12")
+    assert (code, out) == (3, "")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_export_unwritable_path(tmp_path, capsys):

@@ -10,12 +10,12 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from idealcensus.checks import hook_strip_identity, series_identity
 from idealcensus.permstat import (
     DuplicateLetters,
     enumerate_indecomposables,
     enumerate_permutations,
     hook_number,
-    hook_strip_identity_check,
     hook_union_size,
     indec_hook_polynomial,
     indec_inversion_polynomial,
@@ -29,7 +29,6 @@ from idealcensus.permstat import (
     lr_maxima,
     parse_permutation,
     permutation_str,
-    series_identity_check,
     shifted_concat,
     standardize,
     strip_lr_maxima,
@@ -191,8 +190,7 @@ def test_standardize_fixed_points_are_permutations(word):
 
 @pytest.mark.parametrize("n", range(7))
 def test_hook_strip_identity(n):
-    for s in enumerate_permutations(n):
-        assert hook_strip_identity_check(s)
+    assert [s for s, ok in hook_strip_identity(n, n) if not ok] == []
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -202,4 +200,4 @@ def test_inversion_distribution_is_q_factorial(n):
 
 
 def test_series_identity_small():
-    assert series_identity_check(6)
+    assert [k for k, ok in series_identity(6) if not ok] == []
