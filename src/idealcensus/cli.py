@@ -151,25 +151,24 @@ def cmd_count(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
-    try:
-        if args.method == "formula":
-            core = permstat.indec_inversion_polynomials(n + 1)[-1]
-            result: IdealCountReport | LaurentPoly = ideals.ideal_count_from_indec(n, core)
-        elif args.method == "structural":
-            result = ideals.ideal_count_by_trees(n, args.budget)
-        else:
-            result = ideals.ideal_count_brute_force(n, args.q, args.budget)
-        if args.cross_check:
-            formula = result if args.method == "formula" else ideals.ideal_count_formula(n)
-            hook = ideals.ideal_count_hook_formula(n, args.budget)
-            structural = (result.total if isinstance(result, IdealCountReport)
-                          and result.method == "structural"
-                          else ideals.ideal_count_by_trees(n, args.budget).total)
-    except TooLarge as exc:
-        print(f"error: budget exceeded: {exc}", file=sys.stderr)
-        return 3
+    if args.cross_check:
+        # first, so that a cross-check over budget is refused before the
+        # formula route, which is not charged; (n+1)! >= Catalan(n) also
+        # bounds the tree route it runs
+        hook = ideals.ideal_count_hook_formula(n, args.budget)
+    if args.method == "formula":
+        core = permstat.indec_inversion_polynomials(n + 1)[-1]
+        result: IdealCountReport | LaurentPoly = ideals.ideal_count_from_indec(n, core)
+    elif args.method == "structural":
+        result = ideals.ideal_count_by_trees(n, args.budget)
+    else:
+        result = ideals.ideal_count_brute_force(n, args.q, args.budget)
 
     if args.cross_check:
+        formula = result if args.method == "formula" else ideals.ideal_count_formula(n)
+        structural = (result.total if isinstance(result, IdealCountReport)
+                      and result.method == "structural"
+                      else ideals.ideal_count_by_trees(n, args.budget).total)
         mismatches = []
         if hook != formula:
             mismatches.append(f"hook route {hook} != formula {formula}")
@@ -298,11 +297,8 @@ def cmd_verify(args) -> int:
     if args.max_n < 1:
         print("error: --max-n must be at least 1", file=sys.stderr)
         return 2
-    # no check walks past S_(max_n+1), and (max_n+1)! >= 2**max_n
-    if args.max_n >= args.budget.bit_length() or factorial(args.max_n + 1) > args.budget:
-        print(f"error: budget exceeded: {args.max_n + 1}! permutations exceed "
-              f"budget {args.budget}", file=sys.stderr)
-        return 3
+    # no check walks past S_(max_n+1)
+    linfq.charge(args.max_n + 1, factorial, args.budget, f"{args.max_n + 1}! permutations")
     cfg = checks.CheckConfig(max_n=args.max_n, primes=primes, seed=args.seed,
                              budget=args.budget)
     names = list(checks.SUITES) if args.suite == "all" else [args.suite]
@@ -350,12 +346,8 @@ def build_export(args) -> tuple[dict, list[list[str]]]:
         rows.extend([permutation_str(c.theta), str(c.torus_rank), str(c.affine_dim)]
                     for c in cd.cells)
         return payload, rows
-    # enumerate_regular(n) visits hall_count(n) >= n! >= 2**(n-1) candidates
-    if args.object in ("congruences", "subgroups") and (
-            n > args.budget.bit_length() or congruence.hall_count(n) > args.budget):
-        raise TooLarge(f"hall_count({n}) candidates exceed budget {args.budget}")
     if args.object == "congruences":
-        items = list(congruence.enumerate_regular(n))
+        items = list(congruence.enumerate_regular(n, args.budget))
         payload = {"n": n, "congruences": [
             {"index": i, "map": {word_str(c): word_str(p)
                                  for c, p in zip(rc.tree.leaves, rc.images)}}
@@ -367,7 +359,7 @@ def build_export(args) -> tuple[dict, list[list[str]]]:
         return payload, rows
     if args.object == "subgroups":
         gens = [[group_word_str(g) for g in subgroup_generators(rc)]
-                for rc in congruence.enumerate_regular(n)]
+                for rc in congruence.enumerate_regular(n, args.budget)]
         payload = {"n": n, "subgroups": [{"index": i, "generators": g}
                                          for i, g in enumerate(gens, start=1)]}
         rows = [["index", "generator"]]
@@ -390,11 +382,7 @@ def cmd_export(args) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    try:
-        payload, rows = build_export(args)
-    except TooLarge as exc:
-        print(f"error: budget exceeded: {exc}", file=sys.stderr)
-        return 3
+    payload, rows = build_export(args)
     if args.format == "json":
         if args.header:
             payload = with_meta(payload)
@@ -427,10 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--cross-check", action="store_true",
                          help="run the independent routes and compare")
     p_count.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                         help="bound on each enumeration: matrices per letter "
-                              "and tree (bruteforce), trees (structural), "
-                              "permutations (hook route of --cross-check); "
-                              "exit 3 when exceeded")
+                         help="bound on each enumeration: trees, and matrices "
+                              "per letter and tree (bruteforce), trees "
+                              "(structural), permutations (hook route of "
+                              "--cross-check); exit 3 when exceeded")
     p_count.add_argument("--format", choices=["text", "json"], default="text")
     p_count.add_argument("--out", default=None, metavar="PATH")
     p_count.add_argument("--no-header", dest="header", action="store_false")
@@ -494,7 +482,11 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "budget", 1) < 1:
         print("error: --budget must be positive", file=sys.stderr)
         return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except TooLarge as exc:
+        print(f"error: budget exceeded: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -28,12 +28,15 @@ from typing import Iterable, Iterator, Mapping
 
 from . import permstat
 from .haglund import constrained_permutations
+from .linfq import DEFAULT_BUDGET, charge
 from .permstat import Perm
 from .words import (
     A_INVERSE,
+    MAX_WORD_LENGTH,
     CodeTree,
     TreeSignature,
     enumerate_trees,
+    read_exponent,
     reconstruct,
     strip_a_run,
     tree_stats,
@@ -123,7 +126,7 @@ def is_regular(rc: RightCongruence) -> bool:
     return (len(set(table.a_next)) == n) and (len(set(table.b_next)) == n)
 
 
-def enumerate_regular(n: int) -> Iterator[RightCongruence]:
+def enumerate_regular(n: int, budget: int = DEFAULT_BUDGET) -> Iterator[RightCongruence]:
     """Every regular congruence with n+1 leaves, each exactly once.
 
     The reduction map is forced on 'a'-ending leaves (strip the trailing
@@ -131,10 +134,12 @@ def enumerate_regular(n: int) -> Iterator[RightCongruence]:
     below itself; since the members of P_a below c are the first
     lambda(c) of sorted P_a, these are the permutations s fitting the
     tree's staircase lambda, with c_b[i] -> p_a[s(i) - 1].  Regularity is
-    still checked, never assumed.
+    still checked, never assumed.  The walk is charged hall_count(n)
+    candidates (hall_count(n) >= n! >= 2**(n-1)) before it starts.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    charge(n, hall_count, budget, f"hall_count({n}) candidates")
     for tree in enumerate_trees(n):
         c_a, c_b, p_a, _ = tree.parts
         base = {c: strip_a_run(c) for c in c_a}
@@ -223,7 +228,8 @@ def group_word_str(word: GroupWord) -> str:
 
 
 def parse_group_word(text: str) -> GroupWord:
-    """Parse 'ba^-1', 'a^2b', '1' into a reduced group word."""
+    """Parse 'ba^-1', 'a^2b', '1' into a reduced group word.  Exponents
+    are ASCII digits of magnitude at most MAX_WORD_LENGTH."""
     text = text.strip()
     if text == "1":
         return ()
@@ -237,15 +243,14 @@ def parse_group_word(text: str) -> GroupWord:
         exp = 1
         if i < len(text) and text[i] == "^":
             i += 1
-            j = i
-            if j < len(text) and text[j] == "-":
-                j += 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i or text[i:j] == "-":
-                raise ValueError(f"missing exponent in group word {text!r}")
-            exp = int(text[i:j])
-            i = j
+            sign = 1
+            if text[i:i + 1] == "-":
+                sign, i = -1, i + 1
+            exp, i = read_exponent(text, i, "group word")
+            if exp > MAX_WORD_LENGTH:
+                raise ValueError(f"exponent in group word {text[:40]!r} "
+                                 f"is larger than {MAX_WORD_LENGTH}")
+            exp *= sign
         steps.append((ch, exp))
     return free_reduce(steps)
 

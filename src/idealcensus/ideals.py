@@ -28,14 +28,16 @@ Counting routes, all exact polynomials in q:
   factorisation (``checks.per_tree_action_counts``, tree by tree and
   prime by prime).
 
-The enumerating routes take a budget and raise ``TooLarge`` before they
-start when their enumeration would exceed it: (n+1)! permutations for
-the hook route, Catalan(n) trees for the tree sum, p**(cells) matrices
-per letter for brute force.
+The enumerating routes take a budget and charge it through
+``linfq.charge``, which raises ``TooLarge`` before they start when their
+enumeration would exceed it: (n+1)! permutations for the hook route,
+Catalan(n) trees for the tree sum and for brute force, and p**(cells)
+matrices per letter and tree for brute force.  The formula route
+enumerates nothing and is not charged.
 
 ``cell_decomposition`` records the partition of the census into cells
 (F_q*)^(n+1) x F_q^d indexed by indecomposable permutations; like the
-hook route it walks S_(n+1) and is bounded by (n+1)!.
+hook route it walks S_(n+1) and is charged (n+1)!.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from math import comb, factorial
 from typing import Iterator, Mapping, Sequence, Union
 
 from .haglund import haglund_product
-from .linfq import (DEFAULT_BUDGET, FqMatrix, TooLarge, _full_rank, check_prime,
+from .linfq import (DEFAULT_BUDGET, FqMatrix, _full_rank, charge, check_prime,
                     count_invertible_rows)
 from .permstat import (
     Perm,
@@ -73,6 +75,11 @@ def _require_codim(n: int) -> int:
     return n
 
 
+def catalan(n: int) -> int:
+    """Number of code trees with n internal nodes."""
+    return comb(2 * n, n) // (n + 1)
+
+
 def ideal_count_formula(n: int) -> LaurentPoly:
     """(q-1)^(n+1) * q^((n+1)(n-2)/2) * (indecomposable inversion
     polynomial of size n+1, from the inverse-series recursion); always an
@@ -94,10 +101,9 @@ def ideal_count_from_indec(n: int, indec: LaurentPoly) -> LaurentPoly:
 def ideal_count_hook_formula(n: int, budget: int = DEFAULT_BUDGET) -> LaurentPoly:
     """(q-1)^(n+1) * sum of q^(hook(theta) - (n+1)) over indecomposable
     theta of size n+1; an independent route to the same polynomial.  It
-    walks S_(n+1), so (n+1)! above ``budget`` raises TooLarge."""
+    walks S_(n+1), so it is charged (n+1)! permutations."""
     _require_codim(n)
-    if factorial(n + 1) > budget:
-        raise TooLarge(f"{n + 1}! permutations exceed budget {budget}")
+    charge(n + 1, factorial, budget, f"{n + 1}! permutations")
     return (Q - ONE) ** (n + 1) * indec_hook_polynomial(n + 1).shift(-(n + 1))
 
 
@@ -146,9 +152,7 @@ def ideal_count_by_trees(n: int, budget: int = DEFAULT_BUDGET) -> IdealCountRepo
     against the sum of the entries.  Catalan(n) trees above ``budget``
     raise TooLarge."""
     _require_codim(n)
-    trees = comb(2 * n, n) // (n + 1)
-    if trees > budget:
-        raise TooLarge(f"Catalan({n}) = {trees} trees exceed budget {budget}")
+    charge(n, catalan, budget, f"Catalan({n}) trees")
     contributions: dict[tuple, Contribution] = {}
     multiplicity: Counter[tuple] = Counter()
     entries = []
@@ -305,8 +309,7 @@ def count_invertible_pairs(tree: CodeTree, p: int,
     witnesses that the census may multiply them."""
     check_prime(p)
     _, cells = _action_cells(tree)
-    if p ** len(cells) > budget:
-        raise TooLarge(f"{p}**{len(cells)} assignments exceed budget {budget}")
+    charge(len(cells), lambda k: p ** k, budget, f"{p}**{len(cells)} assignments")
     grids = _action_grids(tree, [0] * len(cells))
     targets = [(grids[letter][i], j) for letter, i, j in cells]
     n = len(tree.prefixes)
@@ -324,10 +327,12 @@ def ideal_count_brute_force(n: int, p: int,
     """Exhaustive census at q = p: per tree, the coefficient assignments
     with both action matrices invertible.  Each slot touches one cell of
     one matrix, so that number is the count for letter a times the count
-    for letter b.  The budget bounds the matrices each letter's count
+    for letter b.  The budget bounds the Catalan(n) trees, charged before
+    the first tree is built, and the matrices each letter's count
     describes, p**(its cells), which is the space it walks."""
     _require_codim(n)
     check_prime(p)
+    charge(n, catalan, budget, f"Catalan({n}) trees")
     entries = []
     for tree in enumerate_trees(n):
         st = tree_stats(tree)
@@ -367,10 +372,9 @@ class CellDecomposition:
 def cell_decomposition(n: int, budget: int = DEFAULT_BUDGET) -> CellDecomposition:
     """One cell (F_q*)^(n+1) x F_q^((n+1)(n-2)/2 + inv(theta)) per
     indecomposable theta of size n+1, in lexicographic order.  It walks
-    S_(n+1), so (n+1)! above ``budget`` raises TooLarge."""
+    S_(n+1), so it is charged (n+1)! permutations."""
     _require_codim(n)
-    if factorial(n + 1) > budget:
-        raise TooLarge(f"{n + 1}! permutations exceed budget {budget}")
+    charge(n + 1, factorial, budget, f"{n + 1}! permutations")
     base = (n + 1) * (n - 2) // 2
     cells = tuple(Cell(theta, n + 1, base + inversions(theta))
                   for theta in enumerate_indecomposables(n + 1))

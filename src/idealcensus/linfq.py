@@ -11,13 +11,19 @@ matrix is still visited, and no count is ever multiplied out from a
 formula.  ``enumerate_support_matrices`` walks every assignment of the
 support with ``itertools.product`` and stays the reference that tests
 compare the counts against.
+
+``charge`` is the one budget gate of the package: every enumerating
+route, here and in ``ideals`` and ``congruence``, calls it with the size
+and cost of what it is about to walk, and it raises ``TooLarge`` before
+any of that work starts.  Sizes past the budget's bit length are refused
+without computing their cost, so a huge n is refused at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 DEFAULT_BUDGET = 1 << 26
 
@@ -28,6 +34,20 @@ class NonSquare(ValueError):
 
 class TooLarge(Exception):
     """Enumeration would exceed the assignment budget."""
+
+
+def charge(size: int, cost: Callable[[int], int], budget: int, what: str) -> None:
+    """Raise TooLarge when an enumeration of cost(size) items exceeds
+    ``budget``; ``what`` names the items in the message.
+
+    Every caller must have cost(size) >= 2**(size-1): then a size above
+    the budget's bit length costs more than the budget, and it is refused
+    without calling ``cost``, which may be a huge number to compute.
+    That holds for (n+1)! at size n+1, for Catalan(n) and hall_count(n)
+    at size n, and for p**k at size k.
+    """
+    if size > budget.bit_length() or cost(size) > budget:
+        raise TooLarge(f"{what} exceed budget {budget}")
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -145,8 +165,7 @@ def enumerate_support_matrices(support: Sequence[tuple[int, int]], p: int,
     ncols = cols if cols is not None else max((j for _, j in cells), default=0)
     if any(i > nrows or j > ncols for i, j in cells):
         raise ValueError("support cell outside the matrix")
-    if p ** len(cells) > budget:
-        raise TooLarge(f"{p}**{len(cells)} assignments exceed budget {budget}")
+    charge(len(cells), lambda k: p ** k, budget, f"{p}**{len(cells)} assignments")
     grid = [[0] * ncols for _ in range(nrows)]
     # product() turns its last slot fastest, so feed it the cells reversed.
     targets = [(grid[i - 1], j - 1) for i, j in reversed(cells)]
@@ -179,8 +198,7 @@ def count_invertible_rows(rows: Sequence[tuple[Sequence[int], Sequence[int]]],
         if len(set(free)) != len(free) or any(not 0 <= j < n for j in free):
             raise ValueError(f"free columns must be distinct and in 0..{n - 1}: {free!r}")
     cells = sum(len(free) for _, free in rows)
-    if p ** cells > budget:
-        raise TooLarge(f"{p}**{cells} assignments exceed budget {budget}")
+    charge(cells, lambda k: p ** k, budget, f"{p}**{cells} assignments")
     if n == 0:
         return 1
     candidates = sorted((_row_candidates(fixed, free, p) for fixed, free in rows), key=len)

@@ -45,15 +45,16 @@ def check_permutation(s: Sequence[int]) -> Perm:
 
 
 def parse_permutation(text: str) -> Perm:
-    """Parse '325461' (single digits) or '3,2,5,4,6,1'."""
+    """Parse '325461' (single digits) or '3,2,5,4,6,1', in ASCII digits.
+    An entry with more digits than the permutation's size has is
+    rejected before it is converted."""
     text = text.strip()
-    if "," in text:
-        values = [int(chunk) for chunk in text.split(",")]
-    else:
-        if not text.isdigit():
-            raise ValueError(f"not a permutation: {text!r}")
-        values = [int(ch) for ch in text]
-    return check_permutation(values)
+    chunks = [c.strip() for c in text.split(",")] if "," in text else list(text)
+    width = len(str(len(chunks)))
+    if not chunks or not all(c.isascii() and c.isdigit() and len(c.lstrip("0")) <= width
+                             for c in chunks):
+        raise ValueError(f"not a permutation: {text[:40]!r}")
+    return check_permutation(int(c) for c in chunks)
 
 
 def permutation_str(s: Perm) -> str:

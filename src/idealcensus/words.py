@@ -55,10 +55,28 @@ def check_word(w: str) -> str:
     return w
 
 
+def read_exponent(text: str, i: int, kind: str) -> tuple[int, int]:
+    """The exponent written in ASCII digits from text[i] on, and the index
+    just past it.  An exponent with more digits than MAX_WORD_LENGTH has
+    reads as MAX_WORD_LENGTH + 1 without being converted, so callers
+    reject it as too large; ``kind`` names the text in the error for a
+    missing exponent."""
+    j = i
+    while j < len(text) and text[j] in "0123456789":
+        j += 1
+    if j == i:
+        raise ValueError(f"missing exponent in {kind} {text!r}")
+    digits = text[i:j].lstrip("0")
+    if len(digits) > len(str(MAX_WORD_LENGTH)):
+        return MAX_WORD_LENGTH + 1, j
+    return int(digits or "0"), j
+
+
 def parse_word(text: str) -> str:
-    """Parse 'ba^2b' or plain 'baab'; '1' is the empty word.  A word
-    longer than MAX_WORD_LENGTH is rejected before it is built, and an
-    exponent with more digits than MAX_WORD_LENGTH before it is read."""
+    """Parse 'ba^2b' or plain 'baab'; '1' is the empty word.  Exponents
+    are ASCII digits.  A word longer than MAX_WORD_LENGTH is rejected
+    before it is built, and an exponent with more digits than
+    MAX_WORD_LENGTH has before it is read."""
     text = text.strip()
     if text == "1":
         return ""
@@ -70,16 +88,7 @@ def parse_word(text: str) -> str:
             raise ValueError(f"bad character {ch!r} in word {text!r}")
         i += 1
         if i < len(text) and text[i] == "^":
-            i += 1
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i:
-                raise ValueError(f"missing exponent in word {text!r}")
-            digits = text[i:j].lstrip("0")
-            too_long = len(digits) > len(str(MAX_WORD_LENGTH))
-            power = MAX_WORD_LENGTH + 1 if too_long else int(digits or "0")
-            i = j
+            power, i = read_exponent(text, i + 1, "word")
         else:
             power = 1
         length += power

@@ -150,6 +150,25 @@ def test_enumerating_routes_exit_3_quickly(capsys):
     assert time.perf_counter() - start < 5.0
 
 
+@pytest.mark.parametrize("argv", [
+    ("export", "--object", "cells", "--n", "100000000", "--budget", "1"),
+    ("count", "--codim", "100000000", "--method", "structural", "--budget", "1"),
+    ("export", "--object", "ideal-census", "--n", "100000000", "--budget", "1"),
+    ("count", "--codim", "2000", "--q", "2", "--method", "bruteforce", "--budget", "1"),
+    ("count", "--codim", "100000000", "--cross-check", "--budget", "1"),
+    ("export", "--object", "ideal-census", "--n", "2000", "--q", "2", "--budget", "1"),
+    ("count", "--codim", "40", "--cross-check", "--budget", "1"),
+], ids=" ".join)
+def test_huge_n_is_refused_before_any_work(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: budget exceeded: ")
+    assert "Traceback" not in err
+
+
 def test_count_formula_codim_thirty(capsys):
     code, out, _ = run(capsys, "count", "--codim", "30", "--no-header")
     assert code == 0
@@ -253,6 +272,13 @@ def test_bijection_invalid_inputs(capsys, tmp_path):
     garbled = tmp_path / "garbled.txt"
     garbled.write_text("aa => 1\n")
     assert run(capsys, "bijection", "--congruence-file", str(garbled))[0] == 2
+
+
+def test_bijection_rejects_non_ascii_digits(capsys):
+    code, out, err = run(capsys, "bijection", "--theta", "٣٢٥٤٦١")
+    assert code == 2
+    assert out == ""
+    assert "٣٢٥٤٦١" in err
 
 
 def test_bijection_file_rejects_repeated_leaf(tmp_path, capsys):

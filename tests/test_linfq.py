@@ -10,6 +10,7 @@ from idealcensus.linfq import (
     NonSquare,
     MAX_CERTIFIED_PRIME,
     TooLarge,
+    charge,
     check_prime,
     count_invertible_rows,
     count_invertible_support,
@@ -144,6 +145,19 @@ def test_enumerate_support_validation():
     with pytest.raises(TooLarge):
         list(enumerate_support_matrices([(i, j) for i in range(1, 6)
                                          for j in range(1, 6)], 3, budget=100))
+
+
+def test_charge_refuses_a_size_past_the_bit_length_without_its_cost():
+    def cost(size):
+        raise AssertionError("cost computed")
+
+    budget = 1000  # bit length 10
+    with pytest.raises(TooLarge, match="^things exceed budget 1000$"):
+        charge(11, cost, budget, "things")
+    charge(10, lambda k: budget, budget, "things")
+    with pytest.raises(TooLarge, match="^things exceed budget 999$"):
+        charge(10, lambda k: budget, budget - 1, "things")
+    charge(0, lambda k: 1, 1, "things")
 
 
 def test_count_invertible_support_validation():
