@@ -2,7 +2,13 @@
 
 Exit codes: 0 success, 1 verify failure, 2 invalid arguments, 3 budget
 exceeded, 4 cross-check mismatch, 5 decomposable permutation input,
-6 non-regular congruence, 7 unwritable output path.
+6 non-regular congruence, 7 unwritable output path.  Each has one home:
+2 is argparse's, whose ``type=`` converters validate every argument,
+plus the two checks that combine arguments (``--method bruteforce``
+needs ``--q``; ``export --q`` applies only to ideal-census); 3, 5 and 6
+are ``main``'s, which maps TooLarge, NotIndecomposable and NotRegular;
+1 (a failed verify or round trip) and 4 (a cross-check mismatch) are
+outcomes the commands return; 7 is ``emit``'s.
 
 Output is deterministic byte for byte apart from the version/timestamp
 header, which --no-header suppresses.  The checks that verify runs live
@@ -31,7 +37,7 @@ from .congruence import (
     subgroup_generators,
     to_indecomposable,
 )
-from .ideals import CodimensionZero, IdealCountReport
+from .ideals import IdealCountReport
 from .linfq import DEFAULT_BUDGET, TooLarge
 from .permstat import parse_permutation, permutation_str
 from .qpoly import LaurentPoly
@@ -135,21 +141,10 @@ def emit(text: str, out_path: str | None) -> int:
 
 
 def cmd_count(args) -> int:
-    try:
-        n = ideals._require_codim(args.codim)
-    except CodimensionZero as exc:
-        print(f"error: {exc} (the codimension-0 count is 1; the closed formula "
-              f"does not cover it)", file=sys.stderr)
-        return 2
+    n = args.codim
     if args.method == "bruteforce" and args.q is None:
         print("error: --method bruteforce requires --q", file=sys.stderr)
         return 2
-    if args.q is not None:
-        try:
-            linfq.check_prime(args.q)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
 
     if args.cross_check:
         # first, so that a cross-check over budget is refused before the
@@ -166,15 +161,14 @@ def cmd_count(args) -> int:
 
     if args.cross_check:
         formula = result if args.method == "formula" else ideals.ideal_count_formula(n)
-        structural = (result.total if isinstance(result, IdealCountReport)
-                      and result.method == "structural"
+        structural = (result.total if args.method == "structural"
                       else ideals.ideal_count_by_trees(n, args.budget).total)
         mismatches = []
         if hook != formula:
             mismatches.append(f"hook route {hook} != formula {formula}")
         if structural != formula:
             mismatches.append(f"structural route {structural} != formula {formula}")
-        if isinstance(result, IdealCountReport) and result.method == "bruteforce":
+        if args.method == "bruteforce":
             at_q = formula.evaluate(result.q)
             if result.total != at_q:
                 mismatches.append(f"brute force {result.total} != formula({result.q}) = {at_q}")
@@ -184,14 +178,14 @@ def cmd_count(args) -> int:
             return 4
 
     if args.format == "json":
-        if isinstance(result, IdealCountReport):
-            payload = report_json(result)
-        else:
+        if args.method == "formula":
             payload = {"n": n, "method": "formula", "total": poly_terms(result),
                        "factored": factored_census_str(n, core)}
             if args.q is not None:
                 payload["q"] = args.q
                 payload["value_at_q"] = result.evaluate(args.q)
+        else:
+            payload = report_json(result)
         if args.cross_check:
             payload["cross_check"] = "ok"
         if args.header:
@@ -201,16 +195,16 @@ def cmd_count(args) -> int:
     lines = []
     if args.header:
         lines.append(header_line())
-    if isinstance(result, IdealCountReport):
-        tag = f" at q={result.q}" if result.q is not None else ""
-        lines.append(f"codim {n} census{tag}, {result.method} route")
-        lines.extend(report_text_lines(result))
-    else:
+    if args.method == "formula":
         lines.append(f"codim {n} census, formula route")
         lines.append(f"factored: {factored_census_str(n, core)}")
         lines.append(f"expanded: {result}")
         if args.q is not None:
             lines.append(f"value at q={args.q}: {result.evaluate(args.q)}")
+    else:
+        tag = f" at q={result.q}" if result.q is not None else ""
+        lines.append(f"codim {n} census{tag}, {result.method} route")
+        lines.extend(report_text_lines(result))
     if args.cross_check:
         lines.append("cross-check: all routes agree")
     return emit("\n".join(lines) + "\n", args.out)
@@ -236,6 +230,15 @@ def parse_congruence_text(text: str) -> RightCongruence:
     return RightCongruence.from_map(tree, mapping)
 
 
+def read_congruence_file(path: str) -> RightCongruence:
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
+    return parse_congruence_text(text)
+
+
 def congruence_text(rc: RightCongruence) -> str:
     return "\n".join(f"{word_compact(c)} -> {word_compact(p)}"
                      for c, p in zip(rc.tree.leaves, rc.images))
@@ -243,39 +246,18 @@ def congruence_text(rc: RightCongruence) -> str:
 
 def cmd_bijection(args) -> int:
     if args.theta is not None:
-        try:
-            theta = parse_permutation(args.theta)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        try:
-            rc = from_indecomposable(theta)
-        except NotIndecomposable as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 5
+        rc = from_indecomposable(args.theta)
         print(congruence_text(rc))
         if args.roundtrip:
             back = to_indecomposable(rc)
-            if back != theta:
+            if back != args.theta:
                 print(f"error: roundtrip produced {permutation_str(back)}", file=sys.stderr)
                 return 1
             print(f"roundtrip ok: {permutation_str(back)}")
         return 0
 
-    try:
-        with open(args.congruence_file) as fh:
-            rc = parse_congruence_text(fh.read())
-    except OSError as exc:
-        print(f"error: cannot read {args.congruence_file}: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        theta = to_indecomposable(rc)
-    except NotRegular as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
+    rc = args.congruence
+    theta = to_indecomposable(rc)
     print(permutation_str(theta))
     if args.roundtrip:
         if from_indecomposable(theta) != rc:
@@ -289,17 +271,9 @@ def cmd_bijection(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        primes = tuple(linfq.check_prime(int(x)) for x in args.primes.split(","))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.max_n < 1:
-        print("error: --max-n must be at least 1", file=sys.stderr)
-        return 2
     # no check walks past S_(max_n+1)
     linfq.charge(args.max_n + 1, factorial, args.budget, f"{args.max_n + 1}! permutations")
-    cfg = checks.CheckConfig(max_n=args.max_n, primes=primes, seed=args.seed,
+    cfg = checks.CheckConfig(max_n=args.max_n, primes=args.primes, seed=args.seed,
                              budget=args.budget)
     names = list(checks.SUITES) if args.suite == "all" else [args.suite]
     failures = skipped = total = 0
@@ -370,18 +344,9 @@ def build_export(args) -> tuple[dict, list[list[str]]]:
 
 
 def cmd_export(args) -> int:
-    if args.n < 1:
-        print("error: --n must be at least 1", file=sys.stderr)
+    if args.q is not None and args.object != "ideal-census":
+        print("error: --q only applies to ideal-census", file=sys.stderr)
         return 2
-    if args.q is not None:
-        if args.object != "ideal-census":
-            print("error: --q only applies to ideal-census", file=sys.stderr)
-            return 2
-        try:
-            linfq.check_prime(args.q)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     payload, rows = build_export(args)
     if args.format == "json":
         if args.header:
@@ -398,6 +363,45 @@ def cmd_export(args) -> int:
 # -- argument wiring -----------------------------------------------------------
 
 
+def argument_type(convert):
+    """``convert`` as an argparse ``type=``: the ValueError it raises
+    becomes a usage error (exit 2) that prints its message after the
+    option's name."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
+def integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
+
+
+def positive_int(text: str, remark: str = "") -> int:
+    n = integer(text)
+    if n < 1:
+        raise ValueError(f"must be at least 1, got {n}{remark}")
+    return n
+
+
+def codimension(text: str) -> int:
+    return positive_int(text, " (the codimension-0 count is 1; the closed "
+                              "formula does not cover it)")
+
+
+def prime(text: str) -> int:
+    return linfq.check_prime(integer(text))
+
+
+def primes(text: str) -> tuple[int, ...]:
+    return tuple(prime(x) for x in text.split(","))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="idealcensus",
@@ -405,16 +409,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "the free group algebra, and the combinatorics behind them.")
     parser.add_argument("--version", action="version", version=f"idealcensus {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    positive = argument_type(positive_int)
+    a_prime = argument_type(prime)
 
     p_count = sub.add_parser("count", help="census of right ideals of one codimension")
-    p_count.add_argument("--codim", type=int, required=True, metavar="N")
-    p_count.add_argument("--q", type=int, default=None,
+    p_count.add_argument("--codim", type=argument_type(codimension), required=True,
+                         metavar="N")
+    p_count.add_argument("--q", type=a_prime, default=None,
                          help="prime; evaluate (or census over F_q for bruteforce)")
     p_count.add_argument("--method", choices=["formula", "structural", "bruteforce"],
                          default="formula")
     p_count.add_argument("--cross-check", action="store_true",
                          help="run the independent routes and compare")
-    p_count.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p_count.add_argument("--budget", type=positive, default=DEFAULT_BUDGET,
                          help="bound on each enumeration: trees, and matrices "
                               "per letter and tree (bruteforce), trees "
                               "(structural), permutations (hook route of "
@@ -427,9 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bij = sub.add_parser("bijection",
                            help="translate between congruences and indecomposable permutations")
     group = p_bij.add_mutually_exclusive_group(required=True)
-    group.add_argument("--theta", default=None, metavar="PERM",
+    group.add_argument("--theta", type=argument_type(parse_permutation), metavar="PERM",
                        help="one-line permutation, e.g. 325461")
-    group.add_argument("--congruence-file", default=None, metavar="PATH",
+    group.add_argument("--congruence-file", dest="congruence", metavar="PATH",
+                       type=argument_type(read_congruence_file),
                        help="file of lines 'c -> f(c)'")
     p_bij.add_argument("--roundtrip", action="store_true",
                        help="apply the inverse direction and confirm")
@@ -437,10 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the exhaustive cross-check suites")
     p_verify.add_argument("--suite", choices=["all", *checks.SUITES], default="all")
-    p_verify.add_argument("--max-n", type=int, default=5)
-    p_verify.add_argument("--primes", default="2,3", metavar="P1,P2,...")
+    p_verify.add_argument("--max-n", type=positive, default=5)
+    p_verify.add_argument("--primes", type=argument_type(primes), default="2,3",
+                          metavar="P1,P2,...")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p_verify.add_argument("--budget", type=positive, default=DEFAULT_BUDGET,
                           help="bound on each enumeration; exit 3 when the "
                                "(max-n+1)! permutations exceed it")
     p_verify.set_defaults(func=cmd_verify)
@@ -457,13 +466,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--object", required=True,
                           choices=["indec-polys", "ideal-census", "cells",
                                    "congruences", "subgroups"])
-    p_export.add_argument("--n", type=int, required=True)
-    p_export.add_argument("--q", type=int, default=None,
+    p_export.add_argument("--n", type=positive, required=True)
+    p_export.add_argument("--q", type=a_prime, default=None,
                           help="prime; brute-force census instead of structural")
     p_export.add_argument("--format", choices=["json", "csv"], default="json")
     p_export.add_argument("--out", default=None, metavar="PATH")
     p_export.add_argument("--no-header", dest="header", action="store_false")
-    p_export.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p_export.add_argument("--budget", type=positive, default=DEFAULT_BUDGET,
                           help="bound on the ideal-census enumeration (trees, or "
                                "matrices per letter and tree with --q), on the "
                                "cells' (n+1)! permutations and on the congruences' "
@@ -479,14 +488,17 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
-    if getattr(args, "budget", 1) < 1:
-        print("error: --budget must be positive", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except TooLarge as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except NotIndecomposable as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
+    except NotRegular as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 6
 
 
 if __name__ == "__main__":

@@ -55,8 +55,6 @@ class NotIndecomposable(ValueError):
 
 GroupWord = tuple[tuple[str, int], ...]  # reduced runs: (letter, exponent != 0)
 
-A_INVERSE_KEY = object()  # dict key standing in for the unhashable-by-value sentinel
-
 
 @dataclass(frozen=True)
 class RightCongruence:
@@ -135,10 +133,13 @@ def enumerate_regular(n: int, budget: int = DEFAULT_BUDGET) -> Iterator[RightCon
     lambda(c) of sorted P_a, these are the permutations s fitting the
     tree's staircase lambda, with c_b[i] -> p_a[s(i) - 1].  Regularity is
     still checked, never assumed.  The walk is charged hall_count(n)
-    candidates (hall_count(n) >= n! >= 2**(n-1)) before it starts.
+    candidates (hall_count(n) >= n! >= 2**(n-1)) before it starts.  n!
+    is charged first: it is quick to compute, where hall_count's
+    recursion computes O(n**2) big factorials.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    charge(n, factorial, budget, f"hall_count({n}) candidates")
     charge(n, hall_count, budget, f"hall_count({n}) candidates")
     for tree in enumerate_trees(n):
         c_a, c_b, p_a, _ = tree.parts
@@ -156,9 +157,8 @@ def to_indecomposable(rc: RightCongruence) -> Perm:
     if not is_regular(rc):
         raise NotRegular(f"congruence {rc} is not regular")
     extended = sorted([*rc.tree.prefixes, A_INVERSE], key=twisted_key)
-    rank = {(p if isinstance(p, str) else A_INVERSE_KEY): i + 1
-            for i, p in enumerate(extended)}
-    return tuple(rank[A_INVERSE_KEY] if not strip_a_run(c) else rank[rc.image_of(c)]
+    rank = {p: i for i, p in enumerate(extended, start=1)}
+    return tuple(rank[A_INVERSE] if not strip_a_run(c) else rank[rc.image_of(c)]
                  for c in rc.tree.leaves)
 
 

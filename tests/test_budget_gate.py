@@ -1,18 +1,22 @@
 """One budget gate: ``linfq.charge`` is the only place that raises
 TooLarge or reads a budget's bit length, and ``cli.main`` the only place
-that catches TooLarge, so a hand-written gate fails here."""
+that catches TooLarge, so a hand-written gate fails here.  Likewise no
+command hand-writes an exit code: ``cli.main`` alone maps the outcome
+exceptions, and argparse rejects bad arguments."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import idealcensus
 
 PACKAGE = Path(idealcensus.__file__).parent
 
 
-def _names_too_large(node) -> bool:
-    return any(isinstance(n, ast.Name) and n.id == "TooLarge"
-               or isinstance(n, ast.Attribute) and n.attr == "TooLarge"
+def _names(node, name: str) -> bool:
+    return any(isinstance(n, ast.Name) and n.id == name
+               or isinstance(n, ast.Attribute) and n.attr == name
                for n in ast.walk(node))
 
 
@@ -35,7 +39,7 @@ def _sites(kind) -> list[tuple[str, str]]:
 
 def test_only_charge_raises_too_large():
     assert _sites(lambda n: isinstance(n, ast.Raise) and n.exc is not None
-                  and _names_too_large(n.exc)) == [("linfq", "charge")]
+                  and _names(n.exc, "TooLarge")) == [("linfq", "charge")]
 
 
 def test_only_charge_reads_a_bit_length():
@@ -43,6 +47,28 @@ def test_only_charge_reads_a_bit_length():
                   and n.attr == "bit_length") == [("linfq", "charge")]
 
 
+def _catchers(name: str) -> list[tuple[str, str]]:
+    return _sites(lambda n: isinstance(n, ast.ExceptHandler) and n.type is not None
+                  and _names(n.type, name))
+
+
 def test_only_main_catches_too_large():
-    assert _sites(lambda n: isinstance(n, ast.ExceptHandler) and n.type is not None
-                  and _names_too_large(n.type)) == [("cli", "main")]
+    assert _catchers("TooLarge") == [("cli", "main")]
+
+
+@pytest.mark.parametrize("name", ["NotIndecomposable", "NotRegular"])
+def test_only_main_catches_a_bijection_outcome(name):
+    assert _catchers(name) == [("cli", "main")]
+
+
+def test_no_command_has_a_try():
+    assert [f for m, f in _sites(lambda n: isinstance(n, ast.Try))
+            if m == "cli" and f.startswith("cmd_")] == []
+
+
+def test_cli_returns_2_only_for_argument_combinations():
+    # --method bruteforce needs --q; export --q applies only to ideal-census
+    assert [f for m, f in _sites(lambda n: isinstance(n, ast.Return)
+                                 and isinstance(n.value, ast.Constant)
+                                 and n.value.value == 2)
+            if m == "cli"] == ["cmd_count", "cmd_export"]

@@ -614,3 +614,38 @@ def test_budget_must_be_positive(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "budget" in err
+
+
+USAGE_ERRORS = [
+    (["count", "--codim", "0"], "--codim",
+     "must be at least 1, got 0 (the codimension-0 count is 1; "
+     "the closed formula does not cover it)"),
+    (["count", "--codim", "2", "--q", "6"], "--q", "modulus must be a prime: 6"),
+    (["export", "--object", "ideal-census", "--n", "2", "--q", "9"], "--q",
+     "modulus must be a prime: 9"),
+    (["verify", "--primes", "2,4"], "--primes", "modulus must be a prime: 4"),
+    (["verify", "--max-n", "0"], "--max-n", "must be at least 1, got 0"),
+    (["export", "--object", "cells", "--n", "0"], "--n", "must be at least 1, got 0"),
+    (["bijection", "--theta", "1z"], "--theta", "not a permutation: '1z'"),
+    (["bijection", "--congruence-file", "{absent}"], "--congruence-file",
+     "cannot read {absent}: "),
+    (["bijection", "--congruence-file", "{garbled}"], "--congruence-file",
+     "expected 'c -> f(c)', got 'aa => 1'"),
+    (["count", "--codim", "2", "--budget", "0"], "--budget", "must be at least 1, got 0"),
+    (["verify", "--budget", "-5"], "--budget", "must be at least 1, got -5"),
+    (["export", "--object", "cells", "--n", "1", "--budget", "0"], "--budget",
+     "must be at least 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, message", USAGE_ERRORS,
+                         ids=[" ".join(argv) for argv, _, _ in USAGE_ERRORS])
+def test_a_bad_argument_is_a_usage_error(tmp_path, capsys, argv, flag, message):
+    files = {"absent": tmp_path / "absent.txt", "garbled": tmp_path / "garbled.txt"}
+    files["garbled"].write_text("aa => 1\n")
+    code, out, err = run(capsys, *(a.format(**files) for a in argv))
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert err.startswith("usage: ")
+    prefix = f"idealcensus {argv[0]}: error: argument {flag}: "
+    assert err.splitlines()[-1].startswith(prefix + message.format(**files))

@@ -1,6 +1,7 @@
 """Regular right congruences, the permutation correspondence, subgroups."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,6 +26,7 @@ from idealcensus.congruence import (
     subgroup_generators,
     to_indecomposable,
 )
+from idealcensus.linfq import TooLarge
 from idealcensus.permstat import enumerate_indecomposables, is_indecomposable
 from idealcensus.words import CodeTree, enumerate_trees
 
@@ -100,6 +102,14 @@ def test_regular_counts(n, count):
 def test_hall_counts_frozen():
     assert [hall_count(n) for n in range(1, 8)] == \
         [1, 3, 13, 71, 461, 3447, 29093]
+
+
+def test_enumerate_regular_refuses_before_computing_hall_count():
+    # 1500! alone exceeds the budget; hall_count(1500) would take minutes
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match=r"hall_count\(1500\) candidates"):
+        next(enumerate_regular(1500, 2 ** 1600))
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("n", range(1, 5))
