@@ -70,9 +70,9 @@ def trees(lo: int, hi: int) -> Iterator[words.CodeTree]:
         yield from words.enumerate_trees(n)
 
 
-def regular(lo: int, hi: int) -> Iterator[congruence.RightCongruence]:
+def regular(lo: int, hi: int, budget: int) -> Iterator[congruence.RightCongruence]:
     for n in range(lo, hi + 1):
-        yield from congruence.enumerate_regular(n)
+        yield from congruence.enumerate_regular(n, budget)
 
 
 def partitions(lo: int, hi: int) -> Iterator[haglund.Partition]:
@@ -299,7 +299,7 @@ def check_order_properties(cfg: CheckConfig) -> Cases:
 
 def check_congruence_counts(cfg: CheckConfig) -> Cases:
     for n in range(1, cfg.max_n + 1):
-        count = sum(1 for _ in congruence.enumerate_regular(n))
+        count = sum(1 for _ in congruence.enumerate_regular(n, cfg.budget))
         indec = sum(1 for _ in permstat.enumerate_indecomposables(n + 1))
         hall = congruence.hall_count(n)
         yield f"n={n}: {count}, {indec}, {hall}", count == indec == hall
@@ -308,7 +308,7 @@ def check_congruence_counts(cfg: CheckConfig) -> Cases:
 def check_congruence_roundtrip(cfg: CheckConfig) -> Cases:
     for n in range(1, min(cfg.max_n, 5) + 1):
         seen = set()
-        for rc in congruence.enumerate_regular(n):
+        for rc in congruence.enumerate_regular(n, cfg.budget):
             theta = congruence.to_indecomposable(rc)
             yield rc, (permstat.is_indecomposable(theta) and theta not in seen
                        and congruence.from_indecomposable(theta) == rc)
@@ -318,7 +318,8 @@ def check_congruence_roundtrip(cfg: CheckConfig) -> Cases:
 
 def check_congruence_brute_filter(cfg: CheckConfig) -> Cases:
     for n in range(1, min(cfg.max_n, 4) + 1):
-        fast = {(rc.tree.leaves, rc.images) for rc in congruence.enumerate_regular(n)}
+        fast = {(rc.tree.leaves, rc.images)
+                for rc in congruence.enumerate_regular(n, cfg.budget)}
         slow = set()
         for tree in words.enumerate_trees(n):
             candidates = [[p for p in tree.prefixes if p < c] for c in tree.leaves]
@@ -329,14 +330,19 @@ def check_congruence_brute_filter(cfg: CheckConfig) -> Cases:
 
 
 def check_action_tables(cfg: CheckConfig) -> Cases:
-    for rc in regular(1, cfg.max_n):
+    # enumerate_regular builds its congruences without validating them:
+    # each image must be a class representative below its leaf, and both
+    # letter actions must permute the classes
+    for rc in regular(1, cfg.max_n, cfg.budget):
+        prefixes = set(rc.tree.prefixes)
         table = congruence.action_table(rc)
-        yield rc, all(sorted(row) == list(range(rc.tree.n))
-                      for row in (table.a_next, table.b_next))
+        yield rc, (all(p in prefixes and p < c for c, p in zip(rc.tree.leaves, rc.images))
+                   and all(sorted(row) == list(range(rc.tree.n))
+                           for row in (table.a_next, table.b_next)))
 
 
 def check_hook_through_correspondence(cfg: CheckConfig) -> Cases:
-    for rc in regular(1, min(cfg.max_n, 5)):
+    for rc in regular(1, min(cfg.max_n, 5), cfg.budget):
         theta = congruence.to_indecomposable(rc)
         st = words.tree_stats(rc.tree)
         sig = words.signature(rc.tree)
@@ -349,7 +355,7 @@ def check_hook_through_correspondence(cfg: CheckConfig) -> Cases:
 
 
 def check_subgroup_generators(cfg: CheckConfig) -> Cases:
-    for rc in regular(1, min(cfg.max_n, 4)):
+    for rc in regular(1, min(cfg.max_n, 4), cfg.budget):
         gens = congruence.subgroup_generators(rc)
         yield rc, len(gens) == rc.tree.n + 1 and all(
             congruence.free_reduce(g) == g and congruence.subgroup_contains(rc, g)
@@ -397,8 +403,8 @@ def check_haglund_degree(cfg: CheckConfig) -> Cases:
 def check_census_routes(cfg: CheckConfig) -> Cases:
     for n in range(1, cfg.max_n + 1):
         f = ideals.ideal_count_formula(n)
-        yield f"n={n}: hook route", f == ideals.ideal_count_hook_formula(n)
-        yield f"n={n}: tree route", f == ideals.ideal_count_by_trees(n).total
+        yield f"n={n}: hook route", f == ideals.ideal_count_hook_formula(n, cfg.budget)
+        yield f"n={n}: tree route", f == ideals.ideal_count_by_trees(n, cfg.budget).total
 
 
 def check_census_brute(cfg: CheckConfig) -> Cases:
@@ -436,7 +442,7 @@ def check_per_tree_counts(cfg: CheckConfig) -> Cases:
 
 def check_cells(cfg: CheckConfig) -> Cases:
     for n in range(1, cfg.max_n + 1):
-        cd = ideals.cell_decomposition(n)
+        cd = ideals.cell_decomposition(n, cfg.budget)
         yield f"n={n}", (cd.total_poly() == ideals.ideal_count_formula(n)
                          and all(c.affine_dim >= 0 for c in cd.cells))
 

@@ -105,11 +105,10 @@ def report_text_lines(report: IdealCountReport) -> list[str]:
 def report_csv_rows(report: IdealCountReport) -> list[list[str]]:
     rows = [["ranks", "lengths", "k", "N", "M", "lambda", "contribution"]]
     for e in report.entries:
-        contrib = e.contribution if isinstance(e.contribution, int) else str(e.contribution)
         rows.append([" ".join(map(str, e.sig.ranks)),
                      " ".join(map(str, e.sig.lengths)),
                      str(e.a_count), str(e.a_cells), str(e.b_cells),
-                     " ".join(map(str, e.partition)), str(contrib)])
+                     " ".join(map(str, e.partition)), str(e.contribution)])
     return rows
 
 

@@ -58,7 +58,11 @@ GroupWord = tuple[tuple[str, int], ...]  # reduced runs: (letter, exponent != 0)
 
 @dataclass(frozen=True)
 class RightCongruence:
-    """Code tree plus reduction map; images aligned with tree.leaves."""
+    """Code tree plus reduction map; images aligned with tree.leaves.
+
+    ``from_map`` validates a map read from outside the package; the
+    package's own constructions build the images directly.
+    """
 
     tree: CodeTree
     images: tuple[str, ...]
@@ -131,11 +135,23 @@ def enumerate_regular(n: int, budget: int = DEFAULT_BUDGET) -> Iterator[RightCon
     'a'-run).  On the rest it is a bijection C_b -> P_a sending each leaf
     below itself; since the members of P_a below c are the first
     lambda(c) of sorted P_a, these are the permutations s fitting the
-    tree's staircase lambda, with c_b[i] -> p_a[s(i) - 1].  Regularity is
-    still checked, never assumed.  The walk is charged hall_count(n)
-    candidates (hall_count(n) >= n! >= 2**(n-1)) before it starts.  n!
-    is charged first: it is quick to compute, where hall_count's
-    recursion computes O(n**2) big factorials.
+    tree's staircase lambda, with c_b[i] -> p_a[s(i) - 1].
+
+    Every such map is regular, so each one is yielded as built.  The
+    a-action sends the p with pa in P onto P_a minus {1}, and the leaves
+    C_a bijectively onto P_b by stripping their 'a'-run; P is the
+    disjoint union of the two images.  Likewise the b-action sends the p
+    with pb in P onto P_b minus {1}, and C_b bijectively onto P_a through
+    the fitting permutation.  Each image is a class representative below
+    its leaf by the same staircase.  ``checks`` witnesses all of this
+    case by case: the leaf parts under run stripping, the action tables,
+    and the enumeration against a generate-and-test filter, the Hall
+    recursion and the indecomposables.
+
+    The walk is charged hall_count(n) candidates (hall_count(n) >= n! >=
+    2**(n-1)) before it starts.  n! is charged first: it is quick to
+    compute, where hall_count's recursion computes O(n**2) big
+    factorials.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -145,10 +161,8 @@ def enumerate_regular(n: int, budget: int = DEFAULT_BUDGET) -> Iterator[RightCon
         c_a, c_b, p_a, _ = tree.parts
         base = {c: strip_a_run(c) for c in c_a}
         for s in constrained_permutations(tree_stats(tree).partition):
-            rc = RightCongruence.from_map(
-                tree, base | {c: p_a[v - 1] for c, v in zip(c_b, s)})
-            if is_regular(rc):
-                yield rc
+            images = base | {c: p_a[v - 1] for c, v in zip(c_b, s)}
+            yield RightCongruence(tree, tuple(images[c] for c in tree.leaves))
 
 
 def to_indecomposable(rc: RightCongruence) -> Perm:
@@ -168,7 +182,9 @@ def from_indecomposable(theta: Perm) -> RightCongruence:
     The maxima positions are the signature ranks, consecutive maxima
     value gaps the run lengths; the stripped permutation matches the
     remaining leaves (sorted alphabetically) with the 'a'-part
-    representatives (sorted by the twisted order).
+    representatives (sorted by the twisted order).  The map is built as
+    a reduction map, not re-validated: ``checks`` round-trips every
+    regular congruence through ``to_indecomposable`` and back.
     """
     theta = permstat.check_permutation(theta)
     if len(theta) < 2 or not permstat.is_indecomposable(theta):
@@ -182,7 +198,7 @@ def from_indecomposable(theta: Perm) -> RightCongruence:
     p_a_twisted = sorted(p_a, key=twisted_key)
     for i, c in enumerate(c_b):
         mapping[c] = p_a_twisted[sigma[i] - 1]
-    return RightCongruence.from_map(tree, mapping)
+    return RightCongruence(tree, tuple(mapping[c] for c in tree.leaves))
 
 
 # -- free group words ----------------------------------------------------

@@ -28,6 +28,11 @@ Counting routes, all exact polynomials in q:
   factorisation (``checks.per_tree_action_counts``, tree by tree and
   prime by prime).
 
+Both tree routes run one walk (``_tree_census``) and return an
+``IdealCountReport``, one entry per tree; the report's total is the sum
+of its entries by construction, and ``checks`` compares the totals of
+the routes with each other.
+
 The enumerating routes take a budget and charge it through
 ``linfq.charge``, which raises ``TooLarge`` before they start when their
 enumeration would exceed it: (n+1)! permutations for the hook route,
@@ -43,10 +48,10 @@ hook route it walks S_(n+1) and is charged (n+1)!.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from math import comb, factorial
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .haglund import haglund_product
 from .linfq import (DEFAULT_BUDGET, FqMatrix, _full_rank, charge, check_prime,
@@ -121,17 +126,18 @@ class TreeEntry:
 
 @dataclass(frozen=True)
 class IdealCountReport:
-    """Census total plus the per-tree breakdown that sums to it."""
+    """Per-tree breakdown of a census; ``total`` is derived, the sum of
+    the entries' contributions."""
 
     n: int
     method: str
     q: int | None
-    total: Contribution
     entries: tuple[TreeEntry, ...]
+    total: Contribution = field(init=False)
 
     def __post_init__(self):
-        if sum((e.contribution for e in self.entries), 0) != self.total:
-            raise ValueError("per-tree breakdown does not sum to the total")
+        object.__setattr__(self, "total",
+                           sum((e.contribution for e in self.entries), 0))
 
 
 def tree_contribution(tree: CodeTree) -> Contribution:
@@ -144,28 +150,35 @@ def _stats_contribution(st: TreeStats) -> Contribution:
             * haglund_product(st.partition).shift(st.a_cells + st.b_cells))
 
 
-def ideal_count_by_trees(n: int, budget: int = DEFAULT_BUDGET) -> IdealCountReport:
-    """One entry per code tree, in ``enumerate_trees`` order.  Trees with
-    the same key (k, a_cells + b_cells, partition) share one immutable
-    contribution, built once; the total is the sum over keys of the
-    contribution times its number of trees, and the report checks it
-    against the sum of the entries.  Catalan(n) trees above ``budget``
-    raise TooLarge."""
-    _require_codim(n)
+def _tree_census(n: int, method: str, q: int | None, budget: int,
+                 value: Callable[[CodeTree, TreeStats], Contribution]) -> IdealCountReport:
+    """The walk both tree routes share: Catalan(n) trees are charged
+    against ``budget``, then each tree, in ``enumerate_trees`` order,
+    gets one entry whose contribution is ``value(tree, its stats)``."""
     charge(n, catalan, budget, f"Catalan({n}) trees")
-    contributions: dict[tuple, Contribution] = {}
-    multiplicity: Counter[tuple] = Counter()
     entries = []
     for tree in enumerate_trees(n):
         st = tree_stats(tree)
+        entries.append(TreeEntry(signature(tree), st.a_count, st.a_cells,
+                                 st.b_cells, st.partition, value(tree, st)))
+    return IdealCountReport(n, method, q, tuple(entries))
+
+
+def ideal_count_by_trees(n: int, budget: int = DEFAULT_BUDGET) -> IdealCountReport:
+    """One entry per code tree, in ``enumerate_trees`` order.  Trees with
+    the same key (k, a_cells + b_cells, partition) share one immutable
+    contribution, built once.  Catalan(n) trees above ``budget`` raise
+    TooLarge."""
+    _require_codim(n)
+    contributions: dict[tuple, Contribution] = {}
+
+    def value(tree: CodeTree, st: TreeStats) -> Contribution:
         key = (st.a_count, st.a_cells + st.b_cells, st.partition)
         if key not in contributions:
             contributions[key] = _stats_contribution(st)
-        multiplicity[key] += 1
-        entries.append(TreeEntry(signature(tree), st.a_count, st.a_cells,
-                                 st.b_cells, st.partition, contributions[key]))
-    total = sum((contributions[key] * m for key, m in multiplicity.items()), 0)
-    return IdealCountReport(n, "structural", None, total, tuple(entries))
+        return contributions[key]
+
+    return _tree_census(n, "structural", None, budget, value)
 
 
 # -- explicit ideal data over a fixed prime field -------------------------
@@ -324,24 +337,21 @@ def count_invertible_pairs(tree: CodeTree, p: int,
 
 def ideal_count_brute_force(n: int, p: int,
                             budget: int = DEFAULT_BUDGET) -> IdealCountReport:
-    """Exhaustive census at q = p: per tree, the coefficient assignments
-    with both action matrices invertible.  Each slot touches one cell of
-    one matrix, so that number is the count for letter a times the count
-    for letter b.  The budget bounds the Catalan(n) trees, charged before
-    the first tree is built, and the matrices each letter's count
-    describes, p**(its cells), which is the space it walks."""
+    """Exhaustive census at q = p, one entry per code tree in
+    ``enumerate_trees`` order: the coefficient assignments with both
+    action matrices invertible.  Each slot touches one cell of one
+    matrix, so that number is the count for letter a times the count for
+    letter b.  The budget bounds the Catalan(n) trees, charged before the
+    first tree is built, and the matrices each letter's count describes,
+    p**(its cells), which is the space it walks."""
     _require_codim(n)
     check_prime(p)
-    charge(n, catalan, budget, f"Catalan({n}) trees")
-    entries = []
-    for tree in enumerate_trees(n):
-        st = tree_stats(tree)
-        count = (count_invertible_a_actions(tree, p, budget)
-                 * count_invertible_b_actions(tree, p, budget))
-        entries.append(TreeEntry(signature(tree), st.a_count, st.a_cells,
-                                 st.b_cells, st.partition, count))
-    total = sum(e.contribution for e in entries)
-    return IdealCountReport(n, "bruteforce", p, total, tuple(entries))
+
+    def value(tree: CodeTree, st: TreeStats) -> int:
+        return (count_invertible_a_actions(tree, p, budget)
+                * count_invertible_b_actions(tree, p, budget))
+
+    return _tree_census(n, "bruteforce", p, budget, value)
 
 
 # -- cell decomposition ----------------------------------------------------

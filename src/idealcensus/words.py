@@ -149,8 +149,6 @@ class _AInverse:
 
 A_INVERSE = _AInverse()
 
-ExtendedWord = "str | _AInverse"
-
 
 def twisted_key(x) -> tuple:
     """Sort key realizing the twisted order on words and A_INVERSE.
@@ -217,7 +215,7 @@ class CodeTree:
 
     @classmethod
     def _trusted(cls, leaves: tuple[str, ...]) -> "CodeTree":
-        # leaves already sorted and known valid (internal enumeration)
+        # leaves already sorted and known valid (enumeration, reconstruction)
         prefix_set: set[str] = set()
         for w in leaves:
             for i in range(len(w)):
@@ -291,7 +289,12 @@ def reconstruct(sig: TreeSignature) -> CodeTree:
     Scan leaves in alphabetical order: leaf 1 is a**l_1; to advance,
     strip the trailing 'b'-run, flip the final 'a' to 'b', and append the
     next unused 'a'-run when the new rank is one of the signature ranks.
-    Raises InvalidSignature when the scan cannot complete.
+    Raises InvalidSignature when the signature is malformed or the scan
+    cannot complete.  Each step moves to the next leaf of a complete code
+    tree in alphabetical order, and a last leaf that is a run of b closes
+    the tree, so a scan that completes has emitted a valid tree's sorted
+    leaves and the tree is built without ``from_leaves``.  ``checks``
+    round-trips every tree through its signature.
     """
     n, ranks, lengths = sig.size, sig.ranks, sig.lengths
     k = len(ranks)
@@ -318,13 +321,7 @@ def reconstruct(sig: TreeSignature) -> CodeTree:
         raise InvalidSignature("last leaf must be a run of b")
     if used != k:
         raise InvalidSignature("unused run lengths")
-    try:
-        tree = CodeTree.from_leaves(leaves)
-    except ValueError as exc:  # defensive; the scan should not produce this
-        raise InvalidSignature(str(exc)) from exc
-    if tree.n != n:
-        raise InvalidSignature("leaf count mismatch")
-    return tree
+    return CodeTree._trusted(tuple(leaves))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@
 TooLarge or reads a budget's bit length, and ``cli.main`` the only place
 that catches TooLarge, so a hand-written gate fails here.  Likewise no
 command hand-writes an exit code: ``cli.main`` alone maps the outcome
-exceptions, and argparse rejects bad arguments."""
+exceptions, and argparse rejects bad arguments.  The validating
+constructors run only on input read from outside the package: its own
+constructions build valid trees and congruences directly, and the check
+table witnesses them."""
 
 import ast
 from pathlib import Path
@@ -72,3 +75,20 @@ def test_cli_returns_2_only_for_argument_combinations():
                                  and isinstance(n.value, ast.Constant)
                                  and n.value.value == 2)
             if m == "cli"] == ["cmd_count", "cmd_export"]
+
+
+def _callers(name: str) -> list[tuple[str, str]]:
+    return _sites(lambda n: isinstance(n, ast.Call) and _names(n.func, name))
+
+
+@pytest.mark.parametrize("name", ["from_leaves", "from_map"])
+def test_only_the_congruence_parser_validates_a_structure(name):
+    assert _callers(name) == [("cli", "parse_congruence_text")]
+
+
+def test_regularity_is_tested_only_on_outside_input():
+    assert [site for site in _callers("is_regular") if site[0] != "checks"] == [
+        ("congruence", "to_indecomposable"),
+        ("congruence", "subgroup_generators"),
+        ("congruence", "class_index"),
+    ]

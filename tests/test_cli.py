@@ -492,7 +492,8 @@ def test_export_header_breaks_nothing(capsys):
 
 
 def report_from_json(payload: dict) -> IdealCountReport:
-    """Inverse of ``cli.report_json``."""
+    """Inverse of ``cli.report_json``; the exported total must be the
+    parsed report's derived total."""
 
     def uncontrib(value):
         if isinstance(value, int):
@@ -509,9 +510,10 @@ def report_from_json(payload: dict) -> IdealCountReport:
         partition=tuple(t["lambda"]),
         contribution=uncontrib(t["contribution"]),
     ) for t in payload["trees"])
-    return IdealCountReport(n=payload["n"], method=payload["method"],
-                            q=payload.get("q"), total=uncontrib(payload["total"]),
-                            entries=entries)
+    report = IdealCountReport(n=payload["n"], method=payload["method"],
+                              q=payload.get("q"), entries=entries)
+    assert uncontrib(payload["total"]) == report.total
+    return report
 
 
 def test_export_census_reimport_roundtrip(capsys):

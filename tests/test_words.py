@@ -1,5 +1,6 @@
 """Words over {a, b}, the twisted order, code trees and signatures."""
 
+import itertools
 import tracemalloc
 
 import pytest
@@ -205,6 +206,26 @@ def test_reconstruct_small():
 def test_reconstruct_rejects(bad):
     with pytest.raises(InvalidSignature):
         reconstruct(bad)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_reconstruct_accepts_only_tree_signatures(n):
+    # every rank set containing 1, every run length 1..n+1: what the scan
+    # accepts is a valid tree with that signature, the rest is refused
+    accepted = 0
+    for rest in itertools.chain.from_iterable(
+            itertools.combinations(range(2, n + 2), r) for r in range(n + 1)):
+        ranks = (1, *rest)
+        for lengths in itertools.product(range(1, n + 2), repeat=len(ranks)):
+            sig = TreeSignature(n, ranks, lengths)
+            try:
+                tree = reconstruct(sig)
+            except InvalidSignature:
+                continue
+            accepted += 1
+            assert CodeTree.from_leaves(tree.leaves) == tree
+            assert signature(tree) == sig
+    assert accepted == CATALAN[n]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
