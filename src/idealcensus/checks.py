@@ -3,7 +3,9 @@
 compares independent routes case by case up to ``cfg.max_n`` and yields
 one ``(case, ok)`` per case it checked; ``run_check`` walks it, counts
 the cases and names the first case that fails.  A check that yields no
-case checked nothing, and ``verify`` prints it as skipped.
+case checked nothing, and ``verify`` prints it as skipped, with the
+reason the check returns: a check that runs only at some bounds or
+primes ends with ``return "why"``.
 
 Check predicates live only here.  Those the per-module tests also run,
 at their own bounds, take explicit bounds instead of a config
@@ -42,16 +44,21 @@ class CheckConfig:
 
 def run_check(fn: Check, cfg: CheckConfig) -> tuple[bool, str, int, float]:
     """(ok, detail, cases, seconds): the walk stops at the first case that
-    fails, and detail names it; a check that raises is a failure, not an
-    abort."""
+    fails, and detail names it; a check that runs to its end has the
+    value it returns, if any, as detail.  A check that raises is a
+    failure, not an abort."""
     start = time.perf_counter()
     ok, detail, cases = True, "", 0
     try:
-        for case, ok in fn(cfg):
+        walk = fn(cfg)
+        while True:
+            case, ok = next(walk)
             cases += 1
             if not ok:
                 detail = str(case)
                 break
+    except StopIteration as stop:
+        detail = stop.value or ""
     except Exception as exc:
         ok, detail = False, f"raised {type(exc).__name__}: {exc}"
     return ok, detail, cases, time.perf_counter() - start
@@ -388,6 +395,7 @@ def check_haglund_brute(cfg: CheckConfig) -> Cases:
                 continue
             brute = linfq.count_invertible_support(parts, p, cfg.budget)
             yield f"{parts} at p={p}", haglund.haglund_product(parts).evaluate(p) == brute
+    return "runs where p**cells <= min(budget, 2**21)"
 
 
 def check_haglund_degree(cfg: CheckConfig) -> Cases:
@@ -416,6 +424,7 @@ def check_census_brute(cfg: CheckConfig) -> Cases:
                 continue
             total = ideals.ideal_count_brute_force(n, p, cfg.budget).total
             yield f"n={n}, p={p}: {total}", total == expected.evaluate(p)
+    return "runs where p**slots <= min(budget, 2**17)"
 
 
 def per_tree_action_counts(n: int, p: int, budget: int = DEFAULT_BUDGET) -> Cases:
@@ -438,6 +447,7 @@ def check_per_tree_counts(cfg: CheckConfig) -> Cases:
         for p in cfg.primes:
             if p <= 3:
                 yield from per_tree_action_counts(n, p, cfg.budget)
+    return "runs at p <= 3 only"
 
 
 def check_cells(cfg: CheckConfig) -> Cases:

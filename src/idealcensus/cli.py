@@ -13,7 +13,8 @@ outcomes the commands return; 7 is ``emit``'s.
 Output is deterministic byte for byte apart from the version/timestamp
 header, which --no-header suppresses.  The checks that verify runs live
 in ``checks.SUITES``; verify prints each as ``[ ok ]``, ``[FAIL]``, or
-``[skip]`` when it checked no case at the given bounds and primes.
+``[skip]`` when it checked no case at the given bounds and primes,
+followed by the reason the check gives, if any.
 """
 
 from __future__ import annotations
@@ -280,8 +281,9 @@ def cmd_verify(args) -> int:
         for label, fn in checks.SUITES[suite]:
             ok, detail, cases, dt = checks.run_check(fn, cfg)
             mark = "FAIL" if not ok else " ok " if cases else "skip"
-            suffix = f": {detail}" if detail else ""
-            print(f"[{mark}] {suite}: {label} ({dt:.3f}s){suffix}")
+            reason = f" ({detail})" if detail and mark == "skip" else ""
+            suffix = f": {detail}" if detail and mark == "FAIL" else ""
+            print(f"[{mark}] {suite}: {label}{reason} ({dt:.3f}s){suffix}")
             failures += not ok
             skipped += ok and not cases
             total += 1

@@ -22,7 +22,7 @@ generating set {c · f(c)^-1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from math import factorial
 from typing import Iterable, Iterator, Mapping
 
@@ -149,14 +149,16 @@ def enumerate_regular(n: int, budget: int = DEFAULT_BUDGET) -> Iterator[RightCon
     recursion and the indecomposables.
 
     The walk is charged hall_count(n) candidates (hall_count(n) >= n! >=
-    2**(n-1)) before it starts.  n! is charged first: it is quick to
-    compute, where hall_count's recursion computes O(n**2) big
-    factorials.
+    2**(n-1)) before it starts, without computing hall_count(n) when the
+    budget decides at a bound: n! is charged first, and a budget of at
+    least n * n! >= hall_count(n) is accepted.  Only a budget between
+    the two bounds runs the recursion.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     charge(n, factorial, budget, f"hall_count({n}) candidates")
-    charge(n, hall_count, budget, f"hall_count({n}) candidates")
+    if n * factorial(n) > budget:
+        charge(n, hall_count, budget, f"hall_count({n}) candidates")
     for tree in enumerate_trees(n):
         c_a, c_b, p_a, _ = tree.parts
         base = {c: strip_a_run(c) for c in c_a}
@@ -313,11 +315,17 @@ def subgroup_contains(rc: RightCongruence, word: GroupWord) -> bool:
     return class_index(rc, word) == start
 
 
-@cache
 def hall_count(n: int) -> int:
     """Number of index-n subgroups of F_2 by the classical recursion:
-    N(n) = n * n! - sum over 0 < i < n of (n-i)! * N(i)."""
+    N(n) = n * n! - sum over 0 < i < n of (n-i)! * N(i).  The subtracted
+    sum is nonnegative, so N(n) <= n * n!.  N(1..n) are built in turn
+    from one table of factorials."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return n * factorial(n) - sum(factorial(n - i) * hall_count(i)
-                                  for i in range(1, n))
+    fact = [1]
+    for i in range(1, n + 1):
+        fact.append(fact[-1] * i)
+    counts = [0]  # counts[m] = N(m)
+    for m in range(1, n + 1):
+        counts.append(m * fact[m] - sum(fact[m - i] * counts[i] for i in range(1, m)))
+    return counts[n]

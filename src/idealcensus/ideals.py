@@ -24,9 +24,10 @@ Counting routes, all exact polynomials in q:
   touches one cell of one matrix, so the per-tree count is the a-count
   times the b-count; each letter's count walks its matrix row by row
   (``linfq.count_invertible_rows``), and ``count_invertible_pairs``,
-  which walks the joint assignments of both letters, witnesses the
+  which visits every joint assignment of both letters, witnesses the
   factorisation (``checks.per_tree_action_counts``, tree by tree and
-  prime by prime).
+  prime by prime).  A letter's matrix repeats across the joint walk, so
+  that walk caches its rank test by matrix content, within one call.
 
 Both tree routes run one walk (``_tree_census``) and return an
 ``IdealCountReport``, one entry per tree; the report's total is the sum
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 from math import comb, factorial
 from typing import Callable, Mapping, Sequence, Union
 
@@ -318,19 +319,34 @@ def count_invertible_pairs(tree: CodeTree, p: int,
                            budget: int = DEFAULT_BUDGET) -> int:
     """Walk every assignment of the slots of both letters
     (``itertools.product``) and count those whose two action matrices
-    are both invertible.  It never uses the per-letter counts, so it
-    witnesses that the census may multiply them."""
+    are both invertible: the a-matrix is tested first, the b-matrix only
+    when the a-matrix is invertible.  It never uses the per-letter
+    counts, so it witnesses that the census may multiply them.
+
+    Over the walk a letter's matrix takes only p**(its slots) values, so
+    the rank test is cached by matrix content, its entries in row-major
+    order, in a dict that lives for this one call: at most
+    p**(a slots) + p**(b slots) eliminations for p**(a slots + b slots)
+    assignments."""
     check_prime(p)
     _, cells = _action_cells(tree)
     charge(len(cells), lambda k: p ** k, budget, f"{p}**{len(cells)} assignments")
     grids = _action_grids(tree, [0] * len(cells))
     targets = [(grids[letter][i], j) for letter, i, j in cells]
     n = len(tree.prefixes)
+    full_rank: dict[tuple[int, ...], bool] = {}
     count = 0
     for values in product(range(p), repeat=len(cells)):
         for (row, j), v in zip(targets, values):
             row[j] = v
-        if all(_full_rank([row[:] for row in g], n, p) for g in grids.values()):
+        for g in grids.values():
+            key = tuple(chain.from_iterable(g))
+            ok = full_rank.get(key)
+            if ok is None:
+                ok = full_rank[key] = _full_rank([row[:] for row in g], n, p)
+            if not ok:
+                break
+        else:
             count += 1
     return count
 

@@ -26,6 +26,8 @@ permutation or t-order that fails.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect
+from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .qpoly import LaurentPoly, ONE, ZERO, geometric
@@ -71,9 +73,19 @@ def inverse(s: Perm) -> Perm:
 
 
 def inversions(s: Perm) -> int:
-    """Number of pairs i < j with s(i) > s(j)."""
-    n = len(s)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if s[i] > s[j])
+    """Number of pairs i < j with s(i) > s(j).
+
+    Each value is counted against the larger values before it, found by
+    bisection in the sorted list of the values seen so far: O(n log n)
+    comparisons, where the pairs themselves number O(n**2).
+    """
+    seen: list[int] = []
+    count = 0
+    for i, v in enumerate(s):
+        k = bisect(seen, v)
+        count += i - k
+        seen.insert(k, v)
+    return count
 
 
 def versions(s: Perm) -> int:
@@ -101,7 +113,7 @@ def hook_union_size(s: Perm) -> int:
 
 def hook_number(s: Perm) -> int:
     """Hook-union size via statistics: 2*inv + versions = inv + C(n,2)."""
-    return 2 * inversions(s) + versions(s)
+    return inversions(s) + comb(len(s), 2)
 
 
 def is_indecomposable(s: Perm) -> bool:

@@ -356,6 +356,7 @@ def test_verify_marks_a_check_without_cases_skipped(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[2].startswith("[skip] ideals: per-tree action counts factor as predicted")
+    assert "predicted (runs at p <= 3 only) (" in lines[2]
     assert sum(line.startswith("[ ok ]") for line in lines) == 4
     assert lines[-1] == "4/5 checks passed, 1 skipped"
 

@@ -2,10 +2,12 @@
 
 import itertools
 import time
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
+import idealcensus.congruence as congruence
 from idealcensus.congruence import (
     NotIndecomposable,
     NotRegular,
@@ -110,6 +112,32 @@ def test_enumerate_regular_refuses_before_computing_hall_count():
     with pytest.raises(TooLarge, match=r"hall_count\(1500\) candidates"):
         next(enumerate_regular(1500, 2 ** 1600))
     assert time.perf_counter() - start < 1.0
+
+
+def test_enumerate_regular_accepts_n_times_n_factorial_without_hall_count(monkeypatch):
+    # hall_count(n) <= n * n!, so that budget needs no hall_count(n)
+    def refuse(n):
+        raise AssertionError("hall_count computed")
+
+    monkeypatch.setattr(congruence, "hall_count", refuse)
+    assert next(enumerate_regular(600, 600 * factorial(600))).tree.n == 600
+    assert len(list(enumerate_regular(4, 4 * 24))) == 71
+
+
+def test_enumerate_regular_charges_hall_count_between_its_bounds(monkeypatch):
+    # 4! = 24 <= budget < 4 * 4! = 96: only hall_count(4) = 71 decides
+    calls = []
+    real = congruence.hall_count
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(congruence, "hall_count", counted)
+    with pytest.raises(TooLarge, match=r"hall_count\(4\) candidates"):
+        next(enumerate_regular(4, 70))
+    assert len(list(enumerate_regular(4, 71))) == 71
+    assert calls == [4, 4]
 
 
 @pytest.mark.parametrize("n", range(1, 5))

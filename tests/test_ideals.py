@@ -228,6 +228,38 @@ def test_edge_tree_counts():
         assert count_invertible_pairs(EDGE, p) == (p - 1) ** 2
 
 
+# 3 internal nodes; 6 slots in the a-action and 3 in the b-action
+FAN = CodeTree.from_leaves(["a", "ba", "bba", "bbb"])
+
+
+def test_joint_walk_matches_an_uncached_walk():
+    p = 3
+    walk = sum(all(is_invertible(m) for m in build_action_matrices(
+                   CoefficientAssignment(FAN, p, values)))
+               for values in product(range(p), repeat=len(assignment_slots(FAN))))
+    assert count_invertible_pairs(FAN, p) == walk == 3888
+
+
+def test_joint_walk_caches_rank_tests_within_one_call(monkeypatch):
+    p = 3
+    calls = []
+    real = ideals._full_rank
+
+    def counted(rows, n, p):
+        calls.append(1)
+        return real(rows, n, p)
+
+    monkeypatch.setattr(ideals, "_full_rank", counted)
+    a_slots, b_slots = ideals.letter_slots(FAN)
+    assert (a_slots, b_slots) == (6, 3)
+    first = count_invertible_pairs(FAN, p)
+    made = len(calls)
+    assert 0 < made <= p ** a_slots + p ** b_slots
+    # a second call starts from an empty cache and makes as many tests
+    assert count_invertible_pairs(FAN, p) == first
+    assert len(calls) == 2 * made
+
+
 def test_example_tree_action_legs():
     # 11 free cells in the a-action, k = 3 leaves ending in a
     assert count_invertible_a_actions(EXAMPLE_TREE, 2) == 256  # (2-1)^3 * 2^8

@@ -176,6 +176,13 @@ def test_transpose_symmetry(s):
     assert hook_union_size(s) == hook_union_size(t)
 
 
+@given(st.integers(0, 40).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple))
+def test_inversions_by_definition(s):
+    n = len(s)
+    pairs = sum(1 for i in range(n) for j in range(i + 1, n) if s[i] > s[j])
+    assert inversions(s) == pairs == hook_union_size(s) - comb(n, 2)
+
+
 @given(perms, perms)
 def test_inversions_add_under_shifted_concat(a, b):
     assert inversions(shifted_concat(a, b)) == inversions(a) + inversions(b)
