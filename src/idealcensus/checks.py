@@ -90,6 +90,7 @@ def partitions(lo: int, hi: int) -> Iterator[haglund.Partition]:
 def check_frozen_polynomials(cfg: CheckConfig) -> Cases:
     table = {1: LaurentPoly({0: 1}), 2: LaurentPoly({1: 1}),
              3: LaurentPoly({3: 1, 2: 2}), 4: LaurentPoly({6: 1, 5: 3, 4: 5, 3: 4})}
+    linfq.charge(len(table), factorial, cfg.budget, f"{len(table)}! permutations")
     recursion = permstat.indec_inversion_polynomials(len(table))
     for m, expect in table.items():
         got = permstat.indec_inversion_polynomial(m)
@@ -98,9 +99,13 @@ def check_frozen_polynomials(cfg: CheckConfig) -> Cases:
 
 
 def check_hook_routes(cfg: CheckConfig) -> Cases:
+    """The grid route against the inversion statistic, counted by
+    ``inversions`` and, by its definition, pair by pair."""
     for s in perms(0, cfg.max_n):
-        grid = permstat.hook_union_size(s)
-        yield s, grid == permstat.hook_number(s) == permstat.inversions(s) + comb(len(s), 2)
+        n = len(s)
+        pairs = sum(s[i] > s[j] for i in range(n) for j in range(i + 1, n))
+        yield s, (permstat.hook_union_size(s) == permstat.hook_number(s)
+                  == permstat.inversions(s) + comb(n, 2) == pairs + comb(n, 2))
 
 
 def check_transpose_symmetry(cfg: CheckConfig) -> Cases:
@@ -150,11 +155,13 @@ def check_inversion_distribution(cfg: CheckConfig) -> Cases:
         yield f"n={n}", permstat.inversion_distribution(n) == qpoly.q_factorial(n)
 
 
-def series_identity(order: int) -> Cases:
+def series_identity(order: int, budget: int = DEFAULT_BUDGET) -> Cases:
     """The q-factorial series is the reciprocal of 1 - sum of the
     indecomposable inversion polynomials, coefficient by coefficient up
     to t**order.  The left side is the closed q-factorials, the right
-    side enumerates, so agreement is a genuine cross-check."""
+    side enumerates, so agreement is a genuine cross-check; the budget
+    bounds its largest walk, the order! permutations."""
+    linfq.charge(order, factorial, budget, f"{order}! permutations")
     body = [ONE] + [-permstat.indec_inversion_polynomial(m) for m in range(1, order + 1)]
     rhs = TruncatedSeries(order, body).invert()
     for k in range(order + 1):
@@ -475,7 +482,7 @@ SUITES: dict[str, list[tuple[str, Check]]] = {
         ("unique factorization into indecomposables", check_factorization),
         ("inversion distribution equals the q-factorial", check_inversion_distribution),
         ("factorial series is the indecomposable reciprocal",
-         lambda cfg: series_identity(min(8, cfg.max_n + 3))),
+         lambda cfg: series_identity(min(8, cfg.max_n + 3), cfg.budget)),
         ("polynomial ring axioms on seeded samples", check_ring_axioms),
         ("evaluation is a ring morphism on seeded samples", check_eval_morphism),
     ],

@@ -11,10 +11,13 @@ are ``main``'s, which maps TooLarge, NotIndecomposable and NotRegular;
 outcomes the commands return; 7 is ``emit``'s.
 
 Output is deterministic byte for byte apart from the version/timestamp
-header, which --no-header suppresses.  The checks that verify runs live
-in ``checks.SUITES``; verify prints each as ``[ ok ]``, ``[FAIL]``, or
-``[skip]`` when it checked no case at the given bounds and primes,
-followed by the reason the check gives, if any.
+header, which --no-header suppresses.  ``count`` and ``export`` build
+their result in the requested format only and hand it to one writer,
+``output``, which adds the header and serializes it; ``EXPORTS`` lists
+export's objects once, with their CSV columns.  The checks that verify
+runs live in ``checks.SUITES``; verify prints each as ``[ ok ]``,
+``[FAIL]``, or ``[skip]`` when it checked no case at the given bounds
+and primes, followed by the reason the check gives, if any.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import os
 import sys
 from datetime import datetime, timezone
 from math import factorial
+from typing import Iterator
 
 from . import __version__, checks, congruence, ideals, linfq, permstat
 from .congruence import (
@@ -46,18 +50,6 @@ from .words import CodeTree, parse_word, word_compact, word_str
 
 
 # -- rendering helpers -----------------------------------------------------
-
-
-def header_line() -> str:
-    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return f"# idealcensus {__version__} generated {stamp}"
-
-
-def with_meta(payload: dict) -> dict:
-    """The JSON payload behind its version/timestamp header."""
-    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return {"meta": {"tool": "idealcensus", "version": __version__, "generated": stamp},
-            **payload}
 
 
 def poly_terms(p: LaurentPoly) -> list[dict]:
@@ -103,14 +95,33 @@ def report_text_lines(report: IdealCountReport) -> list[str]:
     return lines
 
 
-def report_csv_rows(report: IdealCountReport) -> list[list[str]]:
-    rows = [["ranks", "lengths", "k", "N", "M", "lambda", "contribution"]]
+def report_csv_rows(report: IdealCountReport) -> Iterator[list]:
     for e in report.entries:
-        rows.append([" ".join(map(str, e.sig.ranks)),
-                     " ".join(map(str, e.sig.lengths)),
-                     str(e.a_count), str(e.a_cells), str(e.b_cells),
-                     " ".join(map(str, e.partition)), str(e.contribution)])
-    return rows
+        yield [" ".join(map(str, e.sig.ranks)), " ".join(map(str, e.sig.lengths)),
+               e.a_count, e.a_cells, e.b_cells, " ".join(map(str, e.partition)),
+               e.contribution]
+
+
+def output(args, body) -> int:
+    """Write a command's result in ``args.format``: ``body`` is a JSON
+    object, CSV rows below the export object's column row, or text
+    lines.  Unless --no-header, a version/timestamp header leads: a
+    ``meta`` object in JSON, a ``#`` line otherwise."""
+    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    if args.format == "json":
+        if args.header:
+            body = {"meta": {"tool": "idealcensus", "version": __version__,
+                             "generated": stamp}, **body}
+        return emit(json.dumps(body, indent=2) + "\n", args.out)
+    header = [f"# idealcensus {__version__} generated {stamp}"] if args.header else []
+    if args.format == "csv":
+        buf = io.StringIO()
+        buf.writelines(line + "\n" for line in header)
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(EXPORTS[args.object][0].split(","))
+        writer.writerows(body)
+        return emit(buf.getvalue(), args.out)
+    return emit("\n".join(header + body) + "\n", args.out)
 
 
 def emit(text: str, out_path: str | None) -> int:
@@ -179,35 +190,30 @@ def cmd_count(args) -> int:
 
     if args.format == "json":
         if args.method == "formula":
-            payload = {"n": n, "method": "formula", "total": poly_terms(result),
-                       "factored": factored_census_str(n, core)}
+            body = {"n": n, "method": "formula", "total": poly_terms(result),
+                    "factored": factored_census_str(n, core)}
             if args.q is not None:
-                payload["q"] = args.q
-                payload["value_at_q"] = result.evaluate(args.q)
+                body["q"] = args.q
+                body["value_at_q"] = result.evaluate(args.q)
         else:
-            payload = report_json(result)
+            body = report_json(result)
         if args.cross_check:
-            payload["cross_check"] = "ok"
-        if args.header:
-            payload = with_meta(payload)
-        return emit(json.dumps(payload, indent=2) + "\n", args.out)
+            body["cross_check"] = "ok"
+        return output(args, body)
 
-    lines = []
-    if args.header:
-        lines.append(header_line())
     if args.method == "formula":
-        lines.append(f"codim {n} census, formula route")
-        lines.append(f"factored: {factored_census_str(n, core)}")
-        lines.append(f"expanded: {result}")
+        lines = [f"codim {n} census, formula route",
+                 f"factored: {factored_census_str(n, core)}",
+                 f"expanded: {result}"]
         if args.q is not None:
             lines.append(f"value at q={args.q}: {result.evaluate(args.q)}")
     else:
         tag = f" at q={result.q}" if result.q is not None else ""
-        lines.append(f"codim {n} census{tag}, {result.method} route")
-        lines.extend(report_text_lines(result))
+        lines = [f"codim {n} census{tag}, {result.method} route",
+                 *report_text_lines(result)]
     if args.cross_check:
         lines.append("cross-check: all routes agree")
-    return emit("\n".join(lines) + "\n", args.out)
+    return output(args, lines)
 
 
 # -- bijection ---------------------------------------------------------------
@@ -271,7 +277,8 @@ def cmd_bijection(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # no check walks past S_(max_n+1)
+    # refuse at once the S_(max_n+1) that the census routes walk; the checks
+    # that walk further (frozen table, series identity) charge their own
     linfq.charge(args.max_n + 1, factorial, args.budget, f"{args.max_n + 1}! permutations")
     cfg = checks.CheckConfig(max_n=args.max_n, primes=args.primes, seed=args.seed,
                              budget=args.budget)
@@ -295,70 +302,65 @@ def cmd_verify(args) -> int:
 # -- export ------------------------------------------------------------------
 
 
-def build_export(args) -> tuple[dict, list[list[str]]]:
-    """Returns (json payload, csv rows including the column header)."""
-    n = args.n
-    if args.object == "indec-polys":
-        polys = list(enumerate(permstat.indec_inversion_polynomials(n), start=1))
-        payload = {"max_m": n,
-                   "polynomials": [{"m": m, "terms": poly_terms(p)} for m, p in polys]}
-        rows = [["m", "exp", "coef"]]
-        for m, p in polys:
-            rows.extend([str(m), str(e), str(c)] for e, c in p.terms)
-        return payload, rows
-    if args.object == "ideal-census":
-        if args.q is None:
-            report = ideals.ideal_count_by_trees(n, args.budget)
-        else:
-            report = ideals.ideal_count_brute_force(n, args.q, args.budget)
-        return report_json(report), report_csv_rows(report)
-    if args.object == "cells":
-        cd = ideals.cell_decomposition(n, args.budget)
-        payload = {"n": n, "cells": [{"theta": permutation_str(c.theta),
-                                      "torus_rank": c.torus_rank,
-                                      "affine_dim": c.affine_dim} for c in cd.cells]}
-        rows = [["theta", "torus_rank", "affine_dim"]]
-        rows.extend([permutation_str(c.theta), str(c.torus_rank), str(c.affine_dim)]
-                    for c in cd.cells)
-        return payload, rows
-    if args.object == "congruences":
-        items = list(congruence.enumerate_regular(n, args.budget))
-        payload = {"n": n, "congruences": [
-            {"index": i, "map": {word_str(c): word_str(p)
-                                 for c, p in zip(rc.tree.leaves, rc.images)}}
-            for i, rc in enumerate(items, start=1)]}
-        rows = [["index", "leading", "image"]]
-        for i, rc in enumerate(items, start=1):
-            rows.extend([str(i), word_str(c), word_str(p)]
-                        for c, p in zip(rc.tree.leaves, rc.images))
-        return payload, rows
-    if args.object == "subgroups":
-        gens = [[group_word_str(g) for g in subgroup_generators(rc)]
-                for rc in congruence.enumerate_regular(n, args.budget)]
-        payload = {"n": n, "subgroups": [{"index": i, "generators": g}
-                                         for i, g in enumerate(gens, start=1)]}
-        rows = [["index", "generator"]]
-        for i, g in enumerate(gens, start=1):
-            rows.extend([str(i), w] for w in g)
-        return payload, rows
-    raise AssertionError(args.object)
+def export_indec_polys(args):
+    polys = enumerate(permstat.indec_inversion_polynomials(args.n), start=1)
+    if args.format == "json":
+        return {"max_m": args.n,
+                "polynomials": [{"m": m, "terms": poly_terms(p)} for m, p in polys]}
+    return ([m, e, c] for m, p in polys for e, c in p.terms)
+
+
+def export_ideal_census(args):
+    if args.q is None:
+        report = ideals.ideal_count_by_trees(args.n, args.budget)
+    else:
+        report = ideals.ideal_count_brute_force(args.n, args.q, args.budget)
+    return report_json(report) if args.format == "json" else report_csv_rows(report)
+
+
+def export_cells(args):
+    cells = [(permutation_str(c.theta), c.torus_rank, c.affine_dim)
+             for c in ideals.cell_decomposition(args.n, args.budget).cells]
+    if args.format == "json":
+        return {"n": args.n, "cells": [{"theta": t, "torus_rank": r, "affine_dim": d}
+                                       for t, r, d in cells]}
+    return cells
+
+
+def export_congruences(args):
+    maps = [[(word_str(c), word_str(p)) for c, p in zip(rc.tree.leaves, rc.images)]
+            for rc in congruence.enumerate_regular(args.n, args.budget)]
+    if args.format == "json":
+        return {"n": args.n, "congruences": [{"index": i, "map": dict(m)}
+                                             for i, m in enumerate(maps, start=1)]}
+    return ([i, c, p] for i, m in enumerate(maps, start=1) for c, p in m)
+
+
+def export_subgroups(args):
+    gens = [[group_word_str(g) for g in subgroup_generators(rc)]
+            for rc in congruence.enumerate_regular(args.n, args.budget)]
+    if args.format == "json":
+        return {"n": args.n, "subgroups": [{"index": i, "generators": g}
+                                           for i, g in enumerate(gens, start=1)]}
+    return ([i, w] for i, g in enumerate(gens, start=1) for w in g)
+
+
+# --object: (CSV columns, builder of the JSON body or the CSV rows,
+# whichever args.format asks for)
+EXPORTS = {
+    "indec-polys": ("m,exp,coef", export_indec_polys),
+    "ideal-census": ("ranks,lengths,k,N,M,lambda,contribution", export_ideal_census),
+    "cells": ("theta,torus_rank,affine_dim", export_cells),
+    "congruences": ("index,leading,image", export_congruences),
+    "subgroups": ("index,generator", export_subgroups),
+}
 
 
 def cmd_export(args) -> int:
     if args.q is not None and args.object != "ideal-census":
         print("error: --q only applies to ideal-census", file=sys.stderr)
         return 2
-    payload, rows = build_export(args)
-    if args.format == "json":
-        if args.header:
-            payload = with_meta(payload)
-        return emit(json.dumps(payload, indent=2) + "\n", args.out)
-    buf = io.StringIO()
-    if args.header:
-        buf.write(header_line() + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return emit(buf.getvalue(), args.out)
+    return output(args, EXPORTS[args.object][1](args))
 
 
 # -- argument wiring -----------------------------------------------------------
@@ -458,15 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_export = sub.add_parser(
         "export", help="dump objects as JSON or CSV",
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="CSV columns per object:\n"
-               "  indec-polys   m,exp,coef\n"
-               "  ideal-census  ranks,lengths,k,N,M,lambda,contribution\n"
-               "  cells         theta,torus_rank,affine_dim\n"
-               "  congruences   index,leading,image\n"
-               "  subgroups     index,generator")
-    p_export.add_argument("--object", required=True,
-                          choices=["indec-polys", "ideal-census", "cells",
-                                   "congruences", "subgroups"])
+        epilog="CSV columns per object:\n" + "\n".join(
+            f"  {name:<13} {columns}" for name, (columns, _) in EXPORTS.items()))
+    p_export.add_argument("--object", required=True, choices=list(EXPORTS))
     p_export.add_argument("--n", type=positive, required=True)
     p_export.add_argument("--q", type=a_prime, default=None,
                           help="prime; brute-force census instead of structural")

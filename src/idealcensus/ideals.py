@@ -52,7 +52,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, product
 from math import comb, factorial
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Union
 
 from .haglund import haglund_product
 from .linfq import (DEFAULT_BUDGET, FqMatrix, _full_rank, charge, check_prime,
@@ -219,38 +219,31 @@ class CoefficientAssignment:
         return dict(zip(assignment_slots(self.tree), self.values))
 
 
-def _action_cells(tree: CodeTree) -> tuple[list[tuple[str, int, int]],
+def _action_layout(tree: CodeTree) -> tuple[dict[str, list[list[int]]],
                                              list[tuple[str, int, int]]]:
     """Layout of the two action matrices on the quotient basis P (sorted
-    alphabetically), as (letter, row, col) cells: the unit entries, where
-    p.x = r stays in P, and the slots, aligned with ``assignment_slots``,
-    where px is a leading word and r < px.  Every other entry is 0, and
-    each slot touches exactly one cell of one of the two matrices."""
+    alphabetically): both as mutable grids that hold 1 where p.x = r
+    stays in P and 0 everywhere else, and the (letter, row, col) cells of
+    the slots, aligned with ``assignment_slots``, where px is a leading
+    word and r < px.  Each slot touches exactly one cell of one of the
+    two grids, and no unit entry."""
     index = {p: i for i, p in enumerate(tree.prefixes)}
-    units = [(letter, i, index[p + letter]) for letter in ("a", "b")
-             for i, p in enumerate(tree.prefixes) if p + letter in index]
+    n = len(index)
+    grids = {letter: [[0] * n for _ in range(n)] for letter in ("a", "b")}
+    for letter, grid in grids.items():
+        for i, p in enumerate(tree.prefixes):
+            if p + letter in index:
+                grid[i][index[p + letter]] = 1
     slots = [(c[-1], index[c[:-1]], index[p]) for c, p in assignment_slots(tree)]
-    return units, slots
+    return grids, slots
 
 
 def letter_slots(tree: CodeTree) -> tuple[int, int]:
     """Slots in the a-action matrix and in the b-action matrix; a
     letter's brute-force count walks p**(its slots) matrices."""
-    _, slots = _action_cells(tree)
+    _, slots = _action_layout(tree)
     a = sum(1 for letter, _, _ in slots if letter == "a")
     return a, len(slots) - a
-
-
-def _action_grids(tree: CodeTree, values: Sequence[int]) -> dict[str, list[list[int]]]:
-    """Both action matrices as mutable grids, slots set to ``values``."""
-    n = len(tree.prefixes)
-    grids = {letter: [[0] * n for _ in range(n)] for letter in ("a", "b")}
-    units, slots = _action_cells(tree)
-    for letter, i, j in units:
-        grids[letter][i][j] = 1
-    for (letter, i, j), v in zip(slots, values):
-        grids[letter][i][j] = v
-    return grids
 
 
 def build_action_matrices(ca: CoefficientAssignment) -> tuple[FqMatrix, FqMatrix]:
@@ -258,7 +251,9 @@ def build_action_matrices(ca: CoefficientAssignment) -> tuple[FqMatrix, FqMatrix
     (sorted alphabetically): row p, column r holds 1 when p.x = r stays
     in P, the slot value for (px, r) when px is a leading word and
     r < px, and 0 otherwise."""
-    grids = _action_grids(ca.tree, ca.values)
+    grids, slots = _action_layout(ca.tree)
+    for (letter, i, j), v in zip(slots, ca.values):
+        grids[letter][i][j] = v
     return (FqMatrix.from_rows(grids["a"], ca.modulus),
             FqMatrix.from_rows(grids["b"], ca.modulus))
 
@@ -299,10 +294,9 @@ def ideal_generators(ca: CoefficientAssignment) -> tuple[IdealGenerator, ...]:
 def _letter_rows(tree: CodeTree, letter: str) -> list[tuple[list[int], list[int]]]:
     """The letter's action matrix as ``count_invertible_rows`` rows: unit
     rows are fixed, every other row is free exactly in its slots."""
-    _, slots = _action_cells(tree)
-    grid = _action_grids(tree, [0] * len(slots))[letter]
+    grids, slots = _action_layout(tree)
     return [(row, [j for x, r, j in slots if x == letter and r == i])
-            for i, row in enumerate(grid)]
+            for i, row in enumerate(grids[letter])]
 
 
 def count_invertible_a_actions(tree: CodeTree, p: int,
@@ -329,9 +323,8 @@ def count_invertible_pairs(tree: CodeTree, p: int,
     p**(a slots) + p**(b slots) eliminations for p**(a slots + b slots)
     assignments."""
     check_prime(p)
-    _, cells = _action_cells(tree)
+    grids, cells = _action_layout(tree)
     charge(len(cells), lambda k: p ** k, budget, f"{p}**{len(cells)} assignments")
-    grids = _action_grids(tree, [0] * len(cells))
     targets = [(grids[letter][i], j) for letter, i, j in cells]
     n = len(tree.prefixes)
     full_rank: dict[tuple[int, ...], bool] = {}

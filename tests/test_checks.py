@@ -1,6 +1,8 @@
 """Every entry of the check table that ``idealcensus verify`` runs, at
 ``--max-n 6 --primes 2``: one prime keeps the brute-force checks quick."""
 
+from math import comb
+
 import pytest
 
 from idealcensus import checks
@@ -27,3 +29,22 @@ def test_checks_charge_the_configured_budget():
     ok, detail, _, _ = run_check(checks.check_census_routes, CheckConfig(max_n=2, budget=5))
     assert not ok
     assert "TooLarge" in detail
+
+
+@pytest.mark.parametrize("label", [
+    "permstat: inversion polynomials match the frozen table",
+    "permstat: factorial series is the indecomposable reciprocal"])
+def test_permutation_walks_charge_the_configured_budget(label):
+    # both walk past S_3, whose 3! permutations already fill a budget of 6
+    ok, detail, _, _ = run_check(ENTRIES[label], CheckConfig(max_n=2, budget=6))
+    assert not ok
+    assert "TooLarge" in detail
+
+
+def test_hook_routes_need_the_inversion_count(monkeypatch):
+    # wrong, but the grid route and the statistic route agree
+    monkeypatch.setattr(checks.permstat, "inversions", lambda s: 0)
+    monkeypatch.setattr(checks.permstat, "hook_union_size", lambda s: comb(len(s), 2))
+    ok, detail, _, _ = run_check(checks.check_hook_routes, CheckConfig(max_n=3))
+    assert not ok
+    assert detail == "(2, 1)"

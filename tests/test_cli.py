@@ -179,11 +179,21 @@ def test_count_formula_codim_thirty(capsys):
 
 
 def test_count_cross_check_mismatch(capsys, monkeypatch):
-    monkeypatch.setattr(cli.ideals, "ideal_count_hook_formula",
-                        lambda n, budget: LaurentPoly({0: 1}))
-    code, _, err = run(capsys, "count", "--codim", "2", "--cross-check")
-    assert code == 4
-    assert "cross-check mismatch" in err
+    # one lying route at a time; each mismatch names the route and both values
+    lies = [
+        ("ideal_count_hook_formula", lambda n, budget: LaurentPoly({0: 1}), (),
+         "hook route 1 != formula q^6 - q^5 - 3q^4 + 5q^3 - 2q^2"),
+        ("ideal_count_by_trees", lambda n, budget: ideals.ideal_count_brute_force(n, 2), (),
+         "structural route 16 != formula q^6 - q^5 - 3q^4 + 5q^3 - 2q^2"),
+        ("count_invertible_a_actions", lambda tree, p, budget: 0,
+         ("--q", "2", "--method", "bruteforce"), "brute force 0 != formula(2) = 16"),
+    ]
+    for name, lie, extra, message in lies:
+        monkeypatch.setattr(cli.ideals, name, lie)
+        code, out, err = run(capsys, "count", "--codim", "2", *extra, "--cross-check")
+        monkeypatch.undo()
+        assert (code, out) == (4, "")
+        assert err.splitlines() == [f"cross-check mismatch: {message}"]
 
 
 def test_count_out_file(tmp_path, capsys):
@@ -542,6 +552,21 @@ def test_export_subgroups_builds_each_generator_list_once(capsys, monkeypatch):
                      "--format", "csv")
     assert code == 0
     assert len(calls) == congruence.hall_count(4) == 71
+
+
+def test_export_builds_only_the_requested_format(capsys, monkeypatch):
+    def refuse(report):
+        raise AssertionError("built a format that was not asked for")
+
+    monkeypatch.setattr(cli, "report_json", refuse)
+    code, out, _ = run(capsys, "export", "--object", "ideal-census", "--n", "2",
+                       "--format", "csv", "--no-header")
+    assert code == 0 and out.startswith("ranks,lengths,")
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "report_csv_rows", refuse)
+    code, out, _ = run(capsys, "export", "--object", "ideal-census", "--n", "2",
+                       "--format", "json", "--no-header")
+    assert code == 0 and json.loads(out)["n"] == 2
 
 
 def test_export_help_documents_csv_columns(capsys):

@@ -25,6 +25,11 @@ ARGVS = [
     *(["export", "--object", obj, "--n", "3", "--format", fmt, "--no-header"]
       for obj in EXPORTS for fmt in ("json", "csv")),
     ["export", "--object", "congruences", "--n", "4", "--format", "csv", "--no-header"],
+    ["count", "--codim", "2", "--q", "5", "--format", "json", "--no-header"],
+    *(["count", "--codim", "2", *m, "--cross-check", "--format", "json", "--no-header"]
+      for m in ([], ["--method", "structural"], ["--method", "bruteforce", "--q", "2"])),
+    *(["export", "--object", "ideal-census", "--n", "2", "--q", "2", "--format", fmt,
+       "--no-header"] for fmt in ("json", "csv")),
 ]
 
 

@@ -321,3 +321,20 @@ def test_cells_sum_to_census(n):
     cd = cell_decomposition(n)
     assert cd.total_poly() == ideal_count_formula(n)
     assert all(c.affine_dim >= 0 for c in cd.cells)
+
+
+def test_one_action_layout_per_count(monkeypatch):
+    calls = []
+    real = ideals._action_layout
+
+    def counted(tree):
+        calls.append(tree)
+        return real(tree)
+
+    monkeypatch.setattr(ideals, "_action_layout", counted)
+    count_invertible_pairs(FAN, 2)
+    assert calls == [FAN]
+    calls.clear()
+    ideals.ideal_count_brute_force(3, 2)
+    # one per letter's count in each of the Catalan(3) trees
+    assert len(calls) == 2 * ideals.catalan(3)
