@@ -415,11 +415,24 @@ def check_haglund_degree(cfg: CheckConfig) -> Cases:
             yield parts, h.degree == comb(n, 2) + sum(v - i for i, v in enumerate(parts))
 
 
+def word_level_entry(tree: words.CodeTree) -> tuple:
+    """What a census entry holds for ``tree``, read off its words."""
+    st = words.tree_stats(tree)
+    return (words.signature(tree), st.a_count, st.a_cells, st.b_cells, st.partition,
+            ideals.tree_contribution(tree))
+
+
 def check_census_routes(cfg: CheckConfig) -> Cases:
     for n in range(1, cfg.max_n + 1):
         f = ideals.ideal_count_formula(n)
         yield f"n={n}: hook route", f == ideals.ideal_count_hook_formula(n, cfg.budget)
-        yield f"n={n}: tree route", f == ideals.ideal_count_by_trees(n, cfg.budget).total
+        report = ideals.ideal_count_by_trees(n, cfg.budget)
+        yield f"n={n}: tree route", f == report.total
+        # the entries are composed from root splits; the words witness them
+        yield f"n={n}: tree route entries", (
+            [(e.sig, e.a_count, e.a_cells, e.b_cells, e.partition, e.contribution)
+             for e in report.entries]
+            == [word_level_entry(t) for t in words.enumerate_trees(n)])
 
 
 def check_census_brute(cfg: CheckConfig) -> Cases:

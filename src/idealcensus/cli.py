@@ -13,24 +13,26 @@ outcomes the commands return; 7 is ``emit``'s.
 Output is deterministic byte for byte apart from the version/timestamp
 header, which --no-header suppresses.  ``count`` and ``export`` build
 their result in the requested format only and hand it to one writer,
-``output``, which adds the header and serializes it; ``EXPORTS`` lists
-export's objects once, with their CSV columns.  The checks that verify
-runs live in ``checks.SUITES``; verify prints each as ``[ ok ]``,
-``[FAIL]``, or ``[skip]`` when it checked no case at the given bounds
-and primes, followed by the reason the check gives, if any.
+``output``, which adds the header and serializes it chunk by chunk
+into ``emit``; ``EXPORTS`` lists export's objects once, with their CSV
+columns.  The checks that verify runs live in ``checks.SUITES``; verify
+prints each as ``[ ok ]``, ``[FAIL]``, or ``[skip]`` when it checked no
+case at the given bounds and primes, followed by the reason the check
+gives, if any.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
 from datetime import datetime, timezone
+from itertools import chain
 from math import factorial
-from typing import Iterator
+from types import SimpleNamespace
+from typing import Iterable, Iterator
 
 from . import __version__, checks, congruence, ideals, linfq, permstat
 from .congruence import (
@@ -106,30 +108,35 @@ def output(args, body) -> int:
     """Write a command's result in ``args.format``: ``body`` is a JSON
     object, CSV rows below the export object's column row, or text
     lines.  Unless --no-header, a version/timestamp header leads: a
-    ``meta`` object in JSON, a ``#`` line otherwise."""
+    ``meta`` object in JSON, a ``#`` line otherwise.  JSON and CSV are
+    written as they are encoded, never joined into one string."""
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     if args.format == "json":
         if args.header:
             body = {"meta": {"tool": "idealcensus", "version": __version__,
                              "generated": stamp}, **body}
-        return emit(json.dumps(body, indent=2) + "\n", args.out)
-    header = [f"# idealcensus {__version__} generated {stamp}"] if args.header else []
+        return emit(chain(json.JSONEncoder(indent=2).iterencode(body), ["\n"]), args.out)
+    header = [f"# idealcensus {__version__} generated {stamp}\n"] if args.header else []
     if args.format == "csv":
-        buf = io.StringIO()
-        buf.writelines(line + "\n" for line in header)
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(EXPORTS[args.object][0].split(","))
-        writer.writerows(body)
-        return emit(buf.getvalue(), args.out)
-    return emit("\n".join(header + body) + "\n", args.out)
+        return emit(chain(header, csv_lines([EXPORTS[args.object][0].split(","), *body])),
+                    args.out)
+    return emit(chain(header, ["\n".join(body) + "\n"]), args.out)
 
 
-def emit(text: str, out_path: str | None) -> int:
-    """Write to stdout, or replace ``out_path`` atomically: the text goes
-    to a new file beside it, renamed onto it only once fully written, so
-    a failed write leaves no partial output and no temporary file."""
+def csv_lines(rows) -> Iterator[str]:
+    """Each row as one CSV line: ``writerow`` returns what the target's
+    ``write`` returns, here the line itself."""
+    writer = csv.writer(SimpleNamespace(write=lambda line: line), lineterminator="\n")
+    return map(writer.writerow, rows)
+
+
+def emit(chunks: Iterable[str], out_path: str | None) -> int:
+    """Write the chunks to stdout, or replace ``out_path`` atomically:
+    they go to a new file beside it, renamed onto it only once fully
+    written, so a failed write leaves no partial output and no
+    temporary file."""
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return 0
     directory, name = os.path.split(os.path.abspath(out_path))
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
@@ -137,7 +144,7 @@ def emit(text: str, out_path: str | None) -> int:
         fh = open(tmp, "x")
         try:
             with fh:
-                fh.write(text)
+                fh.writelines(chunks)
             os.replace(tmp, out_path)
         except BaseException:
             os.unlink(tmp)

@@ -59,25 +59,32 @@ def haglund_product(parts: Sequence[int]) -> LaurentPoly:
 
 
 def constrained_permutations(parts: Sequence[int]) -> Iterator[Perm]:
-    """Permutations with s(i) <= parts[i-1], in lexicographic order."""
+    """Permutations with s(i) <= parts[i-1], in lexicographic order.  The
+    backtracking keeps the values chosen so far in one list and the
+    next candidate for the following row in ``v``, so it recurses
+    nowhere and any length fits under the interpreter's recursion
+    limit."""
     t = check_partition(parts)
     n = len(t)
     used = [False] * (n + 1)
     row: list[int] = []
-
-    def backtrack(i: int) -> Iterator[Perm]:
-        if i == n:
-            yield tuple(row)
-            return
-        for v in range(1, t[i] + 1):
-            if not used[v]:
-                used[v] = True
-                row.append(v)
-                yield from backtrack(i + 1)
-                row.pop()
-                used[v] = False
-
-    yield from backtrack(0)
+    v = 1
+    while True:
+        i = len(row)
+        if i == n or v > t[i]:
+            if i == n:
+                yield tuple(row)
+            if not row:
+                return
+            v = row.pop()
+            used[v] = False
+            v += 1
+        elif used[v]:
+            v += 1
+        else:
+            used[v] = True
+            row.append(v)
+            v = 1
 
 
 def haglund_hook_sum(parts: Sequence[int]) -> LaurentPoly:

@@ -17,8 +17,12 @@ Counting routes, all exact polynomials in q:
 * ``ideal_count_hook_formula``: same prefactor against the hook-statistic
   sum over the indecomposables of size n+1, which it enumerates;
 * ``ideal_count_by_trees``: sum over trees of
-  (q-1)^k * q^(free cells) * staircase count.  That term depends only on
-  the tree's key (k, free cells, partition), so it is built once per key;
+  (q-1)^k * q^(free cells) * staircase count.  It walks the records of
+  ``words.tree_records``, each tree's signature and stats composed from
+  its root split, and builds no word.  The term depends only on the
+  tree's key (k, free cells, partition), so it is built once per key, as
+  a shift of the staircase factor (q-1)^k * H_partition(q), which is
+  built once per partition from (q-1)^k, built once per k;
 * ``ideal_count_brute_force``: count over F_p the coefficient
   assignments for which both action matrices are invertible.  Each slot
   touches one cell of one matrix, so the per-tree count is the a-count
@@ -29,10 +33,15 @@ Counting routes, all exact polynomials in q:
   prime by prime).  A letter's matrix repeats across the joint walk, so
   that walk caches its rank test by matrix content, within one call.
 
-Both tree routes run one walk (``_tree_census``) and return an
-``IdealCountReport``, one entry per tree; the report's total is the sum
-of its entries by construction, and ``checks`` compares the totals of
-the routes with each other.
+Both tree routes build their report in one place (``_tree_census``):
+an ``IdealCountReport``, one entry per tree in ``enumerate_trees`` order.
+Brute force walks the trees themselves with the word-level
+``signature`` and ``tree_stats``, so it stays a witness independent of
+the composed records.  The report's total is the sum of its entries by
+construction: each distinct contribution is added once, times the
+number of entries that hold it.  ``checks`` compares the totals of the
+routes with each other, and each structural entry with the word-level
+data of its tree.
 
 The enumerating routes take a budget and charge it through
 ``linfq.charge``, which raises ``TooLarge`` before they start when their
@@ -52,7 +61,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, product
 from math import comb, factorial
-from typing import Callable, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .haglund import haglund_product
 from .linfq import (DEFAULT_BUDGET, FqMatrix, _full_rank, charge, check_prime,
@@ -66,7 +75,7 @@ from .permstat import (
 )
 from .qpoly import LaurentPoly, ONE, Q
 from .words import (CodeTree, TreeSignature, TreeStats, enumerate_trees, signature,
-                    tree_stats, word_compact)
+                    tree_records, tree_stats, word_compact)
 
 Contribution = Union[LaurentPoly, int]
 
@@ -137,49 +146,60 @@ class IdealCountReport:
     total: Contribution = field(init=False)
 
     def __post_init__(self):
+        # trees share contributions, so each distinct one is added once,
+        # times the number of entries that hold it
+        counts = Counter(e.contribution for e in self.entries)
         object.__setattr__(self, "total",
-                           sum((e.contribution for e in self.entries), 0))
+                           sum((value * m for value, m in counts.items()), 0))
 
 
 def tree_contribution(tree: CodeTree) -> Contribution:
     """(q-1)^k * q^(a_cells + b_cells) * staircase count of the tree."""
-    return _stats_contribution(tree_stats(tree))
-
-
-def _stats_contribution(st: TreeStats) -> Contribution:
+    st = tree_stats(tree)
     return ((Q - ONE) ** st.a_count
             * haglund_product(st.partition).shift(st.a_cells + st.b_cells))
 
 
 def _tree_census(n: int, method: str, q: int | None, budget: int,
-                 value: Callable[[CodeTree, TreeStats], Contribution]) -> IdealCountReport:
-    """The walk both tree routes share: Catalan(n) trees are charged
-    against ``budget``, then each tree, in ``enumerate_trees`` order,
-    gets one entry whose contribution is ``value(tree, its stats)``."""
+                 records: Iterable[tuple[TreeSignature, TreeStats, Contribution]]
+                 ) -> IdealCountReport:
+    """The report both tree routes build: Catalan(n) trees are charged
+    against ``budget`` before the first record is drawn, then each
+    (signature, stats, contribution) record, in ``enumerate_trees``
+    order, becomes one entry."""
     charge(n, catalan, budget, f"Catalan({n}) trees")
-    entries = []
-    for tree in enumerate_trees(n):
-        st = tree_stats(tree)
-        entries.append(TreeEntry(signature(tree), st.a_count, st.a_cells,
-                                 st.b_cells, st.partition, value(tree, st)))
-    return IdealCountReport(n, method, q, tuple(entries))
+    return IdealCountReport(n, method, q, tuple(
+        TreeEntry(sig, st.a_count, st.a_cells, st.b_cells, st.partition, value)
+        for sig, st, value in records))
 
 
 def ideal_count_by_trees(n: int, budget: int = DEFAULT_BUDGET) -> IdealCountReport:
-    """One entry per code tree, in ``enumerate_trees`` order.  Trees with
-    the same key (k, a_cells + b_cells, partition) share one immutable
-    contribution, built once.  Catalan(n) trees above ``budget`` raise
+    """One entry per code tree, in ``enumerate_trees`` order, from the
+    composed records of ``words.tree_records``.  Trees with the same key
+    (k, a_cells + b_cells, partition) share one immutable contribution,
+    the key's staircase factor (q-1)^k * haglund_product(partition)
+    shifted by its cells.  The partition has n + 1 - k parts, so it
+    fixes k: each factor is built once per partition, from (q-1)^k
+    built once per k.  Catalan(n) trees above ``budget`` raise
     TooLarge."""
     _require_codim(n)
-    contributions: dict[tuple, Contribution] = {}
+    powers: dict[int, LaurentPoly] = {}
+    factors: dict[tuple[int, ...], LaurentPoly] = {}
+    contributions: dict[tuple, LaurentPoly] = {}
 
-    def value(tree: CodeTree, st: TreeStats) -> Contribution:
+    def value(st: TreeStats) -> LaurentPoly:
         key = (st.a_count, st.a_cells + st.b_cells, st.partition)
         if key not in contributions:
-            contributions[key] = _stats_contribution(st)
+            k, cells, lam = key
+            if lam not in factors:
+                if k not in powers:
+                    powers[k] = (Q - ONE) ** k
+                factors[lam] = powers[k] * haglund_product(lam)
+            contributions[key] = factors[lam].shift(cells)
         return contributions[key]
 
-    return _tree_census(n, "structural", None, budget, value)
+    return _tree_census(n, "structural", None, budget,
+                        ((sig, st, value(st)) for sig, st in tree_records(n)))
 
 
 # -- explicit ideal data over a fixed prime field -------------------------
@@ -355,12 +375,11 @@ def ideal_count_brute_force(n: int, p: int,
     p**(its cells), which is the space it walks."""
     _require_codim(n)
     check_prime(p)
-
-    def value(tree: CodeTree, st: TreeStats) -> int:
-        return (count_invertible_a_actions(tree, p, budget)
-                * count_invertible_b_actions(tree, p, budget))
-
-    return _tree_census(n, "bruteforce", p, budget, value)
+    return _tree_census(n, "bruteforce", p, budget, (
+        (signature(tree), tree_stats(tree),
+         count_invertible_a_actions(tree, p, budget)
+         * count_invertible_b_actions(tree, p, budget))
+        for tree in enumerate_trees(n)))
 
 
 # -- cell decomposition ----------------------------------------------------

@@ -20,6 +20,16 @@ trailing 'a'-runs are; a tree can be reconstructed from its signature
 alone by a single scan, which is how permutations are turned back into
 trees elsewhere in the package.
 
+Every tree with n >= 1 internal nodes splits at its root as
+T = a·L ∪ b·R, and ``enumerate_trees`` walks the trees in that order:
+left-subtree size, then L, then R, with an explicit stack rather than
+one generator frame per node.  The signature and ``tree_stats`` of T
+compose from those of L and R (``tree_records``, which builds no word):
+the ranks are L's, or (1) when L is the leaf, then R's shifted past
+L's leaves; the partition is (1 + λ(L)) ++ (|P_a(L)| + λ(R)), or
+(1 + |P_a(L)|) for the second part when R is the leaf; k, the cells and
+|P_a|, |P_b| - 1, |C_b| add up with a cross term.
+
 The identities and order properties stated here (the rank-sum identity,
 power separation, class intervals, the twist comparison, the branch
 floor) are checked case by case in ``checks``, which names the word
@@ -254,14 +264,39 @@ def enumerate_trees(n: int) -> Iterator[CodeTree]:
 
 
 def _iter_leaf_sets(n: int) -> Iterator[tuple[str, ...]]:
-    if n == 0:
-        yield ("",)
-        return
-    for left in range(n):
-        for l_leaves in _iter_leaf_sets(left):
-            a_side = tuple("a" + w for w in l_leaves)
-            for r_leaves in _iter_leaf_sets(n - 1 - left):
-                yield a_side + tuple("b" + w for w in r_leaves)
+    """Sorted leaves of each tree with n internal nodes: for left in
+    range(n), for L with left nodes, for R with n - 1 - left nodes, the
+    leaves a·L then b·R.  That order is the lexicographic order of the
+    left-subtree sizes chosen at the internal nodes in preorder, so the
+    walk keeps one frame per internal node on an explicit stack (its
+    word, size, current choice, and the leaves and pending subtrees
+    around it, as shared linked lists) and advances the deepest frame
+    with a choice left.  Nothing recurses, so n is not bounded by the
+    interpreter's recursion limit."""
+    stack: list[list] = []
+    leaves = None                  # (word, rest) links, last leaf first
+    pending = (("", n), None)      # (word, size) subtrees still to build, in preorder
+    while True:
+        while pending is not None:
+            (w, m), pending = pending
+            if m == 0:
+                leaves = (w, leaves)
+            else:
+                stack.append([w, m, 0, leaves, pending])
+                pending = ((w + "a", 0), ((w + "b", m - 1), pending))
+        out = []
+        while leaves is not None:
+            w, leaves = leaves
+            out.append(w)
+        yield tuple(reversed(out))
+        while stack and stack[-1][2] == stack[-1][1] - 1:
+            stack.pop()
+        if not stack:
+            return
+        frame = stack[-1]
+        frame[2] += 1
+        w, m, left, leaves, pending = frame
+        pending = ((w + "a", left), ((w + "b", m - 1 - left), pending))
 
 
 @dataclass(frozen=True)
@@ -357,6 +392,73 @@ def tree_stats(tree: CodeTree) -> TreeStats:
     b_cells = sum(1 for p in p_b if p for c in c_b if p < c)
     partition = tuple(sum(1 for p in p_a if p < c) for c in c_b)
     return TreeStats(len(c_a), tuple(sums), a_cells, b_cells, partition)
+
+
+def tree_records(n: int) -> Iterator[tuple[TreeSignature, TreeStats]]:
+    """(signature, tree_stats) of every tree with n >= 1 internal nodes,
+    in ``enumerate_trees`` order, composed over the root split
+    T = a·L ∪ b·R without building a word (see ``_compose``).  The
+    records of the smaller sizes are kept in lists local to the call;
+    those of size n are composed as they are yielded."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        raise TrivialTree("the one-leaf tree has no signature")
+    return _iter_records(n)
+
+
+# A record is (ranks, lengths, k, S, a_cells, b_cells, partition, |P_a|,
+# |P_b| - 1, |C_b|), S the sum of the lengths; the leaf's is all empty.
+_LEAF_RECORD = ((), (), 0, 0, 0, 0, (), 0, 0, 0)
+
+
+def _compose(n_left: int, left: tuple, right: tuple, shared: dict) -> tuple:
+    """The record of a·L ∪ b·R from those of L (n_left internal nodes)
+    and R.  L's leaves come first, the all-'a' one a letter longer ('a'
+    itself when L is the leaf), and R's ranks move past them.  Below
+    each a·w in C_b lie the root and the a·p, p in P_a(L) below w; below
+    each b·w, the root, all of a·P_a(L), and the b·p, p in P_a(R) minus
+    1 below w.  Each a·p, p in P_b(L) minus 1, lies below the c new
+    b-leaves, c = |C_b(R)|, or 1 (the leaf 'b') when R is the leaf; when
+    R is not the leaf, 'b' joins P_b and lies below all |C_b(R)| of
+    them.  Many trees share their ranks, lengths or partition, so each
+    such tuple is taken from ``shared``, one copy per value."""
+    ranks_l, lengths_l, k_l, s_l, a_l, b_l, lam_l, pa_l, pb_l, cb_l = left
+    ranks_r, lengths_r, k_r, s_r, a_r, b_r, lam_r, pa_r, pb_r, cb_r = right
+    shift = n_left + 1
+    ranks = (ranks_l or (1,)) + tuple(r + shift for r in ranks_r)
+    lengths = ((lengths_l[0] + 1,) + lengths_l[1:] if lengths_l else (1,)) + lengths_r
+    lam = tuple(1 + x for x in lam_l)
+    if ranks_r:
+        c = cb_r
+        lam += tuple(pa_l + x for x in lam_r)
+        b_cells = b_l + pb_l * c + b_r + cb_r
+        pb = pb_l + pb_r + 1
+    else:
+        c = 1
+        lam += (1 + pa_l,)
+        b_cells = b_l + pb_l
+        pb = pb_l
+    one = shared.setdefault
+    return (one(ranks, ranks), one(lengths, lengths), max(k_l, 1) + k_r, s_l + 1 + s_r,
+            a_l + k_l + a_r + k_r * (s_l + 1), b_cells, one(lam, lam),
+            pa_l + max(pa_r, 1), pb, cb_l + c)
+
+
+def _iter_records(n: int) -> Iterator[tuple[TreeSignature, TreeStats]]:
+    shared: dict[tuple, tuple] = {}
+    memo = [[_LEAF_RECORD]]
+    for m in range(1, n):
+        memo.append([_compose(left, l_rec, r_rec, shared) for left in range(m)
+                     for l_rec in memo[left] for r_rec in memo[m - 1 - left]])
+    for left in range(n):
+        for l_rec in memo[left]:
+            for r_rec in memo[n - 1 - left]:
+                ranks, lengths, k, _, a_cells, b_cells, lam, _, _, _ = _compose(
+                    left, l_rec, r_rec, shared)
+                yield (TreeSignature(n, ranks, lengths),
+                       TreeStats(k, tuple(itertools.accumulate(lengths)),
+                                 a_cells, b_cells, lam))
 
 
 def rank_identity_bijection(tree: CodeTree) -> dict:

@@ -48,3 +48,12 @@ def test_hook_routes_need_the_inversion_count(monkeypatch):
     ok, detail, _, _ = run_check(checks.check_hook_routes, CheckConfig(max_n=3))
     assert not ok
     assert detail == "(2, 1)"
+
+
+def test_tree_route_entries_need_the_word_level_order(monkeypatch):
+    # the same records in reverse: the total holds, the entries do not
+    real = checks.ideals.tree_records
+    monkeypatch.setattr(checks.ideals, "tree_records", lambda n: reversed(list(real(n))))
+    ok, detail, _, _ = run_check(checks.check_census_routes, CheckConfig(max_n=3))
+    assert not ok
+    assert detail == "n=2: tree route entries"

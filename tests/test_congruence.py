@@ -124,6 +124,13 @@ def test_enumerate_regular_accepts_n_times_n_factorial_without_hall_count(monkey
     assert len(list(enumerate_regular(4, 4 * 24))) == 71
 
 
+def test_enumerate_regular_reaches_past_the_recursion_limit():
+    # the tree and staircase walks once nested a generator frame per node
+    start = time.perf_counter()
+    assert next(enumerate_regular(1500, 1500 * factorial(1500))).tree.n == 1500
+    assert time.perf_counter() - start < 5.0
+
+
 def test_enumerate_regular_charges_hall_count_between_its_bounds(monkeypatch):
     # 4! = 24 <= budget < 4 * 4! = 96: only hall_count(4) = 71 decides
     calls = []

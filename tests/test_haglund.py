@@ -51,6 +51,40 @@ def test_constrained_permutations():
     assert sum(1 for _ in constrained_permutations((3, 3, 3))) == 6
 
 
+def recursive_constrained_permutations(parts):
+    """The backtracking definition, one generator frame per row."""
+    n = len(parts)
+    used = [False] * (n + 1)
+    row = []
+
+    def backtrack(i):
+        if i == n:
+            yield tuple(row)
+            return
+        for v in range(1, parts[i] + 1):
+            if not used[v]:
+                used[v] = True
+                row.append(v)
+                yield from backtrack(i + 1)
+                row.pop()
+                used[v] = False
+
+    yield from backtrack(0)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_constrained_permutations_order_is_the_backtracking(n):
+    # every staircase up to n = 6; beyond, a full one and a ragged one
+    cases = partitions_bounded(n) if n <= 6 else [(n,) * n, tuple(range(2, n + 1)) + (n,)]
+    for parts in cases:
+        assert (list(constrained_permutations(parts))
+                == list(recursive_constrained_permutations(parts)))
+
+
+def test_constrained_permutations_reach_past_the_recursion_limit():
+    assert next(constrained_permutations(range(1, 1201))) == tuple(range(1, 1201))
+
+
 @pytest.mark.parametrize("n", range(1, 5))
 def test_product_equals_hook_sum(n):
     for parts in partitions_bounded(n):

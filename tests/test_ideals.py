@@ -80,7 +80,7 @@ def test_tree_entries_equal_tree_contributions(n):
         assert entry.contribution == tree_contribution(tree)
 
 
-def test_one_haglund_product_per_tree_key(monkeypatch):
+def test_one_haglund_product_per_partition(monkeypatch):
     calls = []
     real = ideals.haglund_product
 
@@ -91,23 +91,40 @@ def test_one_haglund_product_per_tree_key(monkeypatch):
     monkeypatch.setattr(ideals, "haglund_product", counted)
     stats = [tree_stats(tree) for tree in enumerate_trees(6)]
     keys = {(st.a_count, st.a_cells + st.b_cells, st.partition) for st in stats}
+    partitions = {st.partition for st in stats}
     report = ideal_count_by_trees(6)
-    assert len(calls) == len(keys) < len(report.entries) == 132
+    assert sorted(calls) == sorted(partitions)
+    assert len(partitions) < len(keys) < len(report.entries) == 132
     assert len({id(e.contribution) for e in report.entries}) == len(keys)
 
 
-def test_one_signature_per_tree(monkeypatch):
+def test_structural_route_builds_no_word(monkeypatch):
     calls = []
-    real = words.signature
 
-    def counted(tree):
-        calls.append(tree)
-        return real(tree)
+    def counted(name):
+        real = getattr(words, name)
 
-    monkeypatch.setattr(words, "signature", counted)
-    monkeypatch.setattr(ideals, "signature", counted)
-    ideal_count_by_trees(6)
-    assert len(calls) == 132  # Catalan(6)
+        def spy(*args):
+            calls.append(name)
+            return real(*args)
+        return spy
+
+    for name in ("signature", "tree_stats", "enumerate_trees"):
+        spy = counted(name)
+        monkeypatch.setattr(words, name, spy)
+        monkeypatch.setattr(ideals, name, spy)
+    report = ideal_count_by_trees(6)
+    assert calls == []
+    monkeypatch.undo()
+    assert [e.sig for e in report.entries] == [signature(t) for t in enumerate_trees(6)]
+
+
+def test_report_total_is_the_sum_of_its_entries():
+    for n in range(1, 9):
+        report = ideal_count_by_trees(n)
+        assert report.total == sum((e.contribution for e in report.entries), 0)
+    report = ideal_count_brute_force(3, 2)
+    assert report.total == sum(e.contribution for e in report.entries)
 
 
 def test_enumerating_routes_charge_the_budget():

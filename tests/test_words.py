@@ -31,6 +31,7 @@ from idealcensus.words import (
     strip_a_run,
     strip_b_run,
     strip_last_run,
+    tree_records,
     tree_stats,
     twisted_compare,
     twisted_key,
@@ -171,6 +172,40 @@ def test_tree_counts_are_catalan(n):
         assert len(t.leaves) == n + 1
         # the enumeration promises valid trees; spot-check via the validator
         assert CodeTree.from_leaves(t.leaves) == t
+
+
+def recursive_leaf_sets(n):
+    """The root-split definition of the tree order, one frame per node."""
+    if n == 0:
+        yield ("",)
+        return
+    for left in range(n):
+        for l_leaves in recursive_leaf_sets(left):
+            for r_leaves in recursive_leaf_sets(n - 1 - left):
+                yield tuple("a" + w for w in l_leaves) + tuple("b" + w for w in r_leaves)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_tree_order_is_the_root_split_recursion(n):
+    assert [t.leaves for t in enumerate_trees(n)] == list(recursive_leaf_sets(n))
+
+
+def test_tree_enumeration_reaches_past_the_recursion_limit():
+    tree = next(enumerate_trees(1200))
+    assert tree.leaves[0] == "a" and tree.leaves[-1] == "b" * 1200
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_tree_records_equal_the_word_level_data(n):
+    assert list(tree_records(n)) == [(signature(t), tree_stats(t))
+                                     for t in enumerate_trees(n)]
+
+
+def test_tree_records_need_an_internal_node():
+    with pytest.raises(TrivialTree):
+        tree_records(0)
+    with pytest.raises(ValueError):
+        tree_records(-1)
 
 
 def test_example_signature_and_stats():
