@@ -61,10 +61,10 @@ from .linfq import (
     TooLarge,
     count_invertible_rows,
     count_invertible_support,
-    enumerate_support_matrices,
+    enumerate_matrices,
     is_invertible,
 )
-from .haglund import haglund_hook_sum, haglund_product, support_set
+from .haglund import haglund_hook_sum, haglund_product
 from .ideals import (
     CodimensionZero,
     CoefficientAssignment,

@@ -369,10 +369,12 @@ def check_hook_through_correspondence(cfg: CheckConfig) -> Cases:
 
 
 def check_subgroup_generators(cfg: CheckConfig) -> Cases:
+    # each generator also reads back from the text that export prints
     for rc in regular(1, min(cfg.max_n, 4), cfg.budget):
         gens = congruence.subgroup_generators(rc)
         yield rc, len(gens) == rc.tree.n + 1 and all(
             congruence.free_reduce(g) == g and congruence.subgroup_contains(rc, g)
+            and congruence.parse_group_word(congruence.group_word_str(g)) == g
             for g in gens)
 
 

@@ -29,6 +29,7 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from functools import cache
 from itertools import chain
 from math import factorial
 from types import SimpleNamespace
@@ -69,9 +70,8 @@ def factored_census_str(n: int, core: LaurentPoly) -> str:
 
 
 def report_json(report: IdealCountReport) -> dict:
-    def contrib(value):
-        return value if isinstance(value, int) else poly_terms(value)
-
+    # trees share contributions: one term list per distinct value
+    contrib = cache(lambda value: value if isinstance(value, int) else poly_terms(value))
     out: dict = {"n": report.n, "method": report.method}
     if report.q is not None:
         out["q"] = report.q
@@ -88,20 +88,22 @@ def report_json(report: IdealCountReport) -> dict:
 
 
 def report_text_lines(report: IdealCountReport) -> list[str]:
+    text = cache(str)  # trees share contributions: render each value once
     lines = [f"total: {report.total}"]
     for i, e in enumerate(report.entries, start=1):
         lines.append(
             f"tree {i}: ranks={list(e.sig.ranks)} lengths={list(e.sig.lengths)}"
             f" k={e.a_count} N={e.a_cells} M={e.b_cells}"
-            f" lambda={list(e.partition)} contribution: {e.contribution}")
+            f" lambda={list(e.partition)} contribution: {text(e.contribution)}")
     return lines
 
 
 def report_csv_rows(report: IdealCountReport) -> Iterator[list]:
+    text = cache(str)  # trees share contributions: render each value once
     for e in report.entries:
         yield [" ".join(map(str, e.sig.ranks)), " ".join(map(str, e.sig.lengths)),
                e.a_count, e.a_cells, e.b_cells, " ".join(map(str, e.partition)),
-               e.contribution]
+               text(e.contribution)]
 
 
 def output(args, body) -> int:
@@ -165,12 +167,11 @@ def cmd_count(args) -> int:
         return 2
 
     if args.cross_check:
-        # first, so that a cross-check over budget is refused before the
-        # formula route, which is not charged; (n+1)! >= Catalan(n) also
-        # bounds the tree route it runs
+        # first: for n >= 2 its (n+1)! charge is at least the formula's and
+        # the tree route's, so a cross-check refuses before either starts
         hook = ideals.ideal_count_hook_formula(n, args.budget)
     if args.method == "formula":
-        core = permstat.indec_inversion_polynomials(n + 1)[-1]
+        core = permstat.indec_inversion_polynomials(n + 1, args.budget)[-1]
         result: IdealCountReport | LaurentPoly = ideals.ideal_count_from_indec(n, core)
     elif args.method == "structural":
         result = ideals.ideal_count_by_trees(n, args.budget)
@@ -178,7 +179,8 @@ def cmd_count(args) -> int:
         result = ideals.ideal_count_brute_force(n, args.q, args.budget)
 
     if args.cross_check:
-        formula = result if args.method == "formula" else ideals.ideal_count_formula(n)
+        formula = (result if args.method == "formula"
+                   else ideals.ideal_count_formula(n, args.budget))
         structural = (result.total if args.method == "structural"
                       else ideals.ideal_count_by_trees(n, args.budget).total)
         mismatches = []
@@ -310,7 +312,7 @@ def cmd_verify(args) -> int:
 
 
 def export_indec_polys(args):
-    polys = enumerate(permstat.indec_inversion_polynomials(args.n), start=1)
+    polys = enumerate(permstat.indec_inversion_polynomials(args.n, args.budget), start=1)
     if args.format == "json":
         return {"max_m": args.n,
                 "polynomials": [{"m": m, "terms": poly_terms(p)} for m, p in polys]}
@@ -432,10 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--cross-check", action="store_true",
                          help="run the independent routes and compare")
     p_count.add_argument("--budget", type=positive, default=DEFAULT_BUDGET,
-                         help="bound on each enumeration: trees, and matrices "
-                              "per letter and tree (bruteforce), trees "
-                              "(structural), permutations (hook route of "
-                              "--cross-check); exit 3 when exceeded")
+                         help="bound on each route's work: polynomial products "
+                              "(formula), trees and matrices per letter and tree "
+                              "(bruteforce), trees (structural), permutations "
+                              "(hook route of --cross-check); exit 3 when exceeded")
     p_count.add_argument("--format", choices=["text", "json"], default="text")
     p_count.add_argument("--out", default=None, metavar="PATH")
     p_count.add_argument("--no-header", dest="header", action="store_false")
@@ -479,7 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--budget", type=positive, default=DEFAULT_BUDGET,
                           help="bound on the ideal-census enumeration (trees, or "
                                "matrices per letter and tree with --q), on the "
-                               "cells' (n+1)! permutations and on the congruences' "
+                               "indec-polys' C(n+1, 2) polynomial products, the "
+                               "cells' (n+1)! permutations and the congruences' "
                                "hall_count(n) candidates; exit 3 when exceeded")
     p_export.set_defaults(func=cmd_export)
 

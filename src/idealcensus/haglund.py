@@ -39,12 +39,6 @@ def check_partition(parts: Sequence[int]) -> Partition:
     return t
 
 
-def support_set(parts: Sequence[int]) -> frozenset[tuple[int, int]]:
-    """Staircase cells {(i, j) : 1 <= j <= parts[i-1]}, 1-based."""
-    t = check_partition(parts)
-    return frozenset((i + 1, j + 1) for i, v in enumerate(t) for j in range(v))
-
-
 def haglund_product(parts: Sequence[int]) -> LaurentPoly:
     """q^C(n,2) * prod(q^(l_i + 1 - i) - 1); the zero polynomial when
     some part falls below its row index."""

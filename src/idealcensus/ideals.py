@@ -24,8 +24,9 @@ Counting routes, all exact polynomials in q:
   a shift of the staircase factor (q-1)^k * H_partition(q), which is
   built once per partition from (q-1)^k, built once per k;
 * ``ideal_count_brute_force``: count over F_p the coefficient
-  assignments for which both action matrices are invertible.  Each slot
-  touches one cell of one matrix, so the per-tree count is the a-count
+  assignments for which both action matrices are invertible.  Both
+  matrices are ``linfq`` row families (``action_rows``), and each slot
+  is a free cell of one of them, so the per-tree count is the a-count
   times the b-count; each letter's count walks its matrix row by row
   (``linfq.count_invertible_rows``), and ``count_invertible_pairs``,
   which visits every joint assignment of both letters, witnesses the
@@ -43,12 +44,12 @@ number of entries that hold it.  ``checks`` compares the totals of the
 routes with each other, and each structural entry with the word-level
 data of its tree.
 
-The enumerating routes take a budget and charge it through
-``linfq.charge``, which raises ``TooLarge`` before they start when their
-enumeration would exceed it: (n+1)! permutations for the hook route,
-Catalan(n) trees for the tree sum and for brute force, and p**(cells)
-matrices per letter and tree for brute force.  The formula route
-enumerates nothing and is not charged.
+Every route takes a budget and charges it through ``linfq.charge``,
+which raises ``TooLarge`` before the route starts when its work would
+exceed it: C(n+2, 2) polynomial products for the formula route,
+(n+1)! permutations for the hook route, Catalan(n) trees for the tree
+sum and for brute force, and p**(cells) matrices per letter and tree
+for brute force.
 
 ``cell_decomposition`` records the partition of the census into cells
 (F_q*)^(n+1) x F_q^d indexed by indecomposable permutations; like the
@@ -95,12 +96,13 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def ideal_count_formula(n: int) -> LaurentPoly:
+def ideal_count_formula(n: int, budget: int = DEFAULT_BUDGET) -> LaurentPoly:
     """(q-1)^(n+1) * q^((n+1)(n-2)/2) * (indecomposable inversion
     polynomial of size n+1, from the inverse-series recursion); always an
-    ordinary polynomial."""
+    ordinary polynomial.  The recursion is charged its C(n+2, 2)
+    polynomial products."""
     _require_codim(n)
-    return ideal_count_from_indec(n, indec_inversion_polynomials(n + 1)[-1])
+    return ideal_count_from_indec(n, indec_inversion_polynomials(n + 1, budget)[-1])
 
 
 def ideal_count_from_indec(n: int, indec: LaurentPoly) -> LaurentPoly:
@@ -239,31 +241,25 @@ class CoefficientAssignment:
         return dict(zip(assignment_slots(self.tree), self.values))
 
 
-def _action_layout(tree: CodeTree) -> tuple[dict[str, list[list[int]]],
-                                             list[tuple[str, int, int]]]:
-    """Layout of the two action matrices on the quotient basis P (sorted
-    alphabetically): both as mutable grids that hold 1 where p.x = r
-    stays in P and 0 everywhere else, and the (letter, row, col) cells of
-    the slots, aligned with ``assignment_slots``, where px is a leading
-    word and r < px.  Each slot touches exactly one cell of one of the
-    two grids, and no unit entry."""
-    index = {p: i for i, p in enumerate(tree.prefixes)}
-    n = len(index)
-    grids = {letter: [[0] * n for _ in range(n)] for letter in ("a", "b")}
-    for letter, grid in grids.items():
-        for i, p in enumerate(tree.prefixes):
-            if p + letter in index:
-                grid[i][index[p + letter]] = 1
-    slots = [(c[-1], index[c[:-1]], index[p]) for c, p in assignment_slots(tree)]
-    return grids, slots
+def action_rows(tree: CodeTree) -> dict[str, list[tuple[list[int], list[int]]]]:
+    """The two action matrices on the quotient basis P (sorted
+    alphabetically) as ``linfq`` row families, keyed by letter.  Row p
+    of letter x holds 1 in column px when px stays in P, and is free in
+    the columns r < px when px is a leading word; every other entry is
+    0.  Each leaf c's slots, in ``assignment_slots`` order, are the free
+    cells of row c[:-1] of letter c[-1], so each slot touches exactly
+    one cell of one matrix, and no unit entry."""
+    basis = tree.prefixes
+    return {x: [([int(p + x == r) for r in basis],
+                 [] if p + x in basis else [j for j, r in enumerate(basis) if r < p + x])
+                for p in basis] for x in "ab"}
 
 
 def letter_slots(tree: CodeTree) -> tuple[int, int]:
     """Slots in the a-action matrix and in the b-action matrix; a
     letter's brute-force count walks p**(its slots) matrices."""
-    _, slots = _action_layout(tree)
-    a = sum(1 for letter, _, _ in slots if letter == "a")
-    return a, len(slots) - a
+    rows = action_rows(tree)
+    return sum(len(f) for _, f in rows["a"]), sum(len(f) for _, f in rows["b"])
 
 
 def build_action_matrices(ca: CoefficientAssignment) -> tuple[FqMatrix, FqMatrix]:
@@ -271,11 +267,14 @@ def build_action_matrices(ca: CoefficientAssignment) -> tuple[FqMatrix, FqMatrix
     (sorted alphabetically): row p, column r holds 1 when p.x = r stays
     in P, the slot value for (px, r) when px is a leading word and
     r < px, and 0 otherwise."""
-    grids, slots = _action_layout(ca.tree)
-    for (letter, i, j), v in zip(slots, ca.values):
-        grids[letter][i][j] = v
-    return (FqMatrix.from_rows(grids["a"], ca.modulus),
-            FqMatrix.from_rows(grids["b"], ca.modulus))
+    rows = action_rows(ca.tree)
+    values = iter(ca.values)
+    for c in ca.tree.leaves:
+        fixed, free = rows[c[-1]][ca.tree.prefixes.index(c[:-1])]
+        for j in free:
+            fixed[j] = next(values)
+    return (FqMatrix.from_rows([fixed for fixed, _ in rows["a"]], ca.modulus),
+            FqMatrix.from_rows([fixed for fixed, _ in rows["b"]], ca.modulus))
 
 
 @dataclass(frozen=True)
@@ -311,22 +310,14 @@ def ideal_generators(ca: CoefficientAssignment) -> tuple[IdealGenerator, ...]:
 # -- brute-force censuses --------------------------------------------------
 
 
-def _letter_rows(tree: CodeTree, letter: str) -> list[tuple[list[int], list[int]]]:
-    """The letter's action matrix as ``count_invertible_rows`` rows: unit
-    rows are fixed, every other row is free exactly in its slots."""
-    grids, slots = _action_layout(tree)
-    return [(row, [j for x, r, j in slots if x == letter and r == i])
-            for i, row in enumerate(grids[letter])]
-
-
 def count_invertible_a_actions(tree: CodeTree, p: int,
                                budget: int = DEFAULT_BUDGET) -> int:
-    return count_invertible_rows(_letter_rows(tree, "a"), p, budget)
+    return count_invertible_rows(action_rows(tree)["a"], p, budget)
 
 
 def count_invertible_b_actions(tree: CodeTree, p: int,
                                budget: int = DEFAULT_BUDGET) -> int:
-    return count_invertible_rows(_letter_rows(tree, "b"), p, budget)
+    return count_invertible_rows(action_rows(tree)["b"], p, budget)
 
 
 def count_invertible_pairs(tree: CodeTree, p: int,
@@ -343,16 +334,17 @@ def count_invertible_pairs(tree: CodeTree, p: int,
     p**(a slots) + p**(b slots) eliminations for p**(a slots + b slots)
     assignments."""
     check_prime(p)
-    grids, cells = _action_layout(tree)
-    charge(len(cells), lambda k: p ** k, budget, f"{p}**{len(cells)} assignments")
-    targets = [(grids[letter][i], j) for letter, i, j in cells]
+    rows = action_rows(tree)
+    grids = [[fixed for fixed, _ in family] for family in rows.values()]
+    targets = [(fixed, j) for family in rows.values() for fixed, free in family for j in free]
+    charge(len(targets), lambda k: p ** k, budget, f"{p}**{len(targets)} assignments")
     n = len(tree.prefixes)
     full_rank: dict[tuple[int, ...], bool] = {}
     count = 0
-    for values in product(range(p), repeat=len(cells)):
+    for values in product(range(p), repeat=len(targets)):
         for (row, j), v in zip(targets, values):
             row[j] = v
-        for g in grids.values():
+        for g in grids:
             key = tuple(chain.from_iterable(g))
             ok = full_rank.get(key)
             if ok is None:

@@ -2,15 +2,18 @@
 
 Entries are plain ints reduced mod p; the matrix carries the modulus,
 whose primality is checked on construction.  Everything here is exact.
-The support counts are one side of a dual check against closed product
-formulas and must stay independent of them: ``count_invertible_rows``
-walks the matrices row by row, prunes a row as soon as it falls into
-the span of the rows above it, and counts the surviving last rows one
-by one.  Pruning only skips singular matrices, so every invertible
-matrix is still visited, and no count is ever multiplied out from a
-formula.  ``enumerate_support_matrices`` walks every assignment of the
-support with ``itertools.product`` and stays the reference that tests
-compare the counts against.
+A family of matrices with free cells has one format, a row family: one
+``(fixed row, free columns)`` pair per row, 0-based, its row i being the
+fixed row with each free column set to every value of F_p.  Its counts
+are one side of a dual check against closed product formulas and must
+stay independent of them: ``count_invertible_rows`` walks the matrices
+row by row, prunes a row as soon as it falls into the span of the rows
+above it, and counts the surviving last rows one by one.  Pruning only
+skips singular matrices, so every invertible matrix is still visited,
+and no count is ever multiplied out from a formula.
+``enumerate_matrices`` walks every assignment of the free cells with
+``itertools.product`` and stays the reference that tests compare the
+counts against.
 
 ``charge`` is the one budget gate of the package: every enumerating
 route, here and in ``ideals`` and ``congruence``, calls it with the size
@@ -146,30 +149,34 @@ def is_invertible(m: FqMatrix) -> bool:
     return _full_rank([list(row) for row in m.entries], m.rows, m.modulus)
 
 
-def enumerate_support_matrices(support: Sequence[tuple[int, int]], p: int,
-                               rows: int | None = None, cols: int | None = None,
-                               budget: int = DEFAULT_BUDGET) -> Iterator[FqMatrix]:
-    """All p**|support| matrices that vanish outside the 1-based support.
-
-    Cells run row-major and the assignments advance little-endian in p
-    (the first cell turns fastest), so the stream is deterministic and
-    starts at the zero matrix.  Dimensions default to the largest index
-    mentioned; pass them explicitly when a bounding row or column is
-    absent from the support.
-    """
+def _check_rows(rows: Sequence[tuple[Sequence[int], Sequence[int]]],
+                p: int) -> tuple[int, int]:
+    """Validate a row family over F_p: p is a prime, the fixed rows have
+    one length m, and each row's free columns are distinct and in
+    0..m-1.  Returns m and the number of free cells."""
     check_prime(p)
-    cells = sorted(set(support))
-    if any(i < 1 or j < 1 for i, j in cells):
-        raise ValueError("support cells are 1-based")
-    nrows = rows if rows is not None else max((i for i, _ in cells), default=0)
-    ncols = cols if cols is not None else max((j for _, j in cells), default=0)
-    if any(i > nrows or j > ncols for i, j in cells):
-        raise ValueError("support cell outside the matrix")
-    charge(len(cells), lambda k: p ** k, budget, f"{p}**{len(cells)} assignments")
-    grid = [[0] * ncols for _ in range(nrows)]
+    m = len(rows[0][0]) if rows else 0
+    for fixed, free in rows:
+        if len(fixed) != m:
+            raise ValueError("ragged rows")
+        if len(set(free)) != len(free) or any(not 0 <= j < m for j in free):
+            raise ValueError(f"free columns must be distinct and in 0..{m - 1}: {free!r}")
+    return m, sum(len(free) for _, free in rows)
+
+
+def enumerate_matrices(rows: Sequence[tuple[Sequence[int], Sequence[int]]], p: int,
+                       budget: int = DEFAULT_BUDGET) -> Iterator[FqMatrix]:
+    """All p**(free cells) matrices of the row family ``rows``, as in
+    ``count_invertible_rows``.  The free cells run row by row, each
+    row's in the order given, and advance little-endian in p (the first
+    cell turns fastest), so the stream starts at the fixed rows with
+    every free cell 0."""
+    _, cells = _check_rows(rows, p)
+    charge(cells, lambda k: p ** k, budget, f"{p}**{cells} assignments")
+    grid = [list(fixed) for fixed, _ in rows]
     # product() turns its last slot fastest, so feed it the cells reversed.
-    targets = [(grid[i - 1], j - 1) for i, j in reversed(cells)]
-    for values in product(range(p), repeat=len(cells)):
+    targets = [(row, j) for row, (_, free) in zip(grid, rows) for j in free][::-1]
+    for values in product(range(p), repeat=cells):
         for (row, j), v in zip(targets, values):
             row[j] = v
         yield FqMatrix.from_rows(grid, p)
@@ -190,14 +197,10 @@ def count_invertible_rows(rows: Sequence[tuple[Sequence[int], Sequence[int]]],
     p**(free cells), the number of matrices described; a span set holds
     at most p**(n-1) vectors.
     """
-    check_prime(p)
+    m, cells = _check_rows(rows, p)
     n = len(rows)
-    for fixed, free in rows:
-        if len(fixed) != n:
-            raise NonSquare(f"row of length {len(fixed)} in a {n}-row matrix")
-        if len(set(free)) != len(free) or any(not 0 <= j < n for j in free):
-            raise ValueError(f"free columns must be distinct and in 0..{n - 1}: {free!r}")
-    cells = sum(len(free) for _, free in rows)
+    if m != n:
+        raise NonSquare(f"{n} x {m} matrix")
     charge(cells, lambda k: p ** k, budget, f"{p}**{cells} assignments")
     if n == 0:
         return 1

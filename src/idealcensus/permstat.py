@@ -30,6 +30,7 @@ from bisect import bisect
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from .linfq import DEFAULT_BUDGET, charge
 from .qpoly import LaurentPoly, ONE, ZERO, geometric
 
 Perm = tuple[int, ...]
@@ -224,17 +225,20 @@ def indec_inversion_polynomial(m: int) -> LaurentPoly:
     return LaurentPoly((inversions(s), 1) for s in enumerate_indecomposables(m))
 
 
-def indec_inversion_polynomials(m: int) -> list[LaurentPoly]:
+def indec_inversion_polynomials(m: int, budget: int = DEFAULT_BUDGET) -> list[LaurentPoly]:
     """[P_1, ..., P_m], P_j the sum of q**inv over the indecomposable
     permutations of size j, from the recursion
     P_j = [j]_q! - sum_{k<j} P_k [j-k]_q!.
 
     Every permutation factors uniquely as an indecomposable prefix
     followed by an arbitrary permutation, and inversions add under
-    shifted concatenation; nothing is enumerated.
+    shifted concatenation; nothing is enumerated.  Its C(m+1, 2)
+    polynomial products are charged against ``budget`` first.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
+    # charged at size 1: a product count is cheap to compute at any m
+    charge(1, lambda _: comb(m + 1, 2), budget, f"C({m + 1}, 2) polynomial products")
     fact = [ONE]
     for j in range(1, m + 1):
         fact.append(fact[-1] * geometric(j))

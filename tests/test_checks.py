@@ -57,3 +57,10 @@ def test_tree_route_entries_need_the_word_level_order(monkeypatch):
     ok, detail, _, _ = run_check(checks.check_census_routes, CheckConfig(max_n=3))
     assert not ok
     assert detail == "n=2: tree route entries"
+
+
+def test_subgroup_generators_need_their_printed_text(monkeypatch):
+    # generators that hold but print as the empty word
+    monkeypatch.setattr(checks.congruence, "group_word_str", lambda word: "1")
+    ok, _, _, _ = run_check(checks.check_subgroup_generators, CheckConfig(max_n=2))
+    assert not ok

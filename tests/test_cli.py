@@ -89,9 +89,9 @@ def test_count_formula_solves_the_recursion_once(capsys, monkeypatch):
     calls = []
     real = permstat.indec_inversion_polynomials
 
-    def counted(m):
+    def counted(m, budget):
         calls.append(m)
-        return real(m)
+        return real(m, budget)
 
     monkeypatch.setattr(permstat, "indec_inversion_polynomials", counted)
     monkeypatch.setattr(ideals, "indec_inversion_polynomials", counted)
@@ -158,15 +158,41 @@ def test_enumerating_routes_exit_3_quickly(capsys):
     ("count", "--codim", "100000000", "--cross-check", "--budget", "1"),
     ("export", "--object", "ideal-census", "--n", "2000", "--q", "2", "--budget", "1"),
     ("count", "--codim", "40", "--cross-check", "--budget", "1"),
+    # the formula route's C(n+2, 2) polynomial products
+    ("count", "--codim", "100", "--budget", "1"),
+    ("count", "--codim", "100000"),
+    ("export", "--object", "indec-polys", "--n", "100000"),
 ], ids=" ".join)
 def test_huge_n_is_refused_before_any_work(capsys, argv):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
-    assert time.perf_counter() - start < 2.0
+    assert time.perf_counter() - start < 1.0
     assert code == 3
     assert out == ""
     assert err.startswith("error: budget exceeded: ")
     assert "Traceback" not in err
+
+
+def test_each_distinct_contribution_is_rendered_once(monkeypatch):
+    report = ideals.ideal_count_by_trees(6)
+    distinct = len(set(e.contribution for e in report.entries))
+    assert distinct < len(report.entries)
+    calls = []
+    real = LaurentPoly.__str__
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(LaurentPoly, "__str__", counted)
+    cli.report_text_lines(report)
+    assert len(calls) == distinct + 1  # and the total
+    calls.clear()
+    list(cli.report_csv_rows(report))
+    assert len(calls) == distinct
+    # JSON shares one term list per distinct contribution
+    trees = cli.report_json(report)["trees"]
+    assert len({id(t["contribution"]) for t in trees}) == distinct
 
 
 def test_count_formula_codim_thirty(capsys):

@@ -8,7 +8,6 @@ from idealcensus.haglund import (
     haglund_hook_sum,
     haglund_product,
     partitions_bounded,
-    support_set,
 )
 from idealcensus.qpoly import LaurentPoly, ZERO
 
@@ -22,11 +21,6 @@ def test_check_partition():
         check_partition((1, 4, 4))  # part above the number of parts
     with pytest.raises(ValueError):
         check_partition((-1,))
-
-
-def test_support_set():
-    assert support_set((1, 2)) == {(1, 1), (2, 1), (2, 2)}
-    assert support_set((0, 2)) == {(2, 1), (2, 2)}
 
 
 def test_product_form_explicit():

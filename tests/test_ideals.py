@@ -29,7 +29,7 @@ from idealcensus.ideals import (
     ideal_generators,
     tree_contribution,
 )
-from idealcensus.linfq import FqMatrix, TooLarge, enumerate_support_matrices, is_invertible
+from idealcensus.linfq import TooLarge, enumerate_matrices, is_invertible
 from idealcensus.qpoly import LaurentPoly
 from idealcensus.words import CodeTree, enumerate_trees, signature, tree_stats
 
@@ -307,19 +307,16 @@ def test_joint_assignments_factor_per_letter(tree):
 @pytest.mark.parametrize("tree", small_trees(), ids=str)
 @pytest.mark.parametrize("p", (2, 3))
 def test_letter_counts_match_filtered_enumeration(tree, p):
-    # the support enumeration over one letter's slots plus its fixed unit entries
+    # each letter's row family, read off the unit entries and the slots, against
+    # the reference walk over every matrix it describes
     index = {w: i for i, w in enumerate(tree.prefixes)}
-    n = len(index)
-    units = build_action_matrices(CoefficientAssignment.from_dict(tree, p))
-    for letter, unit, count in (("a", units[0], count_invertible_a_actions),
-                                ("b", units[1], count_invertible_b_actions)):
-        cells = [(index[c[:-1]] + 1, index[w] + 1)
-                 for c, w in assignment_slots(tree) if c[-1] == letter]
-        direct = sum(
-            1 for m in enumerate_support_matrices(cells, p, rows=n, cols=n)
-            if is_invertible(FqMatrix.from_rows(
-                [[x + u for x, u in zip(row, urow)]
-                 for row, urow in zip(m.entries, unit.entries)], p)))
+    for letter, count in (("a", count_invertible_a_actions),
+                          ("b", count_invertible_b_actions)):
+        rows = [([int(w + letter == v) for v in tree.prefixes],
+                 [index[r] for c, r in assignment_slots(tree) if c == w + letter])
+                for w in tree.prefixes]
+        assert ideals.action_rows(tree)[letter] == rows
+        direct = sum(1 for m in enumerate_matrices(rows, p) if is_invertible(m))
         assert count(tree, p) == direct
 
 
@@ -342,13 +339,13 @@ def test_cells_sum_to_census(n):
 
 def test_one_action_layout_per_count(monkeypatch):
     calls = []
-    real = ideals._action_layout
+    real = ideals.action_rows
 
     def counted(tree):
         calls.append(tree)
         return real(tree)
 
-    monkeypatch.setattr(ideals, "_action_layout", counted)
+    monkeypatch.setattr(ideals, "action_rows", counted)
     count_invertible_pairs(FAN, 2)
     assert calls == [FAN]
     calls.clear()

@@ -1,4 +1,4 @@
-"""Dense matrices over prime fields and support-constrained counting."""
+"""Dense matrices over prime fields and counts over row families."""
 
 import itertools
 import random
@@ -14,7 +14,7 @@ from idealcensus.linfq import (
     check_prime,
     count_invertible_rows,
     count_invertible_support,
-    enumerate_support_matrices,
+    enumerate_matrices,
     is_invertible,
 )
 
@@ -111,14 +111,13 @@ def test_invertibility_matches_determinant_oracle(p):
 @pytest.mark.parametrize("p", [2, 3])
 def test_full_group_order(p):
     # |GL_2(F_p)| = (p^2 - 1)(p^2 - p)
-    count = sum(1 for m in enumerate_support_matrices(
-        [(1, 1), (1, 2), (2, 1), (2, 2)], p) if is_invertible(m))
+    count = sum(1 for m in enumerate_matrices([([0, 0], [0, 1])] * 2, p)
+                if is_invertible(m))
     assert count == (p * p - 1) * (p * p - p)
 
 
 def test_enumerate_support_matrices_shape():
-    cells = [(1, 1), (2, 2)]
-    mats = list(enumerate_support_matrices(cells, 3))
+    mats = list(enumerate_matrices([([0, 0], [0]), ([0, 0], [1])], 3))
     assert len(mats) == 9
     assert len(set(mats)) == 9
     for m in mats:
@@ -127,24 +126,34 @@ def test_enumerate_support_matrices_shape():
 
 
 def test_enumerate_support_little_endian_from_zero():
-    mats = list(enumerate_support_matrices([(1, 1), (1, 2)], 2))
+    mats = list(enumerate_matrices([([0, 0], [0, 1])], 2))
     assert [m.entries for m in mats[:4]] == [((0, 0),), ((1, 0),), ((0, 1),), ((1, 1),)]
+    # the walk starts at the fixed rows; a fixed entry in a free column is overwritten
+    mats = list(enumerate_matrices([([1, 0], []), ([4, 1], [1, 0])], 3))
+    assert [m.entries for m in mats[:4]] == [
+        ((1, 0), (0, 0)), ((1, 0), (0, 1)), ((1, 0), (0, 2)), ((1, 0), (1, 0))]
+    assert len(mats) == 9
 
 
 def test_enumerate_support_explicit_dims():
-    mats = list(enumerate_support_matrices([(1, 1)], 2, rows=2, cols=3))
+    # the fixed rows give the dimensions, also where no cell is free
+    mats = list(enumerate_matrices([([0, 0, 0], [0]), ([0, 0, 0], [])], 2))
     assert len(mats) == 2
     assert all(m.rows == 2 and m.cols == 3 for m in mats)
+    assert [m.entries for m in enumerate_matrices([], 2)] == [()]
 
 
 def test_enumerate_support_validation():
+    with pytest.raises(ValueError, match="ragged"):
+        list(enumerate_matrices([([0, 0], [0]), ([0], [])], 2))
+    with pytest.raises(ValueError, match="in 0..1"):
+        list(enumerate_matrices([([0, 0], [2])], 2))  # columns are 0-based
+    with pytest.raises(ValueError, match="distinct"):
+        list(enumerate_matrices([([0, 0], [1, 1])], 2))
     with pytest.raises(ValueError):
-        list(enumerate_support_matrices([(0, 1)], 2))  # cells are 1-based
-    with pytest.raises(ValueError):
-        list(enumerate_support_matrices([(1, 3)], 2, rows=2, cols=2))
+        list(enumerate_matrices([([0], [0])], 4))
     with pytest.raises(TooLarge):
-        list(enumerate_support_matrices([(i, j) for i in range(1, 6)
-                                         for j in range(1, 6)], 3, budget=100))
+        list(enumerate_matrices([([0] * 5, range(5))] * 5, 3, budget=100))
 
 
 def test_charge_refuses_a_size_past_the_bit_length_without_its_cost():
@@ -186,12 +195,11 @@ def test_worked_staircase():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_count_matches_filtered_enumeration(p):
-    # independent route: filter the raw support enumeration
+    # independent route: filter the reference walk over the staircase's row family
     for parts in [(1,), (1, 1), (1, 2), (2, 2), (1, 2, 3)]:
-        n = len(parts)
-        cells = [(i + 1, j + 1) for i, v in enumerate(parts) for j in range(v)]
-        direct = sum(1 for m in enumerate_support_matrices(
-            cells, p, rows=n, cols=n) if is_invertible(m))
+        rows = [([0] * len(parts), list(range(v))) for v in parts]
+        direct = sum(1 for m in enumerate_matrices(rows, p) if is_invertible(m))
+        assert count_invertible_rows(rows, p) == direct
         assert count_invertible_support(parts, p) == direct
 
 
@@ -201,7 +209,7 @@ def test_staircase_three_rows_at_five():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_rows_count_matches_filtered_enumeration(p):
-    # rows with fixed entries outside their free columns, against the support enumeration
+    # rows with fixed entries outside their free columns, against the reference walk
     rng = random.Random(p)
     for _ in range(40):
         n = rng.randint(1, 3)
@@ -210,11 +218,7 @@ def test_rows_count_matches_filtered_enumeration(p):
             free = rng.sample(range(n), rng.randint(0, n))
             fixed = [0 if j in free else rng.randrange(p) for j in range(n)]
             rows.append((fixed, free))
-        cells = [(i + 1, j + 1) for i, (_, free) in enumerate(rows) for j in free]
-        base = [fixed for fixed, _ in rows]
-        direct = sum(1 for m in enumerate_support_matrices(cells, p, rows=n, cols=n)
-                     if is_invertible(FqMatrix.from_rows(
-                         [[a + b for a, b in zip(r, f)] for r, f in zip(m.entries, base)], p)))
+        direct = sum(1 for m in enumerate_matrices(rows, p) if is_invertible(m))
         assert count_invertible_rows(rows, p) == direct
 
 
