@@ -426,7 +426,7 @@ def word_level_entry(tree: words.CodeTree) -> tuple:
 
 def check_census_routes(cfg: CheckConfig) -> Cases:
     for n in range(1, cfg.max_n + 1):
-        f = ideals.ideal_count_formula(n)
+        f = ideals.ideal_count_formula(n, cfg.budget)
         yield f"n={n}: hook route", f == ideals.ideal_count_hook_formula(n, cfg.budget)
         report = ideals.ideal_count_by_trees(n, cfg.budget)
         yield f"n={n}: tree route", f == report.total
@@ -439,7 +439,7 @@ def check_census_routes(cfg: CheckConfig) -> Cases:
 
 def check_census_brute(cfg: CheckConfig) -> Cases:
     for n in range(1, min(cfg.max_n, 3) + 1):
-        expected = ideals.ideal_count_formula(n)
+        expected = ideals.ideal_count_formula(n, cfg.budget)
         slots = max(max(ideals.letter_slots(t)) for t in words.enumerate_trees(n))
         for p in cfg.primes:
             if p ** slots > min(cfg.budget, 1 << 17):
@@ -475,13 +475,13 @@ def check_per_tree_counts(cfg: CheckConfig) -> Cases:
 def check_cells(cfg: CheckConfig) -> Cases:
     for n in range(1, cfg.max_n + 1):
         cd = ideals.cell_decomposition(n, cfg.budget)
-        yield f"n={n}", (cd.total_poly() == ideals.ideal_count_formula(n)
+        yield f"n={n}", (cd.total_poly() == ideals.ideal_count_formula(n, cfg.budget)
                          and all(c.affine_dim >= 0 for c in cd.cells))
 
 
 def check_census_shape(cfg: CheckConfig) -> Cases:
     for n in range(1, cfg.max_n + 1):
-        f = ideals.ideal_count_formula(n)
+        f = ideals.ideal_count_formula(n, cfg.budget)
         yield f"n={n}", (f.valuation >= 0
                          and f.degree == (n + 1) * (n - 2) // 2 + (n + 1) + comb(n + 1, 2)
                          and f.evaluate(1) == 0)

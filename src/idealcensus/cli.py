@@ -411,7 +411,8 @@ def prime(text: str) -> int:
 
 
 def primes(text: str) -> tuple[int, ...]:
-    return tuple(prime(x) for x in text.split(","))
+    """The listed primes, each once, in the order of first mention."""
+    return tuple(dict.fromkeys(prime(x) for x in text.split(",")))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -434,8 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--cross-check", action="store_true",
                          help="run the independent routes and compare")
     p_count.add_argument("--budget", type=positive, default=DEFAULT_BUDGET,
-                         help="bound on each route's work: polynomial products "
-                              "(formula), trees and matrices per letter and tree "
+                         help="bound on each route's work: coefficient products "
+                              "of the recursion (formula; the default reaches "
+                              "codim 60), trees and matrices per letter and tree "
                               "(bruteforce), trees (structural), permutations "
                               "(hook route of --cross-check); exit 3 when exceeded")
     p_count.add_argument("--format", choices=["text", "json"], default="text")
@@ -481,7 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--budget", type=positive, default=DEFAULT_BUDGET,
                           help="bound on the ideal-census enumeration (trees, or "
                                "matrices per letter and tree with --q), on the "
-                               "indec-polys' C(n+1, 2) polynomial products, the "
+                               "indec-polys' coefficient products (the default "
+                               "reaches n = 61), the "
                                "cells' (n+1)! permutations and the congruences' "
                                "hall_count(n) candidates; exit 3 when exceeded")
     p_export.set_defaults(func=cmd_export)

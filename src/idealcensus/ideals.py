@@ -31,8 +31,10 @@ Counting routes, all exact polynomials in q:
   (``linfq.count_invertible_rows``), and ``count_invertible_pairs``,
   which visits every joint assignment of both letters, witnesses the
   factorisation (``checks.per_tree_action_counts``, tree by tree and
-  prime by prime).  A letter's matrix repeats across the joint walk, so
-  that walk caches its rank test by matrix content, within one call.
+  prime by prime).  It reads the reference walk
+  ``linfq.enumerate_matrices``: the a-stream once, and a b-stream per
+  invertible a-matrix.  The b-matrices repeat across those streams, so
+  it caches its rank test by matrix entries, within one call.
 
 Both tree routes build their report in one place (``_tree_census``):
 an ``IdealCountReport``, one entry per tree in ``enumerate_trees`` order.
@@ -46,7 +48,8 @@ data of its tree.
 
 Every route takes a budget and charges it through ``linfq.charge``,
 which raises ``TooLarge`` before the route starts when its work would
-exceed it: C(n+2, 2) polynomial products for the formula route,
+exceed it: the coefficient products of the C(n+2, 2) polynomial
+products for the formula route (``permstat.recursion_cost``),
 (n+1)! permutations for the hook route, Catalan(n) trees for the tree
 sum and for brute force, and p**(cells) matrices per letter and tree
 for brute force.
@@ -60,13 +63,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, product
 from math import comb, factorial
 from typing import Iterable, Mapping, Union
 
 from .haglund import haglund_product
 from .linfq import (DEFAULT_BUDGET, FqMatrix, _full_rank, charge, check_prime,
-                    count_invertible_rows)
+                    count_invertible_rows, enumerate_matrices)
 from .permstat import (
     Perm,
     enumerate_indecomposables,
@@ -99,8 +101,8 @@ def catalan(n: int) -> int:
 def ideal_count_formula(n: int, budget: int = DEFAULT_BUDGET) -> LaurentPoly:
     """(q-1)^(n+1) * q^((n+1)(n-2)/2) * (indecomposable inversion
     polynomial of size n+1, from the inverse-series recursion); always an
-    ordinary polynomial.  The recursion is charged its C(n+2, 2)
-    polynomial products."""
+    ordinary polynomial.  The recursion is charged its coefficient
+    products, ``permstat.recursion_cost(n + 1)``."""
     _require_codim(n)
     return ideal_count_from_indec(n, indec_inversion_polynomials(n + 1, budget)[-1])
 
@@ -322,38 +324,31 @@ def count_invertible_b_actions(tree: CodeTree, p: int,
 
 def count_invertible_pairs(tree: CodeTree, p: int,
                            budget: int = DEFAULT_BUDGET) -> int:
-    """Walk every assignment of the slots of both letters
-    (``itertools.product``) and count those whose two action matrices
-    are both invertible: the a-matrix is tested first, the b-matrix only
-    when the a-matrix is invertible.  It never uses the per-letter
-    counts, so it witnesses that the census may multiply them.
+    """Walk every assignment of the slots of both letters and count those
+    whose two action matrices are both invertible: for each invertible
+    matrix of the a-stream (``linfq.enumerate_matrices`` over the
+    a-rows), count the invertible matrices of a fresh b-stream.  It never
+    uses the per-letter counts, so it witnesses that the census may
+    multiply them.  The p**(a slots + b slots) joint assignments are
+    charged before either stream starts.
 
-    Over the walk a letter's matrix takes only p**(its slots) values, so
-    the rank test is cached by matrix content, its entries in row-major
-    order, in a dict that lives for this one call: at most
-    p**(a slots) + p**(b slots) eliminations for p**(a slots + b slots)
-    assignments."""
+    Each b-stream repeats the one before, so the rank test is cached by
+    matrix entries in a dict that lives for this one call: at most
+    p**(a slots) + p**(b slots) eliminations."""
     check_prime(p)
     rows = action_rows(tree)
-    grids = [[fixed for fixed, _ in family] for family in rows.values()]
-    targets = [(fixed, j) for family in rows.values() for fixed, free in family for j in free]
-    charge(len(targets), lambda k: p ** k, budget, f"{p}**{len(targets)} assignments")
-    n = len(tree.prefixes)
-    full_rank: dict[tuple[int, ...], bool] = {}
-    count = 0
-    for values in product(range(p), repeat=len(targets)):
-        for (row, j), v in zip(targets, values):
-            row[j] = v
-        for g in grids:
-            key = tuple(chain.from_iterable(g))
-            ok = full_rank.get(key)
-            if ok is None:
-                ok = full_rank[key] = _full_rank([row[:] for row in g], n, p)
-            if not ok:
-                break
-        else:
-            count += 1
-    return count
+    cells = sum(len(free) for family in rows.values() for _, free in family)
+    charge(cells, lambda k: p ** k, budget, f"{p}**{cells} assignments")
+    full_rank: dict[tuple[tuple[int, ...], ...], bool] = {}
+
+    def invertible(m: FqMatrix) -> bool:
+        ok = full_rank.get(m.entries)
+        if ok is None:
+            ok = full_rank[m.entries] = _full_rank([list(r) for r in m.entries], m.rows, p)
+        return ok
+
+    return sum(sum(map(invertible, enumerate_matrices(rows["b"], p, budget)))
+               for a in enumerate_matrices(rows["a"], p, budget) if invertible(a))
 
 
 def ideal_count_brute_force(n: int, p: int,

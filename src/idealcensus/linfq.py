@@ -12,8 +12,9 @@ above it, and counts the surviving last rows one by one.  Pruning only
 skips singular matrices, so every invertible matrix is still visited,
 and no count is ever multiplied out from a formula.
 ``enumerate_matrices`` walks every assignment of the free cells with
-``itertools.product`` and stays the reference that tests compare the
-counts against.
+``itertools.product`` and stays the reference: the tests compare the
+counts against it, and ``ideals.count_invertible_pairs`` walks the two
+letters' matrices through it.
 
 ``charge`` is the one budget gate of the package: every enumerating
 route, here and in ``ideals`` and ``congruence``, calls it with the size
@@ -171,15 +172,16 @@ def enumerate_matrices(rows: Sequence[tuple[Sequence[int], Sequence[int]]], p: i
     row's in the order given, and advance little-endian in p (the first
     cell turns fastest), so the stream starts at the fixed rows with
     every free cell 0."""
-    _, cells = _check_rows(rows, p)
+    m, cells = _check_rows(rows, p)
     charge(cells, lambda k: p ** k, budget, f"{p}**{cells} assignments")
-    grid = [list(fixed) for fixed, _ in rows]
+    grid = [[v % p for v in fixed] for fixed, _ in rows]
     # product() turns its last slot fastest, so feed it the cells reversed.
     targets = [(row, j) for row, (_, free) in zip(grid, rows) for j in free][::-1]
     for values in product(range(p), repeat=cells):
         for (row, j), v in zip(targets, values):
             row[j] = v
-        yield FqMatrix.from_rows(grid, p)
+        # _check_rows certified p and the entries are reduced: no from_rows
+        yield FqMatrix(len(grid), m, p, tuple(map(tuple, grid)))
 
 
 def count_invertible_rows(rows: Sequence[tuple[Sequence[int], Sequence[int]]],

@@ -225,6 +225,19 @@ def indec_inversion_polynomial(m: int) -> LaurentPoly:
     return LaurentPoly((inversions(s), 1) for s in enumerate_indecomposables(m))
 
 
+def recursion_cost(m: int) -> int:
+    """Coefficient pairs that ``indec_inversion_polynomials(m)`` multiplies.
+
+    [j-1]_q! has C(j-1, 2) + 1 coefficients and [j]_q has j, and P_k,
+    of valuation k - 1 and degree C(k, 2), has C(k, 2) - k + 2.  So the
+    cost is the sum over j <= m of (C(j-1, 2) + 1) * j plus, over
+    k < j <= m, (C(k, 2) - k + 2) * (C(j-k, 2) + 1): a polynomial of
+    degree 6 in m, written here in the binomial basis (its forward
+    differences at m = 0), so a huge m costs O(1) big-int steps.
+    """
+    return sum(c * comb(m, i) for i, c in enumerate((0, 1, 2, 4, 5, 1, 1)))
+
+
 def indec_inversion_polynomials(m: int, budget: int = DEFAULT_BUDGET) -> list[LaurentPoly]:
     """[P_1, ..., P_m], P_j the sum of q**inv over the indecomposable
     permutations of size j, from the recursion
@@ -232,13 +245,15 @@ def indec_inversion_polynomials(m: int, budget: int = DEFAULT_BUDGET) -> list[La
 
     Every permutation factors uniquely as an indecomposable prefix
     followed by an arbitrary permutation, and inversions add under
-    shifted concatenation; nothing is enumerated.  Its C(m+1, 2)
-    polynomial products are charged against ``budget`` first.
+    shifted concatenation; nothing is enumerated.  The coefficient
+    products of its C(m+1, 2) polynomial products (``recursion_cost``)
+    are charged against ``budget`` first.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    # charged at size 1: a product count is cheap to compute at any m
-    charge(1, lambda _: comb(m + 1, 2), budget, f"C({m + 1}, 2) polynomial products")
+    # charged at size 1: the cost is cheap to compute at any m
+    cost = recursion_cost(m)
+    charge(1, lambda _: cost, budget, f"{cost} coefficient products up to P_{m}")
     fact = [ONE]
     for j in range(1, m + 1):
         fact.append(fact[-1] * geometric(j))

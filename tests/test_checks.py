@@ -31,6 +31,20 @@ def test_checks_charge_the_configured_budget():
     assert "TooLarge" in detail
 
 
+def test_formula_route_charges_the_configured_budget():
+    ok, detail, _, _ = run_check(checks.check_census_shape, CheckConfig(max_n=2, budget=1))
+    assert not ok
+    assert detail.startswith("raised TooLarge")
+
+
+def test_per_tree_witness_case_count():
+    # one case per tree with at most 3 internal nodes, per prime p <= 3
+    for primes, cases in (((2, 3), 16), ((2,), 8)):
+        ok, _, made, _ = run_check(checks.check_per_tree_counts,
+                                   CheckConfig(max_n=3, primes=primes))
+        assert ok and made == cases
+
+
 @pytest.mark.parametrize("label", [
     "permstat: inversion polynomials match the frozen table",
     "permstat: factorial series is the indecomposable reciprocal"])

@@ -5,6 +5,7 @@ codes that need a broken invariant (1 and 4) are induced by patching a
 route to lie.
 """
 
+import hashlib
 import json
 import re
 import time
@@ -158,8 +159,9 @@ def test_enumerating_routes_exit_3_quickly(capsys):
     ("count", "--codim", "100000000", "--cross-check", "--budget", "1"),
     ("export", "--object", "ideal-census", "--n", "2000", "--q", "2", "--budget", "1"),
     ("count", "--codim", "40", "--cross-check", "--budget", "1"),
-    # the formula route's C(n+2, 2) polynomial products
+    # the formula route's coefficient products
     ("count", "--codim", "100", "--budget", "1"),
+    ("count", "--codim", "200"),
     ("count", "--codim", "100000"),
     ("export", "--object", "indec-polys", "--n", "100000"),
 ], ids=" ".join)
@@ -202,6 +204,9 @@ def test_count_formula_codim_thirty(capsys):
     assert lines[0] == "codim 30 census, formula route"
     assert lines[1].startswith("factored: (q-1)^31 * q^434 * (q^465 + 30q^464 + ")
     assert lines[2].startswith("expanded: q^930 - q^929 - q^928 + ")
+    # every byte of it
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "db12bae098913a794a3b3cc1a34ed7b53e02868d05270542a8b726cd1333b05e")
 
 
 def test_count_cross_check_mismatch(capsys, monkeypatch):
@@ -439,6 +444,11 @@ def test_verify_max_n_is_bounded_by_the_budget(capsys):
     assert "41! permutations exceed budget" in err
     assert run(capsys, "verify", "--suite", "words", "--max-n", "2", "--budget", "5")[0] == 3
     assert run(capsys, "verify", "--suite", "words", "--max-n", "2", "--budget", "6")[0] == 0
+
+
+def test_verify_checks_each_prime_once():
+    assert cli.primes("2,3,2") == (2, 3)
+    assert cli.build_parser().parse_args(["verify", "--primes", "3,2,3"]).primes == (3, 2)
 
 
 def test_verify_invalid_arguments(capsys):

@@ -277,6 +277,23 @@ def test_joint_walk_caches_rank_tests_within_one_call(monkeypatch):
     assert len(calls) == 2 * made
 
 
+def test_joint_walk_reads_the_reference_streams(monkeypatch):
+    # one a-stream, then one b-stream per invertible a-matrix
+    streams = []
+    real = ideals.enumerate_matrices
+
+    def recorded(rows, p, budget):
+        streams.append(rows)
+        return real(rows, p, budget)
+
+    monkeypatch.setattr(ideals, "enumerate_matrices", recorded)
+    rows = ideals.action_rows(FAN)
+    count = count_invertible_pairs(FAN, 2)
+    a_invertible = count_invertible_a_actions(FAN, 2)
+    assert streams == [rows["a"]] + [rows["b"]] * a_invertible
+    assert count == a_invertible * count_invertible_b_actions(FAN, 2)
+
+
 def test_example_tree_action_legs():
     # 11 free cells in the a-action, k = 3 leaves ending in a
     assert count_invertible_a_actions(EXAMPLE_TREE, 2) == 256  # (2-1)^3 * 2^8

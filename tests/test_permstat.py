@@ -20,6 +20,7 @@ from idealcensus.permstat import (
     indec_hook_polynomial,
     indec_inversion_polynomial,
     indec_inversion_polynomials,
+    recursion_cost,
     indecomposable_factors,
     inverse,
     inversion_distribution,
@@ -35,6 +36,7 @@ from idealcensus.permstat import (
     versions,
 )
 from idealcensus.congruence import hall_count
+from idealcensus.linfq import DEFAULT_BUDGET, TooLarge
 from idealcensus.qpoly import LaurentPoly, q_factorial
 
 perms = st.permutations(range(1, 8)).map(tuple)
@@ -132,6 +134,20 @@ def test_recursion_counts_are_hall_counts():
     assert [p.evaluate(1) for p in polys[:7]] == [1, 1, 3, 13, 71, 461, 3447]
     assert [polys[n].evaluate(1) for n in range(1, 21)] == \
         [hall_count(n) for n in range(1, 21)]
+
+
+def test_recursion_cost_is_its_coefficient_products():
+    # [j-1]_q! * [j]_q, then P_k * [j-k]_q! for k < j, dense operands
+    for m in range(61):
+        direct = sum((comb(j - 1, 2) + 1) * j for j in range(1, m + 1)) + sum(
+            (comb(k, 2) - k + 2) * (comb(j - k, 2) + 1)
+            for j in range(1, m + 1) for k in range(1, j))
+        assert recursion_cost(m) == direct
+    # the default budget reaches P_61, the formula route's codim 60
+    assert recursion_cost(61) == 64231475 <= DEFAULT_BUDGET < recursion_cost(62) == 70889870
+    indec_inversion_polynomials(5, budget=recursion_cost(5))
+    with pytest.raises(TooLarge):
+        indec_inversion_polynomials(5, budget=recursion_cost(5) - 1)
 
 
 def test_recursion_rejects_empty_size():
