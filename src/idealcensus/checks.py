@@ -417,32 +417,32 @@ def check_haglund_degree(cfg: CheckConfig) -> Cases:
             yield parts, h.degree == comb(n, 2) + sum(v - i for i, v in enumerate(parts))
 
 
-def word_level_entry(tree: words.CodeTree) -> tuple:
-    """What a census entry holds for ``tree``, read off its words."""
+def word_level_entry(tree: words.CodeTree) -> ideals.TreeEntry:
+    """The census entry of ``tree``, read off its words."""
     st = words.tree_stats(tree)
-    return (words.signature(tree), st.a_count, st.a_cells, st.b_cells, st.partition,
-            ideals.tree_contribution(tree))
+    return ideals.TreeEntry(words.signature(tree), st.a_count, st.a_cells, st.b_cells,
+                            st.partition, ideals.tree_contribution(tree))
 
 
 def check_census_routes(cfg: CheckConfig) -> Cases:
     for n in range(1, cfg.max_n + 1):
-        f = ideals.ideal_count_formula(n, cfg.budget)
-        yield f"n={n}: hook route", f == ideals.ideal_count_hook_formula(n, cfg.budget)
-        report = ideals.ideal_count_by_trees(n, cfg.budget)
-        yield f"n={n}: tree route", f == report.total
-        # the entries are composed from root splits; the words witness them
-        yield f"n={n}: tree route entries", (
-            [(e.sig, e.a_count, e.a_cells, e.b_cells, e.partition, e.contribution)
-             for e in report.entries]
-            == [word_level_entry(t) for t in words.enumerate_trees(n)])
+        results = {route: route.run(n, None, cfg.budget)
+                   for route in ideals.ROUTES.values() if not route.needs_q}
+        for route, mismatch in ideals.cross_check(results, None):
+            yield f"n={n}: {mismatch or route.label}", mismatch is None
+            if route.per_tree:
+                # the entries are composed from root splits; the words witness them
+                yield f"n={n}: tree route entries", (
+                    list(results[route].entries)
+                    == list(map(word_level_entry, words.enumerate_trees(n))))
 
 
 def check_census_brute(cfg: CheckConfig) -> Cases:
     for n in range(1, min(cfg.max_n, 3) + 1):
         expected = ideals.ideal_count_formula(n, cfg.budget)
-        slots = max(max(ideals.letter_slots(t)) for t in words.enumerate_trees(n))
         for p in cfg.primes:
-            if p ** slots > min(cfg.budget, 1 << 17):
+            # the widest letter has n*n slots (``ideals.ideal_count_brute_force``)
+            if p ** (n * n) > min(cfg.budget, 1 << 17):
                 continue
             total = ideals.ideal_count_brute_force(n, p, cfg.budget).total
             yield f"n={n}, p={p}: {total}", total == expected.evaluate(p)

@@ -4,21 +4,21 @@ Exit codes: 0 success, 1 verify failure, 2 invalid arguments, 3 budget
 exceeded, 4 cross-check mismatch, 5 decomposable permutation input,
 6 non-regular congruence, 7 unwritable output path.  Each has one home:
 2 is argparse's, whose ``type=`` converters validate every argument,
-plus the two checks that combine arguments (``--method bruteforce``
-needs ``--q``; ``export --q`` applies only to ideal-census); 3, 5 and 6
-are ``main``'s, which maps TooLarge, NotIndecomposable and NotRegular;
-1 (a failed verify or round trip) and 4 (a cross-check mismatch) are
-outcomes the commands return; 7 is ``emit``'s.
+plus the two checks that combine arguments (``--q`` for a ``--method``
+whose ``ideals.ROUTES`` row needs q; ``export --q`` for ideal-census);
+3, 5 and 6 are ``main``'s, which maps TooLarge, NotIndecomposable and
+NotRegular; 1 (a failed verify or round trip) and 4 (a cross-check
+mismatch) are outcomes the commands return; 7 is ``emit``'s.
 
 Output is deterministic byte for byte apart from the version/timestamp
 header, which --no-header suppresses.  ``count`` and ``export`` build
 their result in the requested format only and hand it to one writer,
 ``output``, which adds the header and serializes it chunk by chunk
 into ``emit``; ``EXPORTS`` lists export's objects once, with their CSV
-columns.  The checks that verify runs live in ``checks.SUITES``; verify
-prints each as ``[ ok ]``, ``[FAIL]``, or ``[skip]`` when it checked no
-case at the given bounds and primes, followed by the reason the check
-gives, if any.
+columns, as ``ideals.ROUTES`` lists count's routes.  The checks that
+verify runs live in ``checks.SUITES``; verify prints each as ``[ ok ]``,
+``[FAIL]``, or ``[skip]`` when it checked no case at the given bounds
+and primes, followed by the reason the check gives, if any.
 """
 
 from __future__ import annotations
@@ -161,65 +161,45 @@ def emit(chunks: Iterable[str], out_path: str | None) -> int:
 
 
 def cmd_count(args) -> int:
-    n = args.codim
-    if args.method == "bruteforce" and args.q is None:
-        print("error: --method bruteforce requires --q", file=sys.stderr)
+    n, q = args.codim, args.q
+    route = ideals.ROUTES[args.method]
+    if route.needs_q and q is None:
+        print(f"error: --method {route.name} requires --q", file=sys.stderr)
         return 2
+    # rows run in table order: the hook's (n+1)! charge comes before any other route
+    results = {r: r.run(n, q, args.budget) for r in ideals.ROUTES.values()
+               if r is route or args.cross_check and not r.needs_q}
+    mismatches = [m for _, m in ideals.cross_check(results, q) if m] if args.cross_check else []
+    for m in mismatches:
+        print(f"cross-check mismatch: {m}", file=sys.stderr)
+    if mismatches:
+        return 4
 
-    if args.cross_check:
-        # first: for n >= 2 its (n+1)! charge is at least the formula's and
-        # the tree route's, so a cross-check refuses before either starts
-        hook = ideals.ideal_count_hook_formula(n, args.budget)
-    if args.method == "formula":
-        core = permstat.indec_inversion_polynomials(n + 1, args.budget)[-1]
-        result: IdealCountReport | LaurentPoly = ideals.ideal_count_from_indec(n, core)
-    elif args.method == "structural":
-        result = ideals.ideal_count_by_trees(n, args.budget)
-    else:
-        result = ideals.ideal_count_brute_force(n, args.q, args.budget)
-
-    if args.cross_check:
-        formula = (result if args.method == "formula"
-                   else ideals.ideal_count_formula(n, args.budget))
-        structural = (result.total if args.method == "structural"
-                      else ideals.ideal_count_by_trees(n, args.budget).total)
-        mismatches = []
-        if hook != formula:
-            mismatches.append(f"hook route {hook} != formula {formula}")
-        if structural != formula:
-            mismatches.append(f"structural route {structural} != formula {formula}")
-        if args.method == "bruteforce":
-            at_q = formula.evaluate(result.q)
-            if result.total != at_q:
-                mismatches.append(f"brute force {result.total} != formula({result.q}) = {at_q}")
-        if mismatches:
-            for m in mismatches:
-                print(f"cross-check mismatch: {m}", file=sys.stderr)
-            return 4
-
+    census = results[route]
+    at_q = q is not None and not route.needs_q  # a polynomial is evaluated at --q
     if args.format == "json":
-        if args.method == "formula":
-            body = {"n": n, "method": "formula", "total": poly_terms(result),
-                    "factored": factored_census_str(n, core)}
-            if args.q is not None:
-                body["q"] = args.q
-                body["value_at_q"] = result.evaluate(args.q)
+        if route.per_tree:
+            body = report_json(census)
         else:
-            body = report_json(result)
+            body = {"n": n, "method": route.name, "total": poly_terms(census.total)}
+            if census.indec is not None:
+                body["factored"] = factored_census_str(n, census.indec)
+        if at_q:
+            body.update(q=q, value_at_q=census.total.evaluate(q))
         if args.cross_check:
             body["cross_check"] = "ok"
         return output(args, body)
 
-    if args.method == "formula":
-        lines = [f"codim {n} census, formula route",
-                 f"factored: {factored_census_str(n, core)}",
-                 f"expanded: {result}"]
-        if args.q is not None:
-            lines.append(f"value at q={args.q}: {result.evaluate(args.q)}")
+    tag = f" at q={q}" if route.needs_q else ""
+    lines = [f"codim {n} census{tag}, {route.name} route"]
+    if route.per_tree:
+        lines += report_text_lines(census)
     else:
-        tag = f" at q={result.q}" if result.q is not None else ""
-        lines = [f"codim {n} census{tag}, {result.method} route",
-                 *report_text_lines(result)]
+        if census.indec is not None:
+            lines.append(f"factored: {factored_census_str(n, census.indec)}")
+        lines.append(f"expanded: {census.total}")
+    if at_q:
+        lines.append(f"value at q={q}: {census.total.evaluate(q)}")
     if args.cross_check:
         lines.append("cross-check: all routes agree")
     return output(args, lines)
@@ -320,10 +300,9 @@ def export_indec_polys(args):
 
 
 def export_ideal_census(args):
-    if args.q is None:
-        report = ideals.ideal_count_by_trees(args.n, args.budget)
-    else:
-        report = ideals.ideal_count_brute_force(args.n, args.q, args.budget)
+    route = next(r for r in ideals.ROUTES.values()
+                 if r.per_tree and r.needs_q == (args.q is not None))
+    report = route.run(args.n, args.q, args.budget)
     return report_json(report) if args.format == "json" else report_csv_rows(report)
 
 
@@ -430,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="N")
     p_count.add_argument("--q", type=a_prime, default=None,
                          help="prime; evaluate (or census over F_q for bruteforce)")
-    p_count.add_argument("--method", choices=["formula", "structural", "bruteforce"],
-                         default="formula")
+    methods = [name for name, route in ideals.ROUTES.items() if not route.witness_only]
+    p_count.add_argument("--method", choices=methods, default=methods[0])
     p_count.add_argument("--cross-check", action="store_true",
                          help="run the independent routes and compare")
     p_count.add_argument("--budget", type=positive, default=DEFAULT_BUDGET,

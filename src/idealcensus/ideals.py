@@ -1,5 +1,5 @@
 """Census of right ideals of finite codimension in the group algebra
-F_q[F_2], counted three independent ways.
+F_q[F_2], counted by independent routes that must agree.
 
 An ideal of codimension n is determined by a code tree with n internal
 nodes (the quotient basis P and the leading words C) plus one scalar per
@@ -8,55 +8,29 @@ their lower linear combinations.  The two group generators then act on
 the quotient by structured matrices (``build_action_matrices``), and the
 ideal data is admissible exactly when both actions are invertible.
 
-Counting routes, all exact polynomials in q:
+The routes are one table, ``ROUTES``: a ``Route`` row holds the name,
+the function ``(n, q, budget)``, whether it needs q, and the label of a
+mismatch.  ``count``, ``export --object ideal-census`` and ``checks``
+read it, so a new route is one row and its function:
 
-* ``ideal_count_formula``: closed product over the indecomposable
-  inversion polynomial of size n+1, taken from the inverse-series
-  recursion (``permstat.indec_inversion_polynomials``), which enumerates
-  nothing;
-* ``ideal_count_hook_formula``: same prefactor against the hook-statistic
-  sum over the indecomposables of size n+1, which it enumerates;
-* ``ideal_count_by_trees``: sum over trees of
-  (q-1)^k * q^(free cells) * staircase count.  It walks the records of
-  ``words.tree_records``, each tree's signature and stats composed from
-  its root split, and builds no word.  The term depends only on the
-  tree's key (k, free cells, partition), so it is built once per key, as
-  a shift of the staircase factor (q-1)^k * H_partition(q), which is
-  built once per partition from (q-1)^k, built once per k;
-* ``ideal_count_brute_force``: count over F_p the coefficient
-  assignments for which both action matrices are invertible.  Both
-  matrices are ``linfq`` row families (``action_rows``), and each slot
-  is a free cell of one of them, so the per-tree count is the a-count
-  times the b-count; each letter's count walks its matrix row by row
-  (``linfq.count_invertible_rows``), and ``count_invertible_pairs``,
-  which visits every joint assignment of both letters, witnesses the
-  factorisation (``checks.per_tree_action_counts``, tree by tree and
-  prime by prime).  It reads the reference walk
-  ``linfq.enumerate_matrices``: the a-stream once, and a b-stream per
-  invertible a-matrix.  The b-matrices repeat across those streams, so
-  it caches its rank test by matrix entries, within one call.
+* ``hook`` (``ideal_count_hook_formula``): the formula's prefactor
+  against the hook sum over the indecomposables of size n+1, which it
+  enumerates; a cross-check witness, no ``count --method``;
+* ``formula`` (``formula_census``): the same prefactor against P_(n+1)
+  from the inverse-series recursion, which enumerates nothing; the
+  other routes are compared with it;
+* ``structural`` (``ideal_count_by_trees``): one term per code tree,
+  (q-1)^k * q^(free cells) * staircase count;
+* ``bruteforce`` (``ideal_count_brute_force``): at q = p, the
+  coefficient assignments whose two action matrices over F_p are
+  invertible, one letter at a time, as the joint walk
+  ``count_invertible_pairs`` witnesses.
 
-Both tree routes build their report in one place (``_tree_census``):
-an ``IdealCountReport``, one entry per tree in ``enumerate_trees`` order.
-Brute force walks the trees themselves with the word-level
-``signature`` and ``tree_stats``, so it stays a witness independent of
-the composed records.  The report's total is the sum of its entries by
-construction: each distinct contribution is added once, times the
-number of entries that hold it.  ``checks`` compares the totals of the
-routes with each other, and each structural entry with the word-level
-data of its tree.
-
-Every route takes a budget and charges it through ``linfq.charge``,
-which raises ``TooLarge`` before the route starts when its work would
-exceed it: the coefficient products of the C(n+2, 2) polynomial
-products for the formula route (``permstat.recursion_cost``),
-(n+1)! permutations for the hook route, Catalan(n) trees for the tree
-sum and for brute force, and p**(cells) matrices per letter and tree
-for brute force.
-
-``cell_decomposition`` records the partition of the census into cells
-(F_q*)^(n+1) x F_q^d indexed by indecomposable permutations; like the
-hook route it walks S_(n+1) and is charged (n+1)!.
+Brute force walks the trees with the word-level ``signature`` and
+``tree_stats``, so it stays independent of the tree route's records.
+Each route charges its work through ``linfq.charge`` before it starts,
+as does ``cell_decomposition``, the census as cells
+(F_q*)^(n+1) x F_q^d indexed by indecomposable permutations.
 """
 
 from __future__ import annotations
@@ -64,7 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from math import comb, factorial
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .haglund import haglund_product
 from .linfq import (DEFAULT_BUDGET, FqMatrix, _full_rank, charge, check_prime,
@@ -98,23 +72,26 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def ideal_count_formula(n: int, budget: int = DEFAULT_BUDGET) -> LaurentPoly:
-    """(q-1)^(n+1) * q^((n+1)(n-2)/2) * (indecomposable inversion
-    polynomial of size n+1, from the inverse-series recursion); always an
-    ordinary polynomial.  The recursion is charged its coefficient
-    products, ``permstat.recursion_cost(n + 1)``."""
+@dataclass(frozen=True)
+class PolyCensus:
+    """A census polynomial ``total``, with the formula route's P_(n+1)."""
+
+    total: LaurentPoly
+    indec: LaurentPoly | None = None
+
+
+def formula_census(n: int, budget: int = DEFAULT_BUDGET) -> PolyCensus:
+    """(q-1)^(n+1) * q^((n+1)(n-2)/2) * P_(n+1), an ordinary polynomial,
+    with P_(n+1) from the inverse-series recursion, which is charged its
+    coefficient products, ``permstat.recursion_cost(n + 1)``."""
     _require_codim(n)
-    return ideal_count_from_indec(n, indec_inversion_polynomials(n + 1, budget)[-1])
+    indec = indec_inversion_polynomials(n + 1, budget)[-1]
+    return PolyCensus((Q - ONE) ** (n + 1) * indec.shift((n + 1) * (n - 2) // 2), indec)
 
 
-def ideal_count_from_indec(n: int, indec: LaurentPoly) -> LaurentPoly:
-    """(q-1)^(n+1) * q^((n+1)(n-2)/2) * indec, where indec is the
-    indecomposable inversion polynomial P_(n+1); the formula route once
-    P_(n+1) is known."""
-    count = (Q - ONE) ** (n + 1) * indec.shift((n + 1) * (n - 2) // 2)
-    if not count.is_zero and count.valuation < 0:
-        raise ArithmeticError("census count must be an ordinary polynomial")
-    return count
+def ideal_count_formula(n: int, budget: int = DEFAULT_BUDGET) -> LaurentPoly:
+    """The census polynomial of ``formula_census``."""
+    return formula_census(n, budget).total
 
 
 def ideal_count_hook_formula(n: int, budget: int = DEFAULT_BUDGET) -> LaurentPoly:
@@ -357,16 +334,58 @@ def ideal_count_brute_force(n: int, p: int,
     ``enumerate_trees`` order: the coefficient assignments with both
     action matrices invertible.  Each slot touches one cell of one
     matrix, so that number is the count for letter a times the count for
-    letter b.  The budget bounds the Catalan(n) trees, charged before the
-    first tree is built, and the matrices each letter's count describes,
-    p**(its cells), which is the space it walks."""
+    letter b.  Before the first tree, the budget is charged the Catalan(n)
+    trees and p**(n*n) matrices, as many as the widest letter walks."""
     _require_codim(n)
     check_prime(p)
+    charge(n * n, lambda k: p ** k, budget, f"{p}**{n * n} matrices per letter")
     return _tree_census(n, "bruteforce", p, budget, (
         (signature(tree), tree_stats(tree),
          count_invertible_a_actions(tree, p, budget)
          * count_invertible_b_actions(tree, p, budget))
         for tree in enumerate_trees(n)))
+
+
+# -- the table of census routes --------------------------------------------
+
+
+@dataclass(frozen=True)
+class Route:
+    """``run(n, q, budget)`` returns a census whose ``total`` is a polynomial
+    in q (at q if ``needs_q``): an ``IdealCountReport`` if ``per_tree``,
+    else a ``PolyCensus``.  A ``witness_only`` route is no ``count --method``."""
+
+    name: str
+    label: str
+    run: Callable[[int, int | None, int], PolyCensus | IdealCountReport]
+    needs_q: bool = False
+    per_tree: bool = False
+    witness_only: bool = False
+
+
+# each row looks its function up when it runs: a rebinding of ideals.<f> reaches it
+ROUTES: dict[str, Route] = {route.name: route for route in (
+    Route("hook", "hook route", lambda n, q, budget: PolyCensus(
+        ideal_count_hook_formula(n, budget)), witness_only=True),
+    Route("formula", "formula", lambda n, q, budget: formula_census(n, budget)),
+    Route("structural", "structural route",
+          lambda n, q, budget: ideal_count_by_trees(n, budget), per_tree=True),
+    Route("bruteforce", "brute force",
+          lambda n, q, budget: ideal_count_brute_force(n, q, budget),
+          needs_q=True, per_tree=True),
+)}
+
+
+def cross_check(results: dict, q: int | None) -> Iterator[tuple[Route, str | None]]:
+    """Each route of ``results`` (route -> census) but the formula, with
+    None if it agrees with the formula (at q if it needs q), else the mismatch."""
+    formula = ROUTES["formula"]
+    f = results[formula].total
+    for route, census in results.items():
+        if route is not formula:
+            want, ref = (f.evaluate(q), f"({q}) = ") if route.needs_q else (f, " ")
+            yield route, (None if census.total == want
+                          else f"{route.label} {census.total} != {formula.label}{ref}{want}")
 
 
 # -- cell decomposition ----------------------------------------------------

@@ -5,10 +5,12 @@ codes that need a broken invariant (1 and 4) are induced by patching a
 route to lie.
 """
 
+import ast
 import hashlib
 import json
 import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +166,11 @@ def test_enumerating_routes_exit_3_quickly(capsys):
     ("count", "--codim", "200"),
     ("count", "--codim", "100000"),
     ("export", "--object", "indec-polys", "--n", "100000"),
+    # brute force: p**(n*n) matrices of the widest letter, before the first tree
+    ("count", "--codim", "6", "--q", "2", "--method", "bruteforce"),
+    ("count", "--codim", "5", "--q", "3", "--method", "bruteforce"),
+    ("count", "--codim", "4", "--q", "5", "--method", "bruteforce"),
+    ("export", "--object", "ideal-census", "--n", "6", "--q", "2"),
 ], ids=" ".join)
 def test_huge_n_is_refused_before_any_work(capsys, argv):
     start = time.perf_counter()
@@ -225,6 +232,37 @@ def test_count_cross_check_mismatch(capsys, monkeypatch):
         monkeypatch.undo()
         assert (code, out) == (4, "")
         assert err.splitlines() == [f"cross-check mismatch: {message}"]
+
+
+def test_count_routes_come_from_the_table(capsys, monkeypatch):
+    toy = ideals.Route("toy", "toy route",
+                       lambda n, q, budget: ideals.PolyCensus(LaurentPoly({0: 1})))
+    monkeypatch.setitem(ideals.ROUTES, "toy", toy)
+    code, out, _ = run(capsys, "count", "--help")
+    assert code == 0 and "--method {formula,structural,bruteforce,toy}" in out
+    # the lying toy route joins the cross-check and is named by its own label
+    code, out, err = run(capsys, "count", "--codim", "2", "--cross-check")
+    assert (code, out) == (4, "")
+    assert err.splitlines() == [
+        "cross-check mismatch: toy route 1 != formula q^6 - q^5 - 3q^4 + 5q^3 - 2q^2"]
+    code, out, _ = run(capsys, "count", "--codim", "2", "--method", "toy", "--q", "5",
+                       "--no-header")
+    assert code == 0
+    assert out.splitlines() == ["codim 2 census, toy route", "expanded: 1", "value at q=5: 1"]
+    # a row that needs q requires --q
+    monkeypatch.setitem(ideals.ROUTES, "toy", ideals.Route("toy", "toy route", toy.run,
+                                                           needs_q=True))
+    assert run(capsys, "count", "--codim", "2", "--method", "toy") == (
+        2, "", "error: --method toy requires --q\n")
+
+
+def test_cli_names_no_route():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    names = {"formula", "structural", "bruteforce", "hook"}
+    assert not [node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and node.value in names]
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                and ast.unparse(node.left) == "args.method"]
 
 
 def test_count_out_file(tmp_path, capsys):

@@ -30,6 +30,8 @@ ARGVS = [
       for m in ([], ["--method", "structural"], ["--method", "bruteforce", "--q", "2"])),
     *(["export", "--object", "ideal-census", "--n", "2", "--q", "2", "--format", fmt,
        "--no-header"] for fmt in ("json", "csv")),
+    *(["count", "--codim", "2", "--method", "structural", "--q", "5", *f, "--no-header"]
+      for f in ([], ["--format", "json"])),
 ]
 
 
