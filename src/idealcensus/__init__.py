@@ -25,7 +25,6 @@ from .permstat import (
     lr_maxima,
     standardize,
     strip_lr_maxima,
-    versions,
 )
 from .words import (
     A_INVERSE,
@@ -75,5 +74,4 @@ from .ideals import (
     ideal_count_by_trees,
     ideal_count_formula,
     ideal_count_hook_formula,
-    ideal_generators,
 )

@@ -91,7 +91,7 @@ def check_frozen_polynomials(cfg: CheckConfig) -> Cases:
     table = {1: LaurentPoly({0: 1}), 2: LaurentPoly({1: 1}),
              3: LaurentPoly({3: 1, 2: 2}), 4: LaurentPoly({6: 1, 5: 3, 4: 5, 3: 4})}
     linfq.charge(len(table), factorial, cfg.budget, f"{len(table)}! permutations")
-    recursion = permstat.indec_inversion_polynomials(len(table))
+    recursion = permstat.indec_inversion_polynomials(len(table), cfg.budget)
     for m, expect in table.items():
         got = permstat.indec_inversion_polynomial(m)
         yield f"m={m}: {got}", got == expect

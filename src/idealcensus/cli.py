@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 1 verify failure, 2 invalid arguments, 3 budget
 exceeded, 4 cross-check mismatch, 5 decomposable permutation input,
-6 non-regular congruence, 7 unwritable output path.  Each has one home:
+6 non-regular congruence, 7 unwritable output.  Each has one home:
 2 is argparse's, whose ``type=`` converters validate every argument,
 plus the two checks that combine arguments (``--q`` for a ``--method``
 whose ``ideals.ROUTES`` row needs q; ``export --q`` for ideal-census);
 3, 5 and 6 are ``main``'s, which maps TooLarge, NotIndecomposable and
-NotRegular; 1 (a failed verify or round trip) and 4 (a cross-check
-mismatch) are outcomes the commands return; 7 is ``emit``'s.
+NotRegular, and 7 for a stdout closed before the output ends (as by
+``| head``); 1 (a failed verify or round trip) and 4 (a cross-check
+mismatch) are outcomes the commands return; 7 for an ``--out`` path is
+``emit``'s.
 
 Output is deterministic byte for byte apart from the version/timestamp
 header, which --no-header suppresses.  ``count`` and ``export`` build
@@ -478,7 +480,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # What is still buffered would fail again in the interpreter's
+        # final flush; point stdout at devnull so it goes nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return 7
     except TooLarge as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return 3

@@ -100,13 +100,6 @@ class ActionTable:
     a_next: tuple[int, ...]
     b_next: tuple[int, ...]
 
-    def step(self, state: int, letter: str) -> int:
-        return (self.a_next if letter == "a" else self.b_next)[state]
-
-    def row_words(self, letter: str) -> tuple[str, ...]:
-        nxt = self.a_next if letter == "a" else self.b_next
-        return tuple(self.states[i] for i in nxt)
-
 
 def action_table(rc: RightCongruence) -> ActionTable:
     states = rc.tree.prefixes

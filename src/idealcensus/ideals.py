@@ -52,7 +52,7 @@ from .permstat import (
 )
 from .qpoly import LaurentPoly, ONE, Q
 from .words import (CodeTree, TreeSignature, TreeStats, enumerate_trees, signature,
-                    tree_records, tree_stats, word_compact)
+                    tree_records, tree_stats)
 
 Contribution = Union[LaurentPoly, int]
 
@@ -216,9 +216,6 @@ class CoefficientAssignment:
         if any(not 0 <= v < self.modulus for v in self.values):
             raise ValueError("values must be reduced mod p")
 
-    def as_dict(self) -> dict[tuple[str, str], int]:
-        return dict(zip(assignment_slots(self.tree), self.values))
-
 
 def action_rows(tree: CodeTree) -> dict[str, list[tuple[list[int], list[int]]]]:
     """The two action matrices on the quotient basis P (sorted
@@ -254,36 +251,6 @@ def build_action_matrices(ca: CoefficientAssignment) -> tuple[FqMatrix, FqMatrix
             fixed[j] = next(values)
     return (FqMatrix.from_rows([fixed for fixed, _ in rows["a"]], ca.modulus),
             FqMatrix.from_rows([fixed for fixed, _ in rows["b"]], ca.modulus))
-
-
-@dataclass(frozen=True)
-class IdealGenerator:
-    """A leading word minus its lower linear combination."""
-
-    lead: str
-    tail: tuple[tuple[str, int], ...]  # (basis word, nonzero coefficient)
-
-    def __str__(self) -> str:
-        chunks = [word_compact(self.lead)]
-        for p, co in self.tail:
-            if p == "":
-                chunks.append(str(co))
-            elif co == 1:
-                chunks.append(word_compact(p))
-            else:
-                chunks.append(f"{co}*{word_compact(p)}")
-        return " - ".join(chunks)
-
-
-def ideal_generators(ca: CoefficientAssignment) -> tuple[IdealGenerator, ...]:
-    """One generator per leading word, zero coefficients dropped."""
-    alpha = ca.as_dict()
-    gens = []
-    for c in ca.tree.leaves:
-        tail = tuple((p, alpha[(c, p)]) for p in ca.tree.prefixes
-                     if p < c and alpha[(c, p)])
-        gens.append(IdealGenerator(c, tail))
-    return tuple(gens)
 
 
 # -- brute-force censuses --------------------------------------------------

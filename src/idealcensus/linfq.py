@@ -115,9 +115,6 @@ class FqMatrix:
     def identity(cls, n: int, p: int) -> "FqMatrix":
         return cls.from_rows([[int(i == j) for j in range(n)] for i in range(n)], p)
 
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i][j]
-
 
 def _full_rank(rows: list[list[int]], n: int, p: int) -> bool:
     """Destructive elimination mod p; True iff rank n."""

@@ -89,12 +89,6 @@ def inversions(s: Perm) -> int:
     return count
 
 
-def versions(s: Perm) -> int:
-    """Non-inversions: pairs i < j with s(i) < s(j)."""
-    n = len(s)
-    return n * (n - 1) // 2 - inversions(s)
-
-
 def hook_union_size(s: Perm) -> int:
     """Size of the union of all hooks, counted directly on the grid.
 
@@ -113,7 +107,7 @@ def hook_union_size(s: Perm) -> int:
 
 
 def hook_number(s: Perm) -> int:
-    """Hook-union size via statistics: 2*inv + versions = inv + C(n,2)."""
+    """Hook-union size via statistics: 2*inv + non-inversions = inv + C(n,2)."""
     return inversions(s) + comb(len(s), 2)
 
 

@@ -13,8 +13,7 @@ through ``LaurentPoly._trusted``, which only drops zeros and sorts.
 ``TruncatedSeries`` layers formal power series in an auxiliary variable t
 on top, with LaurentPoly coefficients, up to a fixed truncation order.  It
 exists for the generating-series cross-checks and supports only what those
-need: addition, multiplication and inversion of a series with constant
-term 1.
+need: multiplication and inversion of a series with constant term 1.
 """
 
 from __future__ import annotations
@@ -244,10 +243,6 @@ class TruncatedSeries:
         raise AttributeError("TruncatedSeries is immutable")
 
     @property
-    def order(self) -> int:
-        return self._order
-
-    @property
     def coeffs(self) -> tuple[LaurentPoly, ...]:
         return self._coeffs
 
@@ -255,16 +250,6 @@ class TruncatedSeries:
         if not 0 <= k <= self._order:
             raise IndexError(f"coefficient index {k} out of range")
         return self._coeffs[k]
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        return TruncatedSeries(self._order,
-                               tuple(a + b for a, b in zip(self._coeffs, other._coeffs)))
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        return TruncatedSeries(self._order,
-                               tuple(a - b for a, b in zip(self._coeffs, other._coeffs)))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_order(other)

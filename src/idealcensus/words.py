@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
-ALPHABET = ("a", "b")
 MAX_WORD_LENGTH = 1000  # longest word parse_word builds
 
 

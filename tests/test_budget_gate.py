@@ -5,7 +5,9 @@ command hand-writes an exit code: ``cli.main`` alone maps the outcome
 exceptions, and argparse rejects bad arguments.  The validating
 constructors run only on input read from outside the package: its own
 constructions build valid trees and congruences directly, and the check
-table witnesses them."""
+table witnesses them.  And every module-level name of the library has a
+caller in the library or the benchmark, or a reason why tests alone
+need it."""
 
 import ast
 from pathlib import Path
@@ -92,3 +94,44 @@ def test_regularity_is_tested_only_on_outside_input():
         ("congruence", "subgroup_generators"),
         ("congruence", "class_index"),
     ]
+
+
+# Names that only tests call, each kept as the reference a test compares with.
+TEST_REFERENCES = {
+    "letter_slots": "test_ideals pins the per-letter slot counts brute force charges "
+                    "p**slots for, n*n at the widest tree",
+    "build_action_matrices": "test_ideals filters every assignment through it, "
+                             "uncached, to witness the joint walk and the letter counts",
+}
+
+
+def _loaded(node) -> set[str]:
+    """Names read, attributes and imported names anywhere under ``node``."""
+    return {n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute)
+            else n.name for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            or isinstance(n, (ast.Attribute, ast.alias))}
+
+
+def _defined(node) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_every_library_name_has_a_caller():
+    # one entry per top-level statement of the library and the benchmark
+    statements = [(path, node, _loaded(node))
+                  for path in [*sorted(PACKAGE.glob("*.py")),
+                               *sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))]
+                  if path.name != "__init__.py"
+                  for node in ast.parse(path.read_text(), str(path)).body]
+    uncalled = [f"{path.stem}.{name}" for path, node, _ in statements
+                if path.parent == PACKAGE
+                for name in _defined(node)
+                if name not in TEST_REFERENCES
+                and not any(name in loaded for _, other, loaded in statements
+                            if other is not node)]
+    assert uncalled == []

@@ -32,9 +32,13 @@ def test_checks_charge_the_configured_budget():
 
 
 def test_formula_route_charges_the_configured_budget():
-    ok, detail, _, _ = run_check(checks.check_census_shape, CheckConfig(max_n=2, budget=1))
-    assert not ok
-    assert detail.startswith("raised TooLarge")
+    # the frozen table's 4! = 24 permutations fit a budget of 30, but the
+    # recursion up to P_4 costs recursion_cost(4) = 37 products
+    for fn, cfg in ((checks.check_census_shape, CheckConfig(max_n=2, budget=1)),
+                    (checks.check_frozen_polynomials, CheckConfig(max_n=1, budget=30))):
+        ok, detail, _, _ = run_check(fn, cfg)
+        assert not ok
+        assert detail.startswith("raised TooLarge")
 
 
 def test_per_tree_witness_case_count():

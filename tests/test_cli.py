@@ -8,7 +8,10 @@ route to lie.
 import ast
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -698,6 +701,22 @@ def test_export_unwritable_path(tmp_path, capsys):
                        "--out", str(target))
     assert code == 7
     assert "cannot write" in err
+
+
+def test_closed_stdout_exits_7_without_traceback():
+    # about 300 kB of CSV, more than a pipe buffers, so the writer meets the closed pipe
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "idealcensus.cli", "export", "--object", "congruences",
+         "--n", "6", "--format", "csv", "--no-header"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    assert proc.stdout.readline() == "index,leading,image\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 7
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # -- top level ----------------------------------------------------------------

@@ -58,10 +58,9 @@ def test_from_map_validation():
 def test_example_action_table():
     table = action_table(EXAMPLE)
     assert table.states == ("", "a", "b", "ba", "bb")
-    assert table.row_words("a") == ("a", "", "ba", "b", "bb")
-    assert table.row_words("b") == ("b", "", "bb", "ba", "a")
+    assert tuple(table.states[i] for i in table.a_next) == ("a", "", "ba", "b", "bb")
+    assert tuple(table.states[i] for i in table.b_next) == ("b", "", "bb", "ba", "a")
     assert is_regular(EXAMPLE)
-    assert table.step(table.states.index("b"), "a") == table.states.index("ba")
 
 
 def test_irregular_congruence():

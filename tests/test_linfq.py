@@ -74,7 +74,7 @@ def test_check_prime_large():
 def test_from_rows_reduces_mod_p():
     m = FqMatrix.from_rows([[5, -1], [7, 3]], 3)
     assert m.entries == ((2, 2), (1, 0))
-    assert m.entry(0, 1) == 2
+    assert m.entries[0][1] == 2
     with pytest.raises(ValueError):
         FqMatrix.from_rows([[1, 2], [3]], 5)
 
@@ -122,7 +122,7 @@ def test_enumerate_support_matrices_shape():
     assert len(set(mats)) == 9
     for m in mats:
         assert m.rows == m.cols == 2
-        assert m.entry(0, 1) == 0 and m.entry(1, 0) == 0
+        assert m.entries[0][1] == 0 and m.entries[1][0] == 0
 
 
 def test_enumerate_support_little_endian_from_zero():

@@ -26,14 +26,12 @@ from idealcensus.permstat import (
     inversion_distribution,
     inversions,
     is_indecomposable,
-    is_indecomposable_lr,
     lr_maxima,
     parse_permutation,
     permutation_str,
     shifted_concat,
     standardize,
     strip_lr_maxima,
-    versions,
 )
 from idealcensus.congruence import hall_count
 from idealcensus.linfq import DEFAULT_BUDGET, TooLarge
@@ -56,7 +54,6 @@ def test_parse_and_render():
 def test_worked_statistics():
     t = (3, 2, 5, 4, 6, 1)
     assert inversions(t) == 7
-    assert versions(t) == 8
     assert hook_union_size(t) == 22
     assert hook_number(t) == 22
     assert hook_union_size((2, 3, 1)) == 5
@@ -67,12 +64,6 @@ def test_hook_small_cases():
     assert hook_union_size((1,)) == 0
     assert hook_union_size((1, 2)) == 1
     assert hook_union_size((2, 1)) == 2
-
-
-@pytest.mark.parametrize("n", range(6))
-def test_hook_routes_agree(n):
-    for s in enumerate_permutations(n):
-        assert hook_union_size(s) == hook_number(s) == inversions(s) + comb(n, 2)
 
 
 def test_lr_maxima_worked():
@@ -101,12 +92,6 @@ def test_indecomposable_basics():
     assert not is_indecomposable((1, 2))
     assert is_indecomposable((2, 1))
     assert set(enumerate_indecomposables(3)) == {(2, 3, 1), (3, 1, 2), (3, 2, 1)}
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_indecomposability_criteria_agree(n):
-    for s in enumerate_permutations(n):
-        assert is_indecomposable(s) == is_indecomposable_lr(s)
 
 
 def test_indecomposable_counts():

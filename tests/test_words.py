@@ -263,12 +263,6 @@ def test_reconstruct_accepts_only_tree_signatures(n):
     assert accepted == CATALAN[n]
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_signature_roundtrip(n):
-    for tree in enumerate_trees(n):
-        assert reconstruct(signature(tree)) == tree
-
-
 @pytest.mark.parametrize("n", range(7))
 def test_rank_sum_identity(n):
     assert [tree for tree, ok in rank_sum_identity(n, n) if not ok] == []
