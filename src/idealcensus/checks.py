@@ -400,11 +400,11 @@ def check_haglund_recursion(cfg: CheckConfig) -> Cases:
 def check_haglund_brute(cfg: CheckConfig) -> Cases:
     for parts in partitions(1, min(cfg.max_n, 3)):
         for p in cfg.primes:
-            if p ** sum(parts) > min(cfg.budget, 1 << 21):
+            if p ** sum(parts) > min(cfg.budget, 1 << 21) or p ** len(parts) > cfg.budget:
                 continue
             brute = linfq.count_invertible_support(parts, p, cfg.budget)
             yield f"{parts} at p={p}", haglund.haglund_product(parts).evaluate(p) == brute
-    return "runs where p**cells <= min(budget, 2**21)"
+    return "runs where p**cells <= min(budget, 2**21) and p**n <= budget"
 
 
 def check_haglund_degree(cfg: CheckConfig) -> Cases:

@@ -7,10 +7,12 @@ A family of matrices with free cells has one format, a row family: one
 fixed row with each free column set to every value of F_p.  Its counts
 are one side of a dual check against closed product formulas and must
 stay independent of them: ``count_invertible_rows`` walks the matrices
-row by row, prunes a row as soon as it falls into the span of the rows
-above it, and counts the surviving last rows one by one.  Pruning only
-skips singular matrices, so every invertible matrix is still visited,
-and no count is ever multiplied out from a formula.
+row by row and prunes a row as soon as it falls into the span of the
+rows above it.  Every prefix of independent rows is still visited; the
+candidates of one node that span the same subspace share one span set,
+and each node of the last level counts the last-row candidates outside
+its own span.  Nothing is reused from one node to another, and no count
+is ever multiplied out from a formula.
 ``enumerate_matrices`` walks every assignment of the free cells with
 ``itertools.product`` and stays the reference: the tests compare the
 counts against it, and ``ideals.count_invertible_pairs`` walks the two
@@ -189,28 +191,44 @@ def count_invertible_rows(rows: Sequence[tuple[Sequence[int], Sequence[int]]],
 
     A depth-first search picks one row at a time and carries the span of
     the rows picked so far as a set of vectors.  A candidate in that span
-    is pruned with its whole subtree; on the last row every candidate
-    outside the span is counted.  Rows are visited in order of increasing
-    freedom, which does not change whether a matrix is invertible, so the
-    widest row is only tested, never expanded.  The budget bounds
-    p**(free cells), the number of matrices described; a span set holds
-    at most p**(n-1) vectors.
+    is pruned with its whole subtree; every other candidate descends into
+    its own subtree.  Candidates v and w of one node with w in
+    span(S, v) \\ S extend its span S to the same subspace, so the node
+    maps each vector of each span it builds to that span and builds it
+    only for a candidate not yet mapped.  On the last row the candidates
+    outside the span are counted by one set difference.  Rows are
+    visited in order of increasing freedom, which does not change whether
+    a matrix is invertible, so the widest row is only tested, never
+    expanded.  The budget bounds p**(free cells), the number of matrices
+    described, and then p**n: a span set holds at most p**(n-1) vectors,
+    and a node's map at most p**n.
     """
     m, cells = _check_rows(rows, p)
     n = len(rows)
     if m != n:
         raise NonSquare(f"{n} x {m} matrix")
     charge(cells, lambda k: p ** k, budget, f"{p}**{cells} assignments")
+    charge(n, lambda k: p ** k, budget, f"{p}**{n} span vectors")
     if n == 0:
         return 1
     candidates = sorted((_row_candidates(fixed, free, p) for fixed, free in rows), key=len)
-    last = candidates.pop()
+    last = set(candidates.pop())
 
     def descend(level: int, span: set[tuple[int, ...]]) -> int:
         if level == len(candidates):
-            return sum(1 for v in last if v not in span)
-        return sum(descend(level + 1, _extend_span(span, v, p))
-                   for v in candidates[level] if v not in span)
+            return len(last - span)
+        # w in span(S, v) \ S spans the same superspace as v: build it once
+        wider: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+        total = 0
+        for v in candidates[level]:
+            if v in span:
+                continue
+            extended = wider.get(v)
+            if extended is None:
+                extended = _extend_span(span, v, p)
+                wider.update(dict.fromkeys(extended, extended))
+            total += descend(level + 1, extended)
+        return total
 
     return descend(0, {(0,) * n})
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from idealcensus import linfq
 from idealcensus.linfq import (
     FqMatrix,
     NonSquare,
@@ -207,6 +208,22 @@ def test_staircase_three_rows_at_five():
     assert count_invertible_support((3, 3, 3), 5) == 1488000  # |GL_3(F_5)|
 
 
+def test_one_span_per_superspace(monkeypatch):
+    # each node builds one span per subspace its candidates reach: the
+    # 31 lines of F_5^3 at the root, then under each of the 124 nonzero
+    # first rows the 6 planes through its line
+    extend = linfq._extend_span
+    built = []
+
+    def extend_span(span, v, p):
+        built.append(v)
+        return extend(span, v, p)
+
+    monkeypatch.setattr(linfq, "_extend_span", extend_span)
+    assert count_invertible_support((3, 3, 3), 5) == 1488000
+    assert len(built) == 31 + 124 * 6
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_rows_count_matches_filtered_enumeration(p):
     # rows with fixed entries outside their free columns, against the reference walk
@@ -216,6 +233,24 @@ def test_rows_count_matches_filtered_enumeration(p):
         rows = []
         for _ in range(n):
             free = rng.sample(range(n), rng.randint(0, n))
+            fixed = [0 if j in free else rng.randrange(p) for j in range(n)]
+            rows.append((fixed, free))
+        direct = sum(1 for m in enumerate_matrices(rows, p) if is_invertible(m))
+        assert count_invertible_rows(rows, p) == direct
+
+
+def test_rows_count_matches_filtered_enumeration_at_five():
+    # rows with nonzero fixed entries have candidate sets that are not
+    # closed under scaling, so shared span sets are checked on them too
+    p = 5
+    rng = random.Random(p)
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        left = 5  # at most p**5 <= 2**12 matrices per family
+        rows = []
+        for _ in range(n):
+            free = rng.sample(range(n), rng.randint(0, min(n, left)))
+            left -= len(free)
             fixed = [0 if j in free else rng.randrange(p) for j in range(n)]
             rows.append((fixed, free))
         direct = sum(1 for m in enumerate_matrices(rows, p) if is_invertible(m))
@@ -236,3 +271,8 @@ def test_count_invertible_rows_validation():
         count_invertible_rows([([0], [0])], 4)
     with pytest.raises(TooLarge):
         count_invertible_rows([([0] * 3, range(3))] * 3, 5, budget=5 ** 9 - 1)
+    # no free cell, yet the span sets grow to 2**11 vectors: p**n is charged too
+    identity = [([int(i == j) for j in range(12)], []) for i in range(12)]
+    assert count_invertible_rows(identity, 2, budget=2 ** 12) == 1
+    with pytest.raises(TooLarge, match="2\\*\\*12 span vectors"):
+        count_invertible_rows(identity, 2, budget=2 ** 10)
