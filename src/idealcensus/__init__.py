@@ -17,7 +17,6 @@ from .permstat import (
     enumerate_permutations,
     hook_number,
     hook_union_size,
-    indec_hook_polynomial,
     indec_inversion_polynomial,
     indec_inversion_polynomials,
     inversions,

@@ -113,7 +113,9 @@ def output(args, body) -> int:
     object, CSV rows below the export object's column row, or text
     lines.  Unless --no-header, a version/timestamp header leads: a
     ``meta`` object in JSON, a ``#`` line otherwise.  JSON and CSV are
-    written as they are encoded, never joined into one string."""
+    written as they are encoded, never joined into one string, and CSV
+    rows as they are drawn from ``body``, so a lazy body is never held
+    whole."""
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     if args.format == "json":
         if args.header:
@@ -122,8 +124,8 @@ def output(args, body) -> int:
         return emit(chain(json.JSONEncoder(indent=2).iterencode(body), ["\n"]), args.out)
     header = [f"# idealcensus {__version__} generated {stamp}\n"] if args.header else []
     if args.format == "csv":
-        return emit(chain(header, csv_lines([EXPORTS[args.object][0].split(","), *body])),
-                    args.out)
+        columns = EXPORTS[args.object][0].split(",")
+        return emit(chain(header, csv_lines(chain([columns], body))), args.out)
     return emit(chain(header, ["\n".join(body) + "\n"]), args.out)
 
 
@@ -309,8 +311,8 @@ def export_ideal_census(args):
 
 
 def export_cells(args):
-    cells = [(permutation_str(c.theta), c.torus_rank, c.affine_dim)
-             for c in ideals.cell_decomposition(args.n, args.budget).cells]
+    cells = ((permutation_str(theta), args.n + 1, d)
+             for theta, d in ideals.cell_decomposition(args.n, args.budget))
     if args.format == "json":
         return {"n": args.n, "cells": [{"theta": t, "torus_rank": r, "affine_dim": d}
                                        for t, r, d in cells]}
@@ -318,8 +320,8 @@ def export_cells(args):
 
 
 def export_congruences(args):
-    maps = [[(word_str(c), word_str(p)) for c, p in zip(rc.tree.leaves, rc.images)]
-            for rc in congruence.enumerate_regular(args.n, args.budget)]
+    maps = ([(word_str(c), word_str(p)) for c, p in zip(rc.tree.leaves, rc.images)]
+            for rc in congruence.enumerate_regular(args.n, args.budget))
     if args.format == "json":
         return {"n": args.n, "congruences": [{"index": i, "map": dict(m)}
                                              for i, m in enumerate(maps, start=1)]}
@@ -327,8 +329,8 @@ def export_congruences(args):
 
 
 def export_subgroups(args):
-    gens = [[group_word_str(g) for g in subgroup_generators(rc)]
-            for rc in congruence.enumerate_regular(args.n, args.budget)]
+    gens = ([group_word_str(g) for g in subgroup_generators(rc)]
+            for rc in congruence.enumerate_regular(args.n, args.budget))
     if args.format == "json":
         return {"n": args.n, "subgroups": [{"index": i, "generators": g}
                                            for i, g in enumerate(gens, start=1)]}

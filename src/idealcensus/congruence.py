@@ -142,22 +142,26 @@ def enumerate_regular(n: int, budget: int = DEFAULT_BUDGET) -> Iterator[RightCon
     recursion and the indecomposables.
 
     The walk is charged hall_count(n) candidates (hall_count(n) >= n! >=
-    2**(n-1)) before it starts, without computing hall_count(n) when the
-    budget decides at a bound: n! is charged first, and a budget of at
-    least n * n! >= hall_count(n) is accepted.  Only a budget between
-    the two bounds runs the recursion.
+    2**(n-1)) when it is called, before the first congruence, without
+    computing hall_count(n) when the budget decides at a bound: n! is
+    charged first, and a budget of at least n * n! >= hall_count(n) is
+    accepted.  Only a budget between the two bounds runs the recursion.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     charge(n, factorial, budget, f"hall_count({n}) candidates")
     if n * factorial(n) > budget:
         charge(n, hall_count, budget, f"hall_count({n}) candidates")
-    for tree in enumerate_trees(n):
-        c_a, c_b, p_a, _ = tree.parts
-        base = {c: strip_a_run(c) for c in c_a}
-        for s in constrained_permutations(tree_stats(tree).partition):
-            images = base | {c: p_a[v - 1] for c, v in zip(c_b, s)}
-            yield RightCongruence(tree, tuple(images[c] for c in tree.leaves))
+    return (rc for tree in enumerate_trees(n) for rc in _regular_on(tree))
+
+
+def _regular_on(tree: CodeTree) -> Iterator[RightCongruence]:
+    """The regular congruences on one tree, as ``enumerate_regular`` builds them."""
+    c_a, c_b, p_a, _ = tree.parts
+    base = {c: strip_a_run(c) for c in c_a}
+    for s in constrained_permutations(tree_stats(tree).partition):
+        images = base | {c: p_a[v - 1] for c, v in zip(c_b, s)}
+        yield RightCongruence(tree, tuple(images[c] for c in tree.leaves))
 
 
 def to_indecomposable(rc: RightCongruence) -> Perm:

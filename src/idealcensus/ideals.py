@@ -13,9 +13,10 @@ the function ``(n, q, budget)``, whether it needs q, and the label of a
 mismatch.  ``count``, ``export --object ideal-census`` and ``checks``
 read it, so a new route is one row and its function:
 
-* ``hook`` (``ideal_count_hook_formula``): the formula's prefactor
-  against the hook sum over the indecomposables of size n+1, which it
-  enumerates; a cross-check witness, no ``count --method``;
+* ``hook`` (``ideal_count_hook_formula``): the point count of
+  ``cell_decomposition``, the census as cells (F_q*)^(n+1) x F_q^d, one
+  per indecomposable theta of size n+1, with d = hook(theta) - (n+1);
+  it enumerates S_(n+1); a cross-check witness, no ``count --method``;
 * ``formula`` (``formula_census``): the same prefactor against P_(n+1)
   from the inverse-series recursion, which enumerates nothing; the
   other routes are compared with it;
@@ -29,8 +30,7 @@ read it, so a new route is one row and its function:
 Brute force walks the trees with the word-level ``signature`` and
 ``tree_stats``, so it stays independent of the tree route's records.
 Each route charges its work through ``linfq.charge`` before it starts,
-as does ``cell_decomposition``, the census as cells
-(F_q*)^(n+1) x F_q^d indexed by indecomposable permutations.
+as ``cell_decomposition`` does when it is called, before its first cell.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .linfq import (DEFAULT_BUDGET, FqMatrix, _full_rank, charge, check_prime,
 from .permstat import (
     Perm,
     enumerate_indecomposables,
-    indec_hook_polynomial,
     indec_inversion_polynomials,
     inversions,
 )
@@ -95,12 +94,11 @@ def ideal_count_formula(n: int, budget: int = DEFAULT_BUDGET) -> LaurentPoly:
 
 
 def ideal_count_hook_formula(n: int, budget: int = DEFAULT_BUDGET) -> LaurentPoly:
-    """(q-1)^(n+1) * sum of q^(hook(theta) - (n+1)) over indecomposable
-    theta of size n+1; an independent route to the same polynomial.  It
+    """The point count of ``cell_decomposition``: (q-1)^(n+1) times the
+    sum of q^d over its cells, an independent route to the census.  It
     walks S_(n+1), so it is charged (n+1)! permutations."""
-    _require_codim(n)
-    charge(n + 1, factorial, budget, f"{n + 1}! permutations")
-    return (Q - ONE) ** (n + 1) * indec_hook_polynomial(n + 1).shift(-(n + 1))
+    dims = Counter(d for _, d in cell_decomposition(n, budget))
+    return (Q - ONE) ** (n + 1) * LaurentPoly(dims)
 
 
 @dataclass(frozen=True)
@@ -358,35 +356,13 @@ def cross_check(results: dict, q: int | None) -> Iterator[tuple[Route, str | Non
 # -- cell decomposition ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cell:
-    theta: Perm
-    torus_rank: int
-    affine_dim: int
-
-
-@dataclass(frozen=True)
-class CellDecomposition:
-    n: int
-    cells: tuple[Cell, ...]
-
-    def total_poly(self) -> LaurentPoly:
-        """Sum of (q-1)^torus_rank * q^affine_dim over the cells, with one
-        power of (q-1) per torus rank."""
-        dims: dict[int, Counter[int]] = {}
-        for c in self.cells:
-            dims.setdefault(c.torus_rank, Counter())[c.affine_dim] += 1
-        return sum(((Q - ONE) ** rank * LaurentPoly(counts)
-                    for rank, counts in dims.items()), LaurentPoly())
-
-
-def cell_decomposition(n: int, budget: int = DEFAULT_BUDGET) -> CellDecomposition:
-    """One cell (F_q*)^(n+1) x F_q^((n+1)(n-2)/2 + inv(theta)) per
-    indecomposable theta of size n+1, in lexicographic order.  It walks
-    S_(n+1), so it is charged (n+1)! permutations."""
+def cell_decomposition(n: int, budget: int = DEFAULT_BUDGET) -> Iterator[tuple[Perm, int]]:
+    """The census as cells (F_q*)^(n+1) x F_q^d, one (theta, d) per
+    indecomposable theta of size n+1, in lexicographic order, with
+    d = hook(theta) - (n+1) = (n+1)(n-2)/2 + inv(theta).  The (n+1)!
+    permutations it walks are charged when it is called, before the
+    first cell; the cells are then made as they are drawn."""
     _require_codim(n)
     charge(n + 1, factorial, budget, f"{n + 1}! permutations")
     base = (n + 1) * (n - 2) // 2
-    cells = tuple(Cell(theta, n + 1, base + inversions(theta))
-                  for theta in enumerate_indecomposables(n + 1))
-    return CellDecomposition(n, cells)
+    return ((theta, base + inversions(theta)) for theta in enumerate_indecomposables(n + 1))

@@ -258,14 +258,6 @@ def indec_inversion_polynomials(m: int, budget: int = DEFAULT_BUDGET) -> list[La
     return polys
 
 
-def indec_hook_polynomial(m: int) -> LaurentPoly:
-    """Sum of q**hook over indecomposables; equals the inversion
-    polynomial shifted by C(m,2)."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    return LaurentPoly((hook_number(s), 1) for s in enumerate_indecomposables(m))
-
-
 def inversion_distribution(n: int) -> LaurentPoly:
     """Sum of q**inv over all of S_n (equals the q-factorial)."""
     return LaurentPoly((inversions(s), 1) for s in enumerate_permutations(n))

@@ -646,6 +646,17 @@ def test_export_builds_only_the_requested_format(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["n"] == 2
 
 
+def test_csv_rows_are_written_as_they_are_made(capsys, monkeypatch):
+    def one_row_then_fail(args):
+        yield ["231", 3, 2]
+        raise RuntimeError("the second row")
+
+    monkeypatch.setitem(cli.EXPORTS, "cells", (cli.EXPORTS["cells"][0], one_row_then_fail))
+    with pytest.raises(RuntimeError):
+        cli.main(["export", "--object", "cells", "--n", "2", "--format", "csv", "--no-header"])
+    assert capsys.readouterr().out == "theta,torus_rank,affine_dim\n231,3,2\n"
+
+
 def test_export_help_documents_csv_columns(capsys):
     code, out, _ = run(capsys, "export", "--help")
     assert code == 0
@@ -684,11 +695,12 @@ def test_export_congruences_budget(capsys):
     assert code == 0
     assert len(json.loads(out)["subgroups"]) == 71
     for obj in ("congruences", "subgroups"):
-        code, out, err = run(capsys, "export", "--object", obj, "--n", "4",
-                             "--budget", "70")
-        assert code == 3
-        assert out == ""
-        assert "budget" in err
+        for fmt in ("json", "csv"):  # CSV rows stream, but not before the charge
+            code, out, err = run(capsys, "export", "--object", obj, "--n", "4",
+                                 "--budget", "70", "--format", fmt)
+            assert code == 3
+            assert out == ""
+            assert "budget" in err
     start = time.perf_counter()
     code, out, _ = run(capsys, "export", "--object", "congruences", "--n", "12")
     assert (code, out) == (3, "")

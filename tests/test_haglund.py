@@ -5,7 +5,6 @@ import pytest
 from idealcensus.haglund import (
     check_partition,
     constrained_permutations,
-    haglund_hook_sum,
     haglund_product,
     partitions_bounded,
 )
@@ -77,12 +76,6 @@ def test_constrained_permutations_order_is_the_backtracking(n):
 
 def test_constrained_permutations_reach_past_the_recursion_limit():
     assert next(constrained_permutations(range(1, 1201))) == tuple(range(1, 1201))
-
-
-@pytest.mark.parametrize("n", range(1, 5))
-def test_product_equals_hook_sum(n):
-    for parts in partitions_bounded(n):
-        assert haglund_product(parts) == haglund_hook_sum(parts)
 
 
 def test_partitions_bounded():

@@ -17,7 +17,6 @@ from idealcensus.permstat import (
     enumerate_permutations,
     hook_number,
     hook_union_size,
-    indec_hook_polynomial,
     indec_inversion_polynomial,
     indec_inversion_polynomials,
     recursion_cost,
@@ -34,6 +33,7 @@ from idealcensus.permstat import (
     strip_lr_maxima,
 )
 from idealcensus.congruence import hall_count
+from idealcensus.ideals import cell_decomposition
 from idealcensus.linfq import DEFAULT_BUDGET, TooLarge
 from idealcensus.qpoly import LaurentPoly, q_factorial
 
@@ -140,10 +140,12 @@ def test_recursion_rejects_empty_size():
         indec_inversion_polynomials(0)
 
 
-@pytest.mark.parametrize("m", range(1, 7))
-def test_hook_polynomial_is_shifted_inversion_polynomial(m):
-    assert indec_hook_polynomial(m) == \
-        indec_inversion_polynomial(m).shift(comb(m, 2))
+@pytest.mark.parametrize("n", range(1, 6))
+def test_cell_dimension_is_hook_less_size(n):
+    cells = list(cell_decomposition(n))
+    assert [theta for theta, _ in cells] == list(enumerate_indecomposables(n + 1))
+    for theta, d in cells:
+        assert d == (n + 1) * (n - 2) // 2 + inversions(theta) == hook_union_size(theta) - (n + 1)
 
 
 def test_factorization_roundtrip():
