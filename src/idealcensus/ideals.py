@@ -24,8 +24,8 @@ read it, so a new route is one row and its function:
   (q-1)^k * q^(free cells) * staircase count;
 * ``bruteforce`` (``ideal_count_brute_force``): at q = p, the
   coefficient assignments whose two action matrices over F_p are
-  invertible, one letter at a time, as the joint walk
-  ``count_invertible_pairs`` witnesses.
+  invertible, one letter at a time: each slot is one cell of one
+  matrix, so the count is the product of the two letters' counts.
 
 Brute force walks the trees with the word-level ``signature`` and
 ``tree_stats``, so it stays independent of the tree route's records.
@@ -41,8 +41,9 @@ from math import comb, factorial
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .haglund import haglund_product
-from .linfq import (DEFAULT_BUDGET, FqMatrix, _full_rank, charge, check_prime,
-                    count_invertible_rows, enumerate_matrices)
+from .linfq import (DEFAULT_BUDGET, FqMatrix, charge, check_prime,
+                    count_invertible_rows)
+from .linfq import _full_rank  # noqa: F401  re-exported; perfbench traces it here
 from .permstat import (
     Perm,
     enumerate_indecomposables,
@@ -262,35 +263,6 @@ def count_invertible_a_actions(tree: CodeTree, p: int,
 def count_invertible_b_actions(tree: CodeTree, p: int,
                                budget: int = DEFAULT_BUDGET) -> int:
     return count_invertible_rows(action_rows(tree)["b"], p, budget)
-
-
-def count_invertible_pairs(tree: CodeTree, p: int,
-                           budget: int = DEFAULT_BUDGET) -> int:
-    """Walk every assignment of the slots of both letters and count those
-    whose two action matrices are both invertible: for each invertible
-    matrix of the a-stream (``linfq.enumerate_matrices`` over the
-    a-rows), count the invertible matrices of a fresh b-stream.  It never
-    uses the per-letter counts, so it witnesses that the census may
-    multiply them.  The p**(a slots + b slots) joint assignments are
-    charged before either stream starts.
-
-    Each b-stream repeats the one before, so the rank test is cached by
-    matrix entries in a dict that lives for this one call: at most
-    p**(a slots) + p**(b slots) eliminations."""
-    check_prime(p)
-    rows = action_rows(tree)
-    cells = sum(len(free) for family in rows.values() for _, free in family)
-    charge(cells, lambda k: p ** k, budget, f"{p}**{cells} assignments")
-    full_rank: dict[tuple[tuple[int, ...], ...], bool] = {}
-
-    def invertible(m: FqMatrix) -> bool:
-        ok = full_rank.get(m.entries)
-        if ok is None:
-            ok = full_rank[m.entries] = _full_rank([list(r) for r in m.entries], m.rows, p)
-        return ok
-
-    return sum(sum(map(invertible, enumerate_matrices(rows["b"], p, budget)))
-               for a in enumerate_matrices(rows["a"], p, budget) if invertible(a))
 
 
 def ideal_count_brute_force(n: int, p: int,

@@ -15,8 +15,8 @@ its own span.  Nothing is reused from one node to another, and no count
 is ever multiplied out from a formula.
 ``enumerate_matrices`` walks every assignment of the free cells with
 ``itertools.product`` and stays the reference: the tests compare the
-counts against it, and ``ideals.count_invertible_pairs`` walks the two
-letters' matrices through it.
+counts against it, and ``checks.per_tree_action_counts`` filters each
+letter's matrices through ``is_invertible`` for every small tree.
 
 ``charge`` is the one budget gate of the package: every enumerating
 route, here and in ``ideals`` and ``congruence``, calls it with the size

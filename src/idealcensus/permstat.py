@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect
 from math import comb
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .linfq import DEFAULT_BUDGET, charge
 from .qpoly import LaurentPoly, ONE, ZERO, geometric

@@ -19,7 +19,7 @@ need: multiplication and inversion of a series with constant term 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 
 class EvalAtZero(ZeroDivisionError):

@@ -14,7 +14,7 @@ ENTRIES = {f"{suite}: {label}": fn for suite, entries in SUITES.items()
 
 def test_table_shape():
     assert list(SUITES) == ["permstat", "words", "congruence", "haglund", "ideals"]
-    assert len(ENTRIES) == 33
+    assert len(ENTRIES) == 32
 
 
 @pytest.mark.parametrize("label", ENTRIES)
@@ -57,6 +57,27 @@ def test_permutation_walks_charge_the_configured_budget(label):
     ok, detail, _, _ = run_check(ENTRIES[label], CheckConfig(max_n=2, budget=6))
     assert not ok
     assert "TooLarge" in detail
+
+
+def test_per_tree_witness_is_charged_per_letter():
+    # at n <= 3 a letter has at most 9 slots, a tree at most 12 in all
+    cfg = CheckConfig(max_n=3, primes=(2,), budget=2 ** 9)
+    assert run_check(checks.check_per_tree_counts, cfg)[:3] == (True, "runs at p <= 3 only", 8)
+    ok, detail, _, _ = run_check(checks.check_per_tree_counts,
+                                 CheckConfig(max_n=3, primes=(2,), budget=2 ** 9 - 1))
+    assert not ok and detail.startswith("raised TooLarge")
+
+
+def test_per_tree_witness_walks_the_reference_stream(monkeypatch):
+    # each letter's stream, short of its last matrix: the walked count is
+    # one short wherever that matrix is invertible, as on the edge tree
+    real = checks.linfq.enumerate_matrices
+    monkeypatch.setattr(checks.linfq, "enumerate_matrices",
+                        lambda rows, p, budget: list(real(rows, p, budget))[:-1])
+    ok, detail, _, _ = run_check(checks.check_per_tree_counts,
+                                 CheckConfig(max_n=1, primes=(2,)))
+    assert not ok
+    assert detail == "{a, b} at p=2"
 
 
 def test_hook_routes_need_the_inversion_count(monkeypatch):

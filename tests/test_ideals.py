@@ -21,7 +21,6 @@ from idealcensus.ideals import (
     cell_decomposition,
     count_invertible_a_actions,
     count_invertible_b_actions,
-    count_invertible_pairs,
     ideal_count_brute_force,
     ideal_count_by_trees,
     ideal_count_formula,
@@ -225,7 +224,6 @@ def test_edge_tree_counts():
     for p in (2, 3, 5):
         assert count_invertible_a_actions(EDGE, p) == p - 1
         assert count_invertible_b_actions(EDGE, p) == p - 1
-        assert count_invertible_pairs(EDGE, p) == (p - 1) ** 2
 
 
 # 3 internal nodes; 6 slots in the a-action and 3 in the b-action
@@ -233,48 +231,15 @@ FAN = CodeTree.from_leaves(["a", "ba", "bba", "bbb"])
 
 
 def test_joint_walk_matches_an_uncached_walk():
+    # every assignment of both letters' slots, in slot order, against the
+    # product of the letter counts
     p = 3
+    assert ideals.letter_slots(FAN) == (6, 3)
     walk = sum(all(is_invertible(m) for m in build_action_matrices(
                    CoefficientAssignment(FAN, p, values)))
                for values in product(range(p), repeat=len(assignment_slots(FAN))))
-    assert count_invertible_pairs(FAN, p) == walk == 3888
-
-
-def test_joint_walk_caches_rank_tests_within_one_call(monkeypatch):
-    p = 3
-    calls = []
-    real = ideals._full_rank
-
-    def counted(rows, n, p):
-        calls.append(1)
-        return real(rows, n, p)
-
-    monkeypatch.setattr(ideals, "_full_rank", counted)
-    a_slots, b_slots = ideals.letter_slots(FAN)
-    assert (a_slots, b_slots) == (6, 3)
-    first = count_invertible_pairs(FAN, p)
-    made = len(calls)
-    assert 0 < made <= p ** a_slots + p ** b_slots
-    # a second call starts from an empty cache and makes as many tests
-    assert count_invertible_pairs(FAN, p) == first
-    assert len(calls) == 2 * made
-
-
-def test_joint_walk_reads_the_reference_streams(monkeypatch):
-    # one a-stream, then one b-stream per invertible a-matrix
-    streams = []
-    real = ideals.enumerate_matrices
-
-    def recorded(rows, p, budget):
-        streams.append(rows)
-        return real(rows, p, budget)
-
-    monkeypatch.setattr(ideals, "enumerate_matrices", recorded)
-    rows = ideals.action_rows(FAN)
-    count = count_invertible_pairs(FAN, 2)
-    a_invertible = count_invertible_a_actions(FAN, 2)
-    assert streams == [rows["a"]] + [rows["b"]] * a_invertible
-    assert count == a_invertible * count_invertible_b_actions(FAN, 2)
+    assert walk == (count_invertible_a_actions(FAN, p)
+                    * count_invertible_b_actions(FAN, p)) == 3888
 
 
 def test_example_tree_action_legs():
@@ -346,9 +311,6 @@ def test_one_action_layout_per_count(monkeypatch):
         return real(tree)
 
     monkeypatch.setattr(ideals, "action_rows", counted)
-    count_invertible_pairs(FAN, 2)
-    assert calls == [FAN]
-    calls.clear()
     ideals.ideal_count_brute_force(3, 2)
     # one per letter's count in each of the Catalan(3) trees
     assert len(calls) == 2 * ideals.catalan(3)

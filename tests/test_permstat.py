@@ -10,7 +10,6 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from idealcensus.checks import hook_strip_identity, series_identity
 from idealcensus.permstat import (
     DuplicateLetters,
     enumerate_indecomposables,
@@ -198,16 +197,7 @@ def test_standardize_fixed_points_are_permutations(word):
     assert standardize(s) == s
 
 
-@pytest.mark.parametrize("n", range(7))
-def test_hook_strip_identity(n):
-    assert [s for s, ok in hook_strip_identity(n, n) if not ok] == []
-
-
 @pytest.mark.parametrize("n", range(6))
 def test_inversion_distribution_is_q_factorial(n):
     assert inversion_distribution(n) == q_factorial(n)
     assert inversion_distribution(n).evaluate(1) == factorial(n)
-
-
-def test_series_identity_small():
-    assert [k for k, ok in series_identity(6) if not ok] == []
