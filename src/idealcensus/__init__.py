@@ -64,9 +64,9 @@ from .linfq import (
 )
 from .haglund import haglund_hook_sum, haglund_product
 from .ideals import (
+    Census,
     CodimensionZero,
     CoefficientAssignment,
-    IdealCountReport,
     build_action_matrices,
     cell_decomposition,
     ideal_count_brute_force,

@@ -17,7 +17,10 @@ header, which --no-header suppresses.  ``count`` and ``export`` build
 their result in the requested format only and hand it to one writer,
 ``output``, which adds the header and serializes it chunk by chunk
 into ``emit``; ``EXPORTS`` lists export's objects once, with their CSV
-columns, as ``ideals.ROUTES`` lists count's routes.  The checks that
+columns, as ``ideals.ROUTES`` lists count's routes.  Every route returns
+an ``ideals.Census``, rendered by one function per format:
+``census_json`` (count and export), ``census_lines`` (count) and
+``census_csv_rows`` (export).  The checks that
 verify runs live in ``checks.SUITES``; verify prints each as ``[ ok ]``,
 ``[FAIL]``, or ``[skip]`` when it checked no case at the given bounds
 and primes, followed by the reason the check gives, if any.
@@ -47,7 +50,7 @@ from .congruence import (
     subgroup_generators,
     to_indecomposable,
 )
-from .ideals import IdealCountReport
+from .ideals import Census, Route
 from .linfq import DEFAULT_BUDGET, TooLarge
 from .permstat import parse_permutation, permutation_str
 from .qpoly import LaurentPoly
@@ -71,28 +74,35 @@ def factored_census_str(n: int, core: LaurentPoly) -> str:
     return " * ".join(pieces)
 
 
-def report_json(report: IdealCountReport) -> dict:
+def census_json(n: int, route: Route, q: int | None, census: Census) -> dict:
     # trees share contributions: one term list per distinct value
     contrib = cache(lambda value: value if isinstance(value, int) else poly_terms(value))
-    out: dict = {"n": report.n, "method": report.method}
-    if report.q is not None:
-        out["q"] = report.q
-    out["total"] = contrib(report.total)
-    out["trees"] = [{
-        "signature": {"ranks": list(e.sig.ranks), "lengths": list(e.sig.lengths)},
-        "k": e.a_count,
-        "N": e.a_cells,
-        "M": e.b_cells,
-        "lambda": list(e.partition),
-        "contribution": contrib(e.contribution),
-    } for e in report.entries]
+    out: dict = {"n": n, "method": route.name}
+    if route.needs_q:
+        out["q"] = q
+    out["total"] = contrib(census.total)
+    if census.indec is not None:
+        out["factored"] = factored_census_str(n, census.indec)
+    if route.per_tree:
+        out["trees"] = [{
+            "signature": {"ranks": list(e.sig.ranks), "lengths": list(e.sig.lengths)},
+            "k": e.a_count,
+            "N": e.a_cells,
+            "M": e.b_cells,
+            "lambda": list(e.partition),
+            "contribution": contrib(e.contribution),
+        } for e in census.entries]
     return out
 
 
-def report_text_lines(report: IdealCountReport) -> list[str]:
+def census_lines(n: int, route: Route, q: int | None, census: Census) -> list[str]:
+    tag = f" at q={q}" if route.needs_q else ""
+    lines = [f"codim {n} census{tag}, {route.name} route"]
+    if census.indec is not None:
+        lines.append(f"factored: {factored_census_str(n, census.indec)}")
+    lines.append(f"{'total' if route.per_tree else 'expanded'}: {census.total}")
     text = cache(str)  # trees share contributions: render each value once
-    lines = [f"total: {report.total}"]
-    for i, e in enumerate(report.entries, start=1):
+    for i, e in enumerate(census.entries, start=1):
         lines.append(
             f"tree {i}: ranks={list(e.sig.ranks)} lengths={list(e.sig.lengths)}"
             f" k={e.a_count} N={e.a_cells} M={e.b_cells}"
@@ -100,9 +110,9 @@ def report_text_lines(report: IdealCountReport) -> list[str]:
     return lines
 
 
-def report_csv_rows(report: IdealCountReport) -> Iterator[list]:
+def census_csv_rows(census: Census) -> Iterator[list]:
     text = cache(str)  # trees share contributions: render each value once
-    for e in report.entries:
+    for e in census.entries:
         yield [" ".join(map(str, e.sig.ranks)), " ".join(map(str, e.sig.lengths)),
                e.a_count, e.a_cells, e.b_cells, " ".join(map(str, e.partition)),
                text(e.contribution)]
@@ -182,26 +192,14 @@ def cmd_count(args) -> int:
     census = results[route]
     at_q = q is not None and not route.needs_q  # a polynomial is evaluated at --q
     if args.format == "json":
-        if route.per_tree:
-            body = report_json(census)
-        else:
-            body = {"n": n, "method": route.name, "total": poly_terms(census.total)}
-            if census.indec is not None:
-                body["factored"] = factored_census_str(n, census.indec)
+        body = census_json(n, route, q, census)
         if at_q:
             body.update(q=q, value_at_q=census.total.evaluate(q))
         if args.cross_check:
             body["cross_check"] = "ok"
         return output(args, body)
 
-    tag = f" at q={q}" if route.needs_q else ""
-    lines = [f"codim {n} census{tag}, {route.name} route"]
-    if route.per_tree:
-        lines += report_text_lines(census)
-    else:
-        if census.indec is not None:
-            lines.append(f"factored: {factored_census_str(n, census.indec)}")
-        lines.append(f"expanded: {census.total}")
+    lines = census_lines(n, route, q, census)
     if at_q:
         lines.append(f"value at q={q}: {census.total.evaluate(q)}")
     if args.cross_check:
@@ -306,8 +304,9 @@ def export_indec_polys(args):
 def export_ideal_census(args):
     route = next(r for r in ideals.ROUTES.values()
                  if r.per_tree and r.needs_q == (args.q is not None))
-    report = route.run(args.n, args.q, args.budget)
-    return report_json(report) if args.format == "json" else report_csv_rows(report)
+    census = route.run(args.n, args.q, args.budget)
+    return (census_json(args.n, route, args.q, census) if args.format == "json"
+            else census_csv_rows(census))
 
 
 def export_cells(args):

@@ -10,8 +10,10 @@ ideal data is admissible exactly when both actions are invertible.
 
 The routes are one table, ``ROUTES``: a ``Route`` row holds the name,
 the function ``(n, q, budget)``, whether it needs q, and the label of a
-mismatch.  ``count``, ``export --object ideal-census`` and ``checks``
-read it, so a new route is one row and its function:
+mismatch.  Every route returns one value, a ``Census``: its total, the
+per-tree entries of a tree route, and the formula route's P_(n+1).
+``count``, ``export --object ideal-census`` and ``checks`` read the
+table, so a new route is one row and its function:
 
 * ``hook`` (``ideal_count_hook_formula``): the point count of
   ``cell_decomposition``, the census as cells (F_q*)^(n+1) x F_q^d, one
@@ -36,7 +38,7 @@ as ``cell_decomposition`` does when it is called, before its first cell.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
@@ -73,20 +75,36 @@ def catalan(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class PolyCensus:
-    """A census polynomial ``total``, with the formula route's P_(n+1)."""
+class TreeEntry:
+    """Per-tree line of a census."""
 
-    total: LaurentPoly
+    sig: TreeSignature
+    a_count: int
+    a_cells: int
+    b_cells: int
+    partition: tuple[int, ...]
+    contribution: Contribution
+
+
+@dataclass(frozen=True)
+class Census:
+    """What every route returns: the census ``total``, a polynomial in q
+    or its value at a prime q; one entry per code tree, in
+    ``enumerate_trees`` order, from a tree route; and the formula
+    route's P_(n+1)."""
+
+    total: Contribution
+    entries: tuple[TreeEntry, ...] = ()
     indec: LaurentPoly | None = None
 
 
-def formula_census(n: int, budget: int = DEFAULT_BUDGET) -> PolyCensus:
+def formula_census(n: int, budget: int = DEFAULT_BUDGET) -> Census:
     """(q-1)^(n+1) * q^((n+1)(n-2)/2) * P_(n+1), an ordinary polynomial,
     with P_(n+1) from the inverse-series recursion, which is charged its
     coefficient products, ``permstat.recursion_cost(n + 1)``."""
     _require_codim(n)
     indec = indec_inversion_polynomials(n + 1, budget)[-1]
-    return PolyCensus((Q - ONE) ** (n + 1) * indec.shift((n + 1) * (n - 2) // 2), indec)
+    return Census((Q - ONE) ** (n + 1) * indec.shift((n + 1) * (n - 2) // 2), indec=indec)
 
 
 def ideal_count_formula(n: int, budget: int = DEFAULT_BUDGET) -> LaurentPoly:
@@ -102,37 +120,6 @@ def ideal_count_hook_formula(n: int, budget: int = DEFAULT_BUDGET) -> LaurentPol
     return (Q - ONE) ** (n + 1) * LaurentPoly(dims)
 
 
-@dataclass(frozen=True)
-class TreeEntry:
-    """Per-tree line of a census report."""
-
-    sig: TreeSignature
-    a_count: int
-    a_cells: int
-    b_cells: int
-    partition: tuple[int, ...]
-    contribution: Contribution
-
-
-@dataclass(frozen=True)
-class IdealCountReport:
-    """Per-tree breakdown of a census; ``total`` is derived, the sum of
-    the entries' contributions."""
-
-    n: int
-    method: str
-    q: int | None
-    entries: tuple[TreeEntry, ...]
-    total: Contribution = field(init=False)
-
-    def __post_init__(self):
-        # trees share contributions, so each distinct one is added once,
-        # times the number of entries that hold it
-        counts = Counter(e.contribution for e in self.entries)
-        object.__setattr__(self, "total",
-                           sum((value * m for value, m in counts.items()), 0))
-
-
 def tree_contribution(tree: CodeTree) -> Contribution:
     """(q-1)^k * q^(a_cells + b_cells) * staircase count of the tree."""
     st = tree_stats(tree)
@@ -140,20 +127,22 @@ def tree_contribution(tree: CodeTree) -> Contribution:
             * haglund_product(st.partition).shift(st.a_cells + st.b_cells))
 
 
-def _tree_census(n: int, method: str, q: int | None, budget: int,
+def _tree_census(n: int, budget: int,
                  records: Iterable[tuple[TreeSignature, TreeStats, Contribution]]
-                 ) -> IdealCountReport:
-    """The report both tree routes build: Catalan(n) trees are charged
+                 ) -> Census:
+    """The census both tree routes build: Catalan(n) trees are charged
     against ``budget`` before the first record is drawn, then each
     (signature, stats, contribution) record, in ``enumerate_trees``
-    order, becomes one entry."""
+    order, becomes one entry.  Trees share contributions, so the total
+    adds each distinct one once, times the number of entries that hold it."""
     charge(n, catalan, budget, f"Catalan({n}) trees")
-    return IdealCountReport(n, method, q, tuple(
-        TreeEntry(sig, st.a_count, st.a_cells, st.b_cells, st.partition, value)
-        for sig, st, value in records))
+    entries = tuple(TreeEntry(sig, st.a_count, st.a_cells, st.b_cells, st.partition, value)
+                    for sig, st, value in records)
+    counts = Counter(e.contribution for e in entries)
+    return Census(sum((value * m for value, m in counts.items()), 0), entries)
 
 
-def ideal_count_by_trees(n: int, budget: int = DEFAULT_BUDGET) -> IdealCountReport:
+def ideal_count_by_trees(n: int, budget: int = DEFAULT_BUDGET) -> Census:
     """One entry per code tree, in ``enumerate_trees`` order, from the
     composed records of ``words.tree_records``.  Trees with the same key
     (k, a_cells + b_cells, partition) share one immutable contribution,
@@ -178,8 +167,7 @@ def ideal_count_by_trees(n: int, budget: int = DEFAULT_BUDGET) -> IdealCountRepo
             contributions[key] = factors[lam].shift(cells)
         return contributions[key]
 
-    return _tree_census(n, "structural", None, budget,
-                        ((sig, st, value(st)) for sig, st in tree_records(n)))
+    return _tree_census(n, budget, ((sig, st, value(st)) for sig, st in tree_records(n)))
 
 
 # -- explicit ideal data over a fixed prime field -------------------------
@@ -266,7 +254,7 @@ def count_invertible_b_actions(tree: CodeTree, p: int,
 
 
 def ideal_count_brute_force(n: int, p: int,
-                            budget: int = DEFAULT_BUDGET) -> IdealCountReport:
+                            budget: int = DEFAULT_BUDGET) -> Census:
     """Exhaustive census at q = p, one entry per code tree in
     ``enumerate_trees`` order: the coefficient assignments with both
     action matrices invertible.  Each slot touches one cell of one
@@ -276,7 +264,7 @@ def ideal_count_brute_force(n: int, p: int,
     _require_codim(n)
     check_prime(p)
     charge(n * n, lambda k: p ** k, budget, f"{p}**{n * n} matrices per letter")
-    return _tree_census(n, "bruteforce", p, budget, (
+    return _tree_census(n, budget, (
         (signature(tree), tree_stats(tree),
          count_invertible_a_actions(tree, p, budget)
          * count_invertible_b_actions(tree, p, budget))
@@ -288,13 +276,14 @@ def ideal_count_brute_force(n: int, p: int,
 
 @dataclass(frozen=True)
 class Route:
-    """``run(n, q, budget)`` returns a census whose ``total`` is a polynomial
-    in q (at q if ``needs_q``): an ``IdealCountReport`` if ``per_tree``,
-    else a ``PolyCensus``.  A ``witness_only`` route is no ``count --method``."""
+    """``run(n, q, budget)`` returns a ``Census`` whose ``total`` is a
+    polynomial in q (its value at q if ``needs_q``), with one entry per
+    tree if ``per_tree`` and none otherwise.  A ``witness_only`` route is
+    no ``count --method``."""
 
     name: str
     label: str
-    run: Callable[[int, int | None, int], PolyCensus | IdealCountReport]
+    run: Callable[[int, int | None, int], Census]
     needs_q: bool = False
     per_tree: bool = False
     witness_only: bool = False
@@ -302,7 +291,7 @@ class Route:
 
 # each row looks its function up when it runs: a rebinding of ideals.<f> reaches it
 ROUTES: dict[str, Route] = {route.name: route for route in (
-    Route("hook", "hook route", lambda n, q, budget: PolyCensus(
+    Route("hook", "hook route", lambda n, q, budget: Census(
         ideal_count_hook_formula(n, budget)), witness_only=True),
     Route("formula", "formula", lambda n, q, budget: formula_census(n, budget)),
     Route("structural", "structural route",

@@ -211,20 +211,17 @@ class CodeTree:
         for c1, c2 in zip(leaves, leaves[1:]):
             if c2.startswith(c1):
                 raise ValueError(f"not prefix-free: {c1!r} < {c2!r}")
-        node_set = set(leaves)
-        prefix_set: set[str] = set()
-        for w in leaves:
-            for i in range(len(w)):
-                prefix_set.add(w[:i])
-        node_set |= prefix_set
-        for p in prefix_set:
-            if p + "a" not in node_set or p + "b" not in node_set:
+        tree = cls._trusted(leaves)
+        nodes = set(leaves).union(tree.prefixes)
+        for p in tree.prefixes:
+            if p + "a" not in nodes or p + "b" not in nodes:
                 raise ValueError(f"not maximal: node {word_str(p)} lacks a child")
-        return cls(leaves, tuple(sorted(prefix_set)))
+        return tree
 
     @classmethod
     def _trusted(cls, leaves: tuple[str, ...]) -> "CodeTree":
-        # leaves already sorted and known valid (enumeration, reconstruction)
+        # leaves already sorted and known valid (enumeration, reconstruction),
+        # or sorted and prefix-free, with maximality still to check (from_leaves)
         prefix_set: set[str] = set()
         for w in leaves:
             for i in range(len(w)):

@@ -23,7 +23,7 @@ import idealcensus.congruence as congruence
 import idealcensus.ideals as ideals
 import idealcensus.permstat as permstat
 import idealcensus.words as words
-from idealcensus.ideals import IdealCountReport, TreeEntry
+from idealcensus.ideals import Census, TreeEntry
 from idealcensus.qpoly import LaurentPoly
 from idealcensus.words import TreeSignature
 
@@ -197,13 +197,14 @@ def test_each_distinct_contribution_is_rendered_once(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(LaurentPoly, "__str__", counted)
-    cli.report_text_lines(report)
+    route = ideals.ROUTES["structural"]
+    cli.census_lines(6, route, None, report)
     assert len(calls) == distinct + 1  # and the total
     calls.clear()
-    list(cli.report_csv_rows(report))
+    list(cli.census_csv_rows(report))
     assert len(calls) == distinct
     # JSON shares one term list per distinct contribution
-    trees = cli.report_json(report)["trees"]
+    trees = cli.census_json(6, route, None, report)["trees"]
     assert len({id(t["contribution"]) for t in trees}) == distinct
 
 
@@ -239,7 +240,7 @@ def test_count_cross_check_mismatch(capsys, monkeypatch):
 
 def test_count_routes_come_from_the_table(capsys, monkeypatch):
     toy = ideals.Route("toy", "toy route",
-                       lambda n, q, budget: ideals.PolyCensus(LaurentPoly({0: 1})))
+                       lambda n, q, budget: ideals.Census(LaurentPoly({0: 1})))
     monkeypatch.setitem(ideals.ROUTES, "toy", toy)
     code, out, _ = run(capsys, "count", "--help")
     assert code == 0 and "--method {formula,structural,bruteforce,toy}" in out
@@ -266,6 +267,16 @@ def test_cli_names_no_route():
                 if isinstance(node, ast.Constant) and node.value in names]
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.Compare)
                 and ast.unparse(node.left) == "args.method"]
+
+
+def test_only_the_census_writers_read_per_tree():
+    # a new route cannot bring back a per-route branch in cmd_count
+    readers = {getattr(top, "name", None)
+               for top in ast.parse(Path(cli.__file__).read_text()).body
+               for node in ast.walk(top)
+               if isinstance(node, ast.Attribute) and node.attr == "per_tree"
+               or isinstance(node, ast.Name) and node.id == "per_tree"}
+    assert readers <= {"census_json", "census_lines", "export_ideal_census"}
 
 
 def test_count_out_file(tmp_path, capsys):
@@ -379,6 +390,21 @@ def test_bijection_file_rejects_overlong_word(tmp_path, capsys):
         assert code == 2
         assert "longer than 1000 letters" in err
         assert "'a^" in err
+
+
+def test_non_maximal_file_names_the_same_node_under_every_hash_seed(tmp_path):
+    # the nodes are checked in sorted order, not in the order of a set
+    source = tmp_path / "non_maximal.txt"
+    source.write_text("aa -> 1\nabb -> 1\nba -> 1\n")
+    for seed in range(1, 7):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "idealcensus.cli", "bijection",
+             "--congruence-file", str(source)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert "not maximal: node ab lacks a child" in proc.stderr, seed
 
 
 def test_bijection_non_regular_file(tmp_path, capsys):
@@ -579,9 +605,9 @@ def test_export_header_breaks_nothing(capsys):
     assert out.splitlines()[0].startswith("# idealcensus")
 
 
-def report_from_json(payload: dict) -> IdealCountReport:
-    """Inverse of ``cli.report_json``; the exported total must be the
-    parsed report's derived total."""
+def report_from_json(payload: dict) -> Census:
+    """Inverse of ``cli.census_json`` for a tree route; the exported total
+    must be the sum of the parsed entries' contributions."""
 
     def uncontrib(value):
         if isinstance(value, int):
@@ -598,9 +624,8 @@ def report_from_json(payload: dict) -> IdealCountReport:
         partition=tuple(t["lambda"]),
         contribution=uncontrib(t["contribution"]),
     ) for t in payload["trees"])
-    report = IdealCountReport(n=payload["n"], method=payload["method"],
-                              q=payload.get("q"), entries=entries)
-    assert uncontrib(payload["total"]) == report.total
+    report = Census(uncontrib(payload["total"]), entries)
+    assert report.total == sum((e.contribution for e in entries), 0)
     return report
 
 
@@ -632,15 +657,15 @@ def test_export_subgroups_builds_each_generator_list_once(capsys, monkeypatch):
 
 
 def test_export_builds_only_the_requested_format(capsys, monkeypatch):
-    def refuse(report):
+    def refuse(*args):
         raise AssertionError("built a format that was not asked for")
 
-    monkeypatch.setattr(cli, "report_json", refuse)
+    monkeypatch.setattr(cli, "census_json", refuse)
     code, out, _ = run(capsys, "export", "--object", "ideal-census", "--n", "2",
                        "--format", "csv", "--no-header")
     assert code == 0 and out.startswith("ranks,lengths,")
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "report_csv_rows", refuse)
+    monkeypatch.setattr(cli, "census_csv_rows", refuse)
     code, out, _ = run(capsys, "export", "--object", "ideal-census", "--n", "2",
                        "--format", "json", "--no-header")
     assert code == 0 and json.loads(out)["n"] == 2

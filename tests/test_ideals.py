@@ -27,7 +27,7 @@ from idealcensus.ideals import (
     ideal_count_hook_formula,
     tree_contribution,
 )
-from idealcensus.linfq import TooLarge, enumerate_matrices, is_invertible
+from idealcensus.linfq import DEFAULT_BUDGET, TooLarge, enumerate_matrices, is_invertible
 from idealcensus.qpoly import LaurentPoly
 from idealcensus.words import CodeTree, enumerate_trees, signature, tree_stats
 
@@ -110,10 +110,20 @@ def test_structural_route_builds_no_word(monkeypatch):
 def test_report_total_is_the_sum_of_its_entries():
     for n in range(1, 9):
         report = ideal_count_by_trees(n)
-        assert report.method == "structural" and report.q is None
         assert report.total == sum((e.contribution for e in report.entries), 0)
     report = ideal_count_brute_force(3, 2)
     assert report.total == sum(e.contribution for e in report.entries)
+
+
+@pytest.mark.parametrize("route", ideals.ROUTES.values(), ids=list(ideals.ROUTES))
+def test_every_route_returns_a_census(route):
+    census = route.run(2, 3 if route.needs_q else None, DEFAULT_BUDGET)
+    assert isinstance(census, ideals.Census)
+    if route.per_tree:
+        assert len(census.entries) == ideals.catalan(2)
+    else:
+        assert census.entries == ()
+    assert (census.indec is not None) == (route.name == "formula")
 
 
 def test_enumerating_routes_charge_the_budget():
@@ -192,7 +202,6 @@ def test_brute_force_census_frozen(n, p, expected):
     report = ideal_count_brute_force(n, p)
     assert report.total == expected
     assert report.total == ideal_count_formula(n).evaluate(p)
-    assert report.method == "bruteforce" and report.q == p
 
 
 def test_brute_force_census_codim_four():
