@@ -122,10 +122,11 @@ def output(args, body) -> int:
     """Write a command's result in ``args.format``: ``body`` is a JSON
     object, CSV rows below the export object's column row, or text
     lines.  Unless --no-header, a version/timestamp header leads: a
-    ``meta`` object in JSON, a ``#`` line otherwise.  JSON and CSV are
-    written as they are encoded, never joined into one string, and CSV
-    rows as they are drawn from ``body``, so a lazy body is never held
-    whole."""
+    ``meta`` object in JSON, a ``#`` line otherwise.  Nothing is joined
+    into one string: JSON is written as it is encoded, and CSV rows and
+    text lines as they are drawn from ``body``, so a lazy body is never
+    held whole, and a stdout closed early fails the write of a later
+    chunk instead of passing one partial write as whole."""
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     if args.format == "json":
         if args.header:
@@ -136,7 +137,7 @@ def output(args, body) -> int:
     if args.format == "csv":
         columns = EXPORTS[args.object][0].split(",")
         return emit(chain(header, csv_lines(chain([columns], body))), args.out)
-    return emit(chain(header, ["\n".join(body) + "\n"]), args.out)
+    return emit(chain(header, (line + "\n" for line in body)), args.out)
 
 
 def csv_lines(rows) -> Iterator[str]:
@@ -486,11 +487,16 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except BrokenPipeError as exc:
         # What is still buffered would fail again in the interpreter's
-        # final flush; point stdout at devnull so it goes nowhere.
+        # final flush; point stdout at devnull so it goes nowhere.  When
+        # stderr shares the closed pipe (2>&1), the message fails the same
+        # way, and stderr goes to devnull too.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        try:
+            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        except OSError:
+            os.dup2(devnull, sys.stderr.fileno())
         os.close(devnull)
-        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         return 7
     except TooLarge as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)

@@ -8,11 +8,10 @@ fixed row with each free column set to every value of F_p.  Its counts
 are one side of a dual check against closed product formulas and must
 stay independent of them: ``count_invertible_rows`` walks the matrices
 row by row and prunes a row as soon as it falls into the span of the
-rows above it.  Every prefix of independent rows is still visited; the
-candidates of one node that span the same subspace share one span set,
-and each node of the last level counts the last-row candidates outside
-its own span.  Nothing is reused from one node to another, and no count
-is ever multiplied out from a formula.
+rows above it.  The candidates of one node that span the same subspace
+share one search of it, and each node of the last level counts the
+last-row candidates outside its own span.  Nothing is reused from one
+node to another, and no count is ever multiplied out from a formula.
 ``enumerate_matrices`` walks every assignment of the free cells with
 ``itertools.product`` and stays the reference: the tests compare the
 counts against it, and ``checks.per_tree_action_counts`` filters each
@@ -191,17 +190,18 @@ def count_invertible_rows(rows: Sequence[tuple[Sequence[int], Sequence[int]]],
 
     A depth-first search picks one row at a time and carries the span of
     the rows picked so far as a set of vectors.  A candidate in that span
-    is pruned with its whole subtree; every other candidate descends into
-    its own subtree.  Candidates v and w of one node with w in
-    span(S, v) \\ S extend its span S to the same subspace, so the node
-    maps each vector of each span it builds to that span and builds it
-    only for a candidate not yet mapped.  On the last row the candidates
-    outside the span are counted by one set difference.  Rows are
-    visited in order of increasing freedom, which does not change whether
-    a matrix is invertible, so the widest row is only tested, never
-    expanded.  The budget bounds p**(free cells), the number of matrices
-    described, and then p**n: a span set holds at most p**(n-1) vectors,
-    and a node's map at most p**n.
+    is pruned with its whole subtree.  Candidates v and w of one node with
+    w in span(S, v) \\ S extend its span S to the same subspace S', and
+    the number of completions below depends on the level and S' alone.
+    So a node searches each S' once, for its first candidate in it, and
+    maps every vector of S' to that subtree count, not to the set S'; a
+    later candidate already mapped adds its count without descending.
+    On the last row the candidates outside the span are counted by one
+    set difference.  Rows are visited in order of increasing freedom,
+    which does not change whether a matrix is invertible, so the widest
+    row is only tested, never expanded.  The budget bounds p**(free
+    cells), the number of matrices described, and then p**n: a span set
+    holds at most p**(n-1) vectors, and a node's map at most p**n.
     """
     m, cells = _check_rows(rows, p)
     n = len(rows)
@@ -217,17 +217,19 @@ def count_invertible_rows(rows: Sequence[tuple[Sequence[int], Sequence[int]]],
     def descend(level: int, span: set[tuple[int, ...]]) -> int:
         if level == len(candidates):
             return len(last - span)
-        # w in span(S, v) \ S spans the same superspace as v: build it once
-        wider: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+        # w in span(S, v) \ S spans the same superspace as v, whose subtree
+        # count depends on that superspace alone: search it once
+        wider: dict[tuple[int, ...], int] = {}
         total = 0
         for v in candidates[level]:
             if v in span:
                 continue
-            extended = wider.get(v)
-            if extended is None:
+            count = wider.get(v)
+            if count is None:
                 extended = _extend_span(span, v, p)
-                wider.update(dict.fromkeys(extended, extended))
-            total += descend(level + 1, extended)
+                count = descend(level + 1, extended)
+                wider.update(dict.fromkeys(extended, count))
+            total += count
         return total
 
     return descend(0, {(0,) * n})

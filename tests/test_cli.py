@@ -34,6 +34,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def child_env(**extra):
+    """The environment of a child process that imports this package."""
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+
+
 # -- count -------------------------------------------------------------------
 
 
@@ -397,12 +403,11 @@ def test_non_maximal_file_names_the_same_node_under_every_hash_seed(tmp_path):
     source = tmp_path / "non_maximal.txt"
     source.write_text("aa -> 1\nabb -> 1\nba -> 1\n")
     for seed in range(1, 7):
-        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=os.pathsep.join(
-            [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
             [sys.executable, "-m", "idealcensus.cli", "bijection",
              "--congruence-file", str(source)],
-            capture_output=True, text=True, env=env, timeout=60)
+            capture_output=True, text=True, env=child_env(PYTHONHASHSEED=str(seed)),
+            timeout=60)
         assert proc.returncode == 2
         assert "not maximal: node ab lacks a child" in proc.stderr, seed
 
@@ -740,20 +745,44 @@ def test_export_unwritable_path(tmp_path, capsys):
     assert "cannot write" in err
 
 
-def test_closed_stdout_exits_7_without_traceback():
-    # about 300 kB of CSV, more than a pipe buffers, so the writer meets the closed pipe
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "idealcensus.cli", "export", "--object", "congruences",
-         "--n", "6", "--format", "csv", "--no-header"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
-    assert proc.stdout.readline() == "index,leading,image\n"
+def close_after_first_line(argv, first, stderr=subprocess.PIPE):
+    """Run the CLI in a child process, read its first stdout line, which
+    must be ``first``, and close stdout; return the process."""
+    proc = subprocess.Popen([sys.executable, "-m", "idealcensus.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=stderr, text=True,
+                            env=child_env())
+    assert proc.stdout.readline() == first
     proc.stdout.close()
+    return proc
+
+
+def assert_one_error_line(proc):
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 7
     assert "Traceback" not in err and "Exception ignored" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_closed_stdout_exits_7_without_traceback():
+    # about 300 kB of CSV, more than a pipe buffers, so the writer meets the closed pipe
+    assert_one_error_line(close_after_first_line(
+        ["export", "--object", "congruences", "--n", "6", "--format", "csv", "--no-header"],
+        "index,leading,image\n"))
+
+
+def test_closed_stdout_after_text_exits_7():
+    # about 330 kB of text, written line by line, so a later line meets the closed pipe
+    assert_one_error_line(close_after_first_line(
+        ["count", "--codim", "8", "--method", "structural", "--no-header"],
+        "codim 8 census, structural route\n"))
+
+
+def test_closed_pipe_with_stderr_merged_exits_7():
+    # 2>&1 | head -1: the error message meets the closed pipe as well
+    proc = close_after_first_line(
+        ["export", "--object", "congruences", "--n", "6", "--format", "csv", "--no-header"],
+        "index,leading,image\n", stderr=subprocess.STDOUT)
+    assert proc.wait(timeout=60) == 7
 
 
 # -- top level ----------------------------------------------------------------

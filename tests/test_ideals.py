@@ -196,7 +196,7 @@ def test_action_matrices_structure():
 
 
 @pytest.mark.parametrize("n,p,expected", [
-    (1, 2, 1), (1, 3, 4), (2, 2, 16), (2, 3, 360), (3, 2, 1088),
+    (1, 2, 1), (1, 3, 4), (2, 2, 16), (2, 3, 360), (3, 2, 1088), (3, 5, 183200000),
 ])
 def test_brute_force_census_frozen(n, p, expected):
     report = ideal_count_brute_force(n, p)

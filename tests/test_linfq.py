@@ -209,9 +209,10 @@ def test_staircase_three_rows_at_five():
 
 
 def test_one_span_per_superspace(monkeypatch):
-    # each node builds one span per subspace its candidates reach: the
-    # 31 lines of F_5^3 at the root, then under each of the 124 nonzero
-    # first rows the 6 planes through its line
+    # each node searches each subspace its candidates reach once: the 31
+    # lines of F_5^3 at the root, then under each line, searched once, the
+    # 6 planes through it (775 = 31 + 124 * 6 when every nonzero first
+    # row searched its line again)
     extend = linfq._extend_span
     built = []
 
@@ -221,7 +222,12 @@ def test_one_span_per_superspace(monkeypatch):
 
     monkeypatch.setattr(linfq, "_extend_span", extend_span)
     assert count_invertible_support((3, 3, 3), 5) == 1488000
-    assert len(built) == 31 + 124 * 6
+    assert len(built) == 31 + 31 * 6
+
+
+def test_staircase_four_rows_at_three():
+    # the full staircase is all of GL_4(F_3)
+    assert count_invertible_support((4, 4, 4, 4), 3) == 24_261_120
 
 
 @pytest.mark.parametrize("p", [2, 3])
