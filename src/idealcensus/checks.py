@@ -252,11 +252,13 @@ def check_leaf_orders_agree(cfg: CheckConfig) -> Cases:
 
 def power_separation(max_len: int) -> Cases:
     """p <= q forces p·a^i < q·b^j for every i >= 0, j >= 1, one case per
-    word pair (p, q) of length at most max_len."""
+    word pair (p, q) of length at most max_len, with i, j <= max_len.
+    In a total order every p·a^i is below every q·b^j exactly when the
+    largest of the first is below the smallest of the second."""
     a_runs = ["a" * i for i in range(max_len + 1)]
     b_runs = ["b" * j for j in range(1, max_len + 1)]
     for p, q in itertools.combinations_with_replacement(sorted(words.all_words(max_len)), 2):
-        yield (p, q), all(p + x < q + y for x in a_runs for y in b_runs)
+        yield (p, q), max(p + x for x in a_runs) < min(q + y for y in b_runs)
 
 
 def class_intervals(max_len: int) -> Cases:

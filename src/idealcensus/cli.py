@@ -123,21 +123,49 @@ def output(args, body) -> int:
     object, CSV rows below the export object's column row, or text
     lines.  Unless --no-header, a version/timestamp header leads: a
     ``meta`` object in JSON, a ``#`` line otherwise.  Nothing is joined
-    into one string: JSON is written as it is encoded, and CSV rows and
-    text lines as they are drawn from ``body``, so a lazy body is never
-    held whole, and a stdout closed early fails the write of a later
-    chunk instead of passing one partial write as whole."""
+    into one string: JSON is written as it is encoded, a lazy list of
+    rows one row at a time (``json_chunks``), and CSV rows and text
+    lines as they are drawn from ``body``, so a lazy body is never held
+    whole, and a stdout closed early fails the write of a later chunk
+    instead of passing one partial write as whole."""
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     if args.format == "json":
         if args.header:
             body = {"meta": {"tool": "idealcensus", "version": __version__,
                              "generated": stamp}, **body}
-        return emit(chain(json.JSONEncoder(indent=2).iterencode(body), ["\n"]), args.out)
+        return emit(json_chunks(body), args.out)
     header = [f"# idealcensus {__version__} generated {stamp}\n"] if args.header else []
     if args.format == "csv":
         columns = EXPORTS[args.object][0].split(",")
         return emit(chain(header, csv_lines(chain([columns], body))), args.out)
     return emit(chain(header, (line + "\n" for line in body)), args.out)
+
+
+def json_chunks(body: dict) -> Iterator[str]:
+    """The bytes of ``json.dumps(body, indent=2)`` and a newline, chunk by
+    chunk.  A value of ``body`` that is an iterator is written as a list,
+    each item as it is drawn, so an export's rows are never held
+    together: ``json`` encodes lists only.  JSON strings hold no raw
+    newline, so indenting each chunk's newlines nests it a level deeper."""
+    encode = json.JSONEncoder(indent=2).iterencode
+
+    def nested(value, depth: int) -> Iterator[str]:
+        return (chunk.replace("\n", "\n" + "  " * depth) for chunk in encode(value))
+
+    sep = "{"
+    for key, value in body.items():
+        yield f"{sep}\n  {json.dumps(key)}: "
+        sep = ","
+        if not isinstance(value, Iterator):
+            yield from nested(value, 1)
+            continue
+        opened = False
+        for item in value:
+            yield ",\n    " if opened else "[\n    "
+            opened = True
+            yield from nested(item, 2)
+        yield "\n  ]" if opened else "[]"
+    yield "\n}\n"
 
 
 def csv_lines(rows) -> Iterator[str]:
@@ -314,8 +342,8 @@ def export_cells(args):
     cells = ((permutation_str(theta), args.n + 1, d)
              for theta, d in ideals.cell_decomposition(args.n, args.budget))
     if args.format == "json":
-        return {"n": args.n, "cells": [{"theta": t, "torus_rank": r, "affine_dim": d}
-                                       for t, r, d in cells]}
+        return {"n": args.n, "cells": ({"theta": t, "torus_rank": r, "affine_dim": d}
+                                       for t, r, d in cells)}
     return cells
 
 
@@ -323,8 +351,8 @@ def export_congruences(args):
     maps = ([(word_str(c), word_str(p)) for c, p in zip(rc.tree.leaves, rc.images)]
             for rc in congruence.enumerate_regular(args.n, args.budget))
     if args.format == "json":
-        return {"n": args.n, "congruences": [{"index": i, "map": dict(m)}
-                                             for i, m in enumerate(maps, start=1)]}
+        return {"n": args.n, "congruences": ({"index": i, "map": dict(m)}
+                                             for i, m in enumerate(maps, start=1))}
     return ([i, c, p] for i, m in enumerate(maps, start=1) for c, p in m)
 
 
@@ -332,8 +360,8 @@ def export_subgroups(args):
     gens = ([group_word_str(g) for g in subgroup_generators(rc)]
             for rc in congruence.enumerate_regular(args.n, args.budget))
     if args.format == "json":
-        return {"n": args.n, "subgroups": [{"index": i, "generators": g}
-                                           for i, g in enumerate(gens, start=1)]}
+        return {"n": args.n, "subgroups": ({"index": i, "generators": g}
+                                           for i, g in enumerate(gens, start=1))}
     return ([i, w] for i, g in enumerate(gens, start=1) for w in g)
 
 

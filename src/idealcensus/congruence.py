@@ -102,17 +102,13 @@ class ActionTable:
 
 
 def action_table(rc: RightCongruence) -> ActionTable:
-    states = rc.tree.prefixes
-    index = {p: i for i, p in enumerate(states)}
-    prefix_set = set(states)
-    rows: dict[str, tuple[int, ...]] = {}
-    for letter in ("a", "b"):
-        row = []
-        for p in states:
-            w = p + letter
-            row.append(index[w] if w in prefix_set else index[rc.image_of(w)])
-        rows[letter] = tuple(row)
-    return ActionTable(states, rows["a"], rows["b"])
+    """p.x = px when px is a prefix, else the image of the leaf px.  The
+    tree's cached ``layout`` holds every step that does not depend on
+    the map; only the leaves' images are looked up here."""
+    index, a, b = rc.tree.layout
+    image = [index[p] for p in rc.images]
+    a_next, b_next = (tuple([j if j >= 0 else image[~j] for j in step]) for step in (a, b))
+    return ActionTable(rc.tree.prefixes, a_next, b_next)
 
 
 def is_regular(rc: RightCongruence) -> bool:
@@ -157,11 +153,15 @@ def enumerate_regular(n: int, budget: int = DEFAULT_BUDGET) -> Iterator[RightCon
 
 def _regular_on(tree: CodeTree) -> Iterator[RightCongruence]:
     """The regular congruences on one tree, as ``enumerate_regular`` builds them."""
-    c_a, c_b, p_a, _ = tree.parts
-    base = {c: strip_a_run(c) for c in c_a}
+    p_a = tree.parts.p_a
+    # the 'a'-leaves' images are fixed; each permutation overwrites the
+    # 'b'-leaves' slots, so one list serves the whole tree
+    images = [strip_a_run(c) for c in tree.leaves]
+    b_slots = [i for i, c in enumerate(tree.leaves) if c.endswith("b")]
     for s in constrained_permutations(tree_stats(tree).partition):
-        images = base | {c: p_a[v - 1] for c, v in zip(c_b, s)}
-        yield RightCongruence(tree, tuple(images[c] for c in tree.leaves))
+        for i, v in zip(b_slots, s):
+            images[i] = p_a[v - 1]
+        yield RightCongruence(tree, tuple(images))
 
 
 def to_indecomposable(rc: RightCongruence) -> Perm:

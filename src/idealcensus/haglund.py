@@ -19,7 +19,8 @@ C_b -> P_a of a code tree with staircase l, which
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from collections import Counter
+from itertools import combinations_with_replacement, product
 from typing import Iterator, Sequence
 
 from .linfq import count_invertible_support  # noqa: F401  re-exported; perfbench traces it here
@@ -53,39 +54,30 @@ def haglund_product(parts: Sequence[int]) -> LaurentPoly:
 
 
 def constrained_permutations(parts: Sequence[int]) -> Iterator[Perm]:
-    """Permutations with s(i) <= parts[i-1], in lexicographic order.  The
-    backtracking keeps the values chosen so far in one list and the
-    next candidate for the following row in ``v``, so it recurses
-    nowhere and any length fits under the interpreter's recursion
-    limit."""
+    """Permutations with s(i) <= parts[i-1], in lexicographic order.
+
+    The parts increase weakly, so the i - 1 values the rows above row i
+    took are all at most parts[i-1]: row i takes the j-th smallest value
+    still free, for some j < parts[i-1] - (i - 1).  The choices j run as
+    one odometer (``itertools.product``) in lexicographic order, and a
+    larger j takes a larger value, so the permutations come in
+    lexicographic order too.  Nothing recurses, so any length fits
+    under the interpreter's recursion limit."""
     t = check_partition(parts)
-    n = len(t)
-    used = [False] * (n + 1)
-    row: list[int] = []
-    v = 1
-    while True:
-        i = len(row)
-        if i == n or v > t[i]:
-            if i == n:
-                yield tuple(row)
-            if not row:
-                return
-            v = row.pop()
-            used[v] = False
-            v += 1
-        elif used[v]:
-            v += 1
-        else:
-            used[v] = True
-            row.append(v)
-            v = 1
+    values = range(1, len(t) + 1)
+    for picks in product(*(range(v - i) for i, v in enumerate(t))):
+        yield tuple(map(list(values).pop, picks))
 
 
 def haglund_hook_sum(parts: Sequence[int]) -> LaurentPoly:
-    """(q-1)^n times the hook-statistic sum over fitting permutations."""
+    """(q-1)^n times the hook-statistic sum over fitting permutations,
+    each exponent counted once per permutation that has it; ``ZERO``,
+    with no (q-1)^n built, when no permutation fits."""
     t = check_partition(parts)
-    return (Q - ONE) ** len(t) * LaurentPoly((hook_number(s), 1)
-                                             for s in constrained_permutations(t))
+    hooks = Counter(map(hook_number, constrained_permutations(t)))
+    if not hooks:
+        return ZERO
+    return (Q - ONE) ** len(t) * LaurentPoly(hooks)
 
 
 def partitions_bounded(n: int) -> Iterator[Partition]:

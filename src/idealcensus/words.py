@@ -194,9 +194,22 @@ class WordParts(NamedTuple):
     p_b: tuple[str, ...]
 
 
+class ActionLayout(NamedTuple):
+    """Where the letters send the internal nodes of one tree, the same
+    for every reduction map on it: ``index`` numbers the sorted
+    prefixes, and ``a`` and ``b`` hold, for each prefix p in that order,
+    the index of px when px is a prefix, else ~i for px = leaves[i]."""
+
+    index: dict[str, int]
+    a: tuple[int, ...]
+    b: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class CodeTree:
-    """Maximal prefix-free set (leaves) plus its proper prefixes, sorted."""
+    """Maximal prefix-free set (leaves) plus its proper prefixes, sorted.
+    The derived ``parts`` and ``layout`` are built once per tree, on
+    first use."""
 
     leaves: tuple[str, ...]
     prefixes: tuple[str, ...]
@@ -247,6 +260,16 @@ class CodeTree:
         p_a = tuple(p for p in self.prefixes if p == "" or p.endswith("a"))
         p_b = tuple(p for p in self.prefixes if p == "" or p.endswith("b"))
         return WordParts(c_a, c_b, p_a, p_b)
+
+    @cached_property
+    def layout(self) -> ActionLayout:
+        """The letter steps of ``congruence.action_table``, leaving only
+        the leaves' images to each congruence."""
+        index = {p: i for i, p in enumerate(self.prefixes)}
+        leaf = {c: ~i for i, c in enumerate(self.leaves)}
+        a, b = (tuple(index.get(p + x, leaf.get(p + x)) for p in self.prefixes)
+                for x in "ab")
+        return ActionLayout(index, a, b)
 
     def __str__(self) -> str:
         return "{" + ", ".join(word_str(c) for c in self.leaves) + "}"

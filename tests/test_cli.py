@@ -703,6 +703,38 @@ def test_export_invalid_arguments(capsys):
     assert run(capsys, "export", "--object", "mystery", "--n", "2")[0] == 2
 
 
+@pytest.mark.parametrize("obj", ["cells", "congruences", "subgroups"])
+def test_json_export_rows_stream_as_their_list_encodes(capsys, obj):
+    for n in (1, 4):
+        code, out, _ = run(capsys, "export", "--object", obj, "--n", str(n),
+                           "--format", "json", "--no-header")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_json_chunks_encode_iterators_as_lists():
+    rows = [{"a": [1, {"b": "x\ny"}]}, {}, [], "z"]
+    body = {"meta": {"k": [1, 2]}, "rows": iter(rows), "none": iter(()), "n": 3}
+    assert "".join(cli.json_chunks(body)) == json.dumps(
+        {**body, "rows": rows, "none": []}, indent=2) + "\n"
+
+
+def test_json_chunks_draw_each_row_as_it_is_written():
+    drawn = []
+
+    def rows():
+        for i in range(3):
+            drawn.append(i)
+            yield {"i": i}
+
+    text = ""
+    for chunk in cli.json_chunks({"rows": rows()}):
+        text += chunk
+        if '"i": 0' in text:
+            break
+    assert drawn == [0]
+
+
 def test_export_budget_exceeded(capsys):
     code, _, err = run(capsys, "export", "--object", "ideal-census", "--n", "3",
                        "--q", "3", "--budget", "10")

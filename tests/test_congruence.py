@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import idealcensus.congruence as congruence
+from idealcensus.cli import congruence_text, parse_congruence_text
 from idealcensus.congruence import (
     NotIndecomposable,
     NotRegular,
@@ -27,8 +28,9 @@ from idealcensus.congruence import (
     subgroup_generators,
     to_indecomposable,
 )
+from idealcensus.haglund import constrained_permutations
 from idealcensus.linfq import TooLarge
-from idealcensus.words import CodeTree
+from idealcensus.words import CodeTree, enumerate_trees, strip_a_run, tree_stats
 
 EXAMPLE = RightCongruence.from_map(
     CodeTree.from_leaves(["aa", "ab", "baa", "bab", "bba", "bbb"]),
@@ -91,6 +93,42 @@ def test_from_indecomposable_rejects():
             from_indecomposable(bad)
     with pytest.raises(ValueError):
         from_indecomposable((1, 1))
+
+
+def word_level_table(rc):
+    """The letter actions read off the words: p.x is px when px is a
+    prefix, else the image of the leaf px, each looked up by name."""
+    states = rc.tree.prefixes
+    image = dict(zip(rc.tree.leaves, rc.images))
+    return states, *(tuple(states.index(w if w in states else image[w])
+                           for w in (p + x for p in states)) for x in "ab")
+
+
+def regular_by_fresh_dicts(n):
+    """The congruences of ``enumerate_regular(n)``, with one fresh dict of
+    images built for each fitting permutation."""
+    for tree in enumerate_trees(n):
+        c_a, c_b, p_a, _ = tree.parts
+        for s in constrained_permutations(tree_stats(tree).partition):
+            images = ({c: strip_a_run(c) for c in c_a}
+                      | {c: p_a[v - 1] for c, v in zip(c_b, s)})
+            yield RightCongruence(tree, tuple(images[c] for c in tree.leaves))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_congruence_walk_matches_the_words(n):
+    walked = list(enumerate_regular(n))
+    assert walked == list(regular_by_fresh_dicts(n))
+    # one image list is rewritten per tree: no congruence may share it
+    assert len({rc.images for rc in walked}) == len(walked) == hall_count(n)
+    for rc in walked:
+        # trees from the walk, from ``reconstruct`` and from ``from_leaves``
+        twins = (from_indecomposable(to_indecomposable(rc)),
+                 parse_congruence_text(congruence_text(rc)))
+        assert twins == (rc, rc)
+        for same in (rc, *twins):
+            table = action_table(same)
+            assert (table.states, table.a_next, table.b_next) == word_level_table(same)
 
 
 def test_hall_counts_frozen():

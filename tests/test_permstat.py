@@ -5,6 +5,7 @@ are independent implementations; several tests here pin them against
 each other and against hand-checked instances.
 """
 
+import random
 from math import comb, factorial
 
 import pytest
@@ -183,6 +184,22 @@ def test_inversions_by_definition(s):
     n = len(s)
     pairs = sum(1 for i in range(n) for j in range(i + 1, n) if s[i] > s[j])
     assert inversions(s) == pairs == hook_union_size(s) - comb(n, 2)
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 300])
+def test_inversions_past_one_machine_word(n):
+    # the values seen are the bits of one int, wider than a machine word
+    # from n = 64 on; the oracle above stops at n = 40
+    rng = random.Random(n)
+    for _ in range(3):
+        s = list(range(1, n + 1))
+        rng.shuffle(s)
+        s = tuple(s)
+        assert inversions(s) == sum(1 for i in range(n) for j in range(i + 1, n)
+                                    if s[i] > s[j])
+        if 63 <= n <= 65:
+            assert inversions(s) == hook_union_size(s) - comb(n, 2)
+    assert inversions(tuple(range(n, 0, -1))) == comb(n, 2)
 
 
 @given(perms, perms)
