@@ -49,7 +49,7 @@ def haglund_product(parts: Sequence[int]) -> LaurentPoly:
         return ZERO
     result = LaurentPoly.monomial(n * (n - 1) // 2)
     for i, v in enumerate(t):
-        result = result * (LaurentPoly.monomial(v - i) - ONE)
+        result = result.shift(v - i) - result  # times q^(v-i) - 1
     return result
 
 

@@ -31,7 +31,7 @@ from math import comb
 from typing import Iterator, NamedTuple, Sequence
 
 from .linfq import DEFAULT_BUDGET, charge
-from .qpoly import LaurentPoly, ONE, ZERO, geometric
+from .qpoly import LaurentPoly, ONE, ZERO
 
 Perm = tuple[int, ...]
 
@@ -121,9 +121,10 @@ def is_indecomposable(s: Perm) -> bool:
     if n == 0:
         return False
     high = 0
-    for i in range(n - 1):
-        high = max(high, s[i])
-        if high == i + 1:
+    for i, v in zip(range(1, n), s):
+        if v > high:
+            high = v
+        if high == i:
             return False
     return True
 
@@ -205,7 +206,8 @@ def indecomposable_factors(s: Perm) -> tuple[Perm, ...]:
     start = 0
     high = 0
     for i, v in enumerate(s):
-        high = max(high, v)
+        if v > high:
+            high = v
         if high == i + 1:
             factors.append(tuple(v - start for v in s[start:i + 1]))
             start = i + 1
@@ -227,7 +229,10 @@ def recursion_cost(m: int) -> int:
     cost is the sum over j <= m of (C(j-1, 2) + 1) * j plus, over
     k < j <= m, (C(k, 2) - k + 2) * (C(j-k, 2) + 1): a polynomial of
     degree 6 in m, written here in the binomial basis (its forward
-    differences at m = 0), so a huge m costs O(1) big-int steps.
+    differences at m = 0), so a huge m costs O(1) big-int steps.  The
+    [j]_q factors are applied by ``LaurentPoly.times_geometric``, a
+    window sum that multiplies no pairs, but they are still charged, so
+    the default budget admits the same m as before.
     """
     return sum(c * comb(m, i) for i, c in enumerate((0, 1, 2, 4, 5, 1, 1)))
 
@@ -250,7 +255,7 @@ def indec_inversion_polynomials(m: int, budget: int = DEFAULT_BUDGET) -> list[La
     charge(1, lambda _: cost, budget, f"{cost} coefficient products up to P_{m}")
     fact = [ONE]
     for j in range(1, m + 1):
-        fact.append(fact[-1] * geometric(j))
+        fact.append(fact[-1].times_geometric(j))
     polys: list[LaurentPoly] = []
     for j in range(1, m + 1):
         tail = sum((polys[k - 1] * fact[j - k] for k in range(1, j)), ZERO)

@@ -3,12 +3,32 @@
 Every count in this package is a polynomial in q with arbitrary-precision
 integer coefficients; intermediate values (prefactors of the shape q^e with
 e < 0) need negative exponents, so the base object is a Laurent polynomial.
-A value is stored as a tuple of (exponent, coefficient) pairs sorted by
-exponent with no zero coefficient ever kept, so equality of values is
-equality of representations and hashing is safe.  The public constructor
+
+A value is stored densely: its valuation (smallest exponent) and the tuple
+of its coefficients from there up to its degree, with no zero at either
+end.  The zero polynomial has the one form (valuation 0, empty tuple), so
+equality of values is equality of representations and hashing is safe.
+Memory is linear in degree minus valuation, which suits the census
+polynomials: their exponents run without gaps.  The public constructor
 checks that every exponent and coefficient is an int; the ring operations
-build their results from int-keyed data they made themselves and go
-through ``LaurentPoly._trusted``, which only drops zeros and sorts.
+build their results from ints they made themselves and skip that check.
+``terms`` derives the sparse (exponent, coefficient) pairs, so rendering
+reads the same pairs it always did.
+
+Shifting by q^k only moves the valuation, and multiplying by a scalar or
+by [n]_q (``LaurentPoly.times_geometric``, a running window sum) is one
+pass.  Products whose shorter operand has fewer than
+``KRONECKER_CUTOFF`` coefficients run a dense schoolbook loop; longer
+ones use Kronecker substitution (Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symb. Comp.
+2009): each operand is evaluated at 2^(8w) by packing its coefficients
+into w-byte slots of one int, the two ints are multiplied by CPython's
+big-int product, and the product's slots are read back.  The slot
+holds the bound max|a| * max|b| * min(len a, len b) on every product
+coefficient plus a sign bit.  An operand's positive and negative
+coefficients are packed apart and the two packs subtracted, and a bias of
+2^(8w-1) in every slot makes each slot of the product nonnegative before
+it is read.
 
 ``TruncatedSeries`` layers formal power series in an auxiliary variable t
 on top, with LaurentPoly coefficients, up to a fixed truncation order.  It
@@ -19,6 +39,8 @@ need: multiplication and inversion of a series with constant term 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from operator import add, neg, sub
 from typing import Iterable, Mapping, Union
 
 
@@ -32,11 +54,15 @@ class NonUnitConstantTerm(ValueError):
 
 PolyLike = Union["LaurentPoly", int]
 
+# Length of the shorter operand from which a product is packed into ints:
+# below it the schoolbook loop is faster.
+KRONECKER_CUTOFF = 8
+
 
 class LaurentPoly:
     """Immutable Laurent polynomial with integer coefficients."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_val", "_dense")
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -45,18 +71,13 @@ class LaurentPoly:
             if not isinstance(exp, int) or not isinstance(coef, int):
                 raise TypeError("exponents and coefficients must be int")
             acc[exp] = acc.get(exp, 0) + coef
-        object.__setattr__(self, "_terms",
-                           tuple(sorted((e, c) for e, c in acc.items() if c)))
-
-    @classmethod
-    def _trusted(cls, acc: dict[int, int]) -> "LaurentPoly":
-        """The canonical value of ``acc``, whose keys and values are known
-        to be ints: zero coefficients dropped, exponents sorted, nothing
-        type-checked.  For the ring operations only."""
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "_terms",
-                           tuple(sorted((e, c) for e, c in acc.items() if c)))
-        return poly
+        exps = [e for e, c in acc.items() if c]
+        low = min(exps, default=0)
+        dense = [0] * (max(exps) - low + 1) if exps else []
+        for e in exps:
+            dense[e - low] = acc[e]
+        _set_val(self, low)
+        _set_dense(self, tuple(dense))
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("LaurentPoly is immutable")
@@ -68,56 +89,64 @@ class LaurentPoly:
     @property
     def terms(self) -> tuple[tuple[int, int], ...]:
         """Pairs (exponent, coefficient), strictly increasing exponents."""
-        return self._terms
+        return tuple((e, c) for e, c in enumerate(self._dense, self._val) if c)
 
     def coefficient(self, exp: int) -> int:
-        for e, c in self._terms:
-            if e == exp:
-                return c
-        return 0
+        i = exp - self._val
+        return self._dense[i] if 0 <= i < len(self._dense) else 0
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._dense
 
     @property
     def degree(self) -> int | None:
         """Largest exponent, or None for the zero polynomial."""
-        return self._terms[-1][0] if self._terms else None
+        return self._val + len(self._dense) - 1 if self._dense else None
 
     @property
     def valuation(self) -> int | None:
         """Smallest exponent, or None for the zero polynomial."""
-        return self._terms[0][0] if self._terms else None
+        return self._val if self._dense else None
 
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other: PolyLike) -> "LaurentPoly":
-        other = as_poly(other)
-        acc = dict(self._terms)
-        for e, c in other._terms:
-            acc[e] = acc.get(e, 0) + c
-        return LaurentPoly._trusted(acc)
+        return _combine(self, as_poly(other), add)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._trusted({e: -c for e, c in self._terms})
+        return _poly(self._val, tuple(map(neg, self._dense)))
 
     def __sub__(self, other: PolyLike) -> "LaurentPoly":
-        return self + (-as_poly(other))
+        return _combine(self, as_poly(other), sub)
 
     def __rsub__(self, other: PolyLike) -> "LaurentPoly":
-        return as_poly(other) + (-self)
+        return _combine(as_poly(other), self, sub)
 
     def __mul__(self, other: PolyLike) -> "LaurentPoly":
+        if isinstance(other, int):
+            if not other:
+                return ZERO
+            return _poly(self._val, tuple(map(other.__mul__, self._dense)))
         other = as_poly(other)
-        acc: dict[int, int] = {}
-        for e1, c1 in self._terms:
-            for e2, c2 in other._terms:
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return LaurentPoly._trusted(acc)
+        a, b = self._dense, other._dense
+        if not a or not b:
+            return ZERO
+        if len(a) > len(b):
+            a, b = b, a
+        # over the integers the end coefficients of a product are the
+        # nonzero products of the operands' end coefficients: no trim
+        val = self._val + other._val
+        if len(a) >= KRONECKER_CUTOFF:
+            return _poly(val, _packed_product(a, b))
+        width = len(b)
+        out = [0] * (len(a) + width - 1)
+        for i, c in enumerate(a):
+            if c:
+                out[i:i + width] = map(add, out[i:i + width], map(c.__mul__, b))
+        return _poly(val, tuple(out))
 
     __rmul__ = __mul__
 
@@ -137,12 +166,28 @@ class LaurentPoly:
         """Multiply by q**k (k may be negative)."""
         if not isinstance(k, int):
             raise TypeError("exponents and coefficients must be int")
-        return LaurentPoly._trusted({e + k: c for e, c in self._terms})
+        return _poly(self._val + k, self._dense) if self._dense else self
+
+    def times_geometric(self, n: int) -> "LaurentPoly":
+        """Multiply by [n]_q = 1 + q + ... + q**(n-1), the q-analog of n,
+        in one pass: coefficient k of the product is the sum of the n
+        coefficients k - n + 1 .. k of self, a difference of two prefix
+        sums."""
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        if not n or not self._dense:
+            return ZERO
+        # prefix sums of self, with n - 1 zeros before them and n - 1
+        # copies of the total after
+        ext = [0] * (n - 1)
+        ext += accumulate(self._dense, initial=0)
+        ext += [ext[-1]] * (n - 1)
+        return _poly(self._val, tuple(map(sub, ext[n:], ext)))
 
     # -- evaluation ------------------------------------------------------
 
     def evaluate(self, point: int | Fraction) -> int | Fraction:
-        """Exact value at ``point``.
+        """Exact value at ``point``, by Horner's rule.
 
         Returns an int whenever the exact result is an integer (always the
         case for an integer point and nonnegative exponents), otherwise a
@@ -150,13 +195,16 @@ class LaurentPoly:
         is present in the canonical form.
         """
         if point == 0:
-            if self._terms and self._terms[0][0] < 0:
+            if self._dense and self._val < 0:
                 raise EvalAtZero("negative exponent at point 0")
             return self.coefficient(0)
-        if isinstance(point, int) and (not self._terms or self._terms[0][0] >= 0):
-            return sum(c * point ** e for e, c in self._terms)
-        x = Fraction(point)
-        total = sum((c * x ** e for e, c in self._terms), Fraction(0))
+        x = point if isinstance(point, int) else Fraction(point)
+        total = 0
+        for c in reversed(self._dense):
+            total = total * x + c
+        if isinstance(x, int) and self._val >= 0:
+            return total * x ** self._val
+        total = Fraction(total) * Fraction(x) ** self._val
         return int(total) if total.denominator == 1 else total
 
     # -- plumbing ---------------------------------------------------------
@@ -166,22 +214,22 @@ class LaurentPoly:
             other = as_poly(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._val == other._val and self._dense == other._dense
 
     def __hash__(self) -> int:
-        return hash(self._terms)
+        return hash((self._val, self._dense))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._dense)
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({list(self._terms)!r})"
+        return f"LaurentPoly({list(self.terms)!r})"
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._dense:
             return "0"
         chunks: list[str] = []
-        for e, c in reversed(self._terms):
+        for e, c in reversed(self.terms):
             mag = abs(c)
             if e == 0:
                 body = str(mag)
@@ -195,6 +243,73 @@ class LaurentPoly:
         return " ".join(chunks)
 
 
+_set_val = LaurentPoly._val.__set__
+_set_dense = LaurentPoly._dense.__set__
+
+
+def _poly(val: int, dense: tuple[int, ...]) -> LaurentPoly:
+    """The value with valuation ``val`` and coefficients ``dense``, which
+    the caller made from ints, with no zero at either end; nothing is
+    type-checked.  For the ring operations only."""
+    poly = object.__new__(LaurentPoly)
+    _set_val(poly, val if dense else 0)
+    _set_dense(poly, dense)
+    return poly
+
+
+def _combine(p: LaurentPoly, r: LaurentPoly, op) -> LaurentPoly:
+    """p + r or p - r, as ``op`` is ``operator.add`` or ``operator.sub``:
+    r's coefficients are combined into a copy of p's over their overlap,
+    and the zeros that cancellation leaves at either end are trimmed."""
+    a, b = p._dense, r._dense
+    if not b:
+        return p
+    if not a:
+        return r if op is add else -r
+    low = min(p._val, r._val)
+    out = [0] * (max(p._val + len(a), r._val + len(b)) - low)
+    i = p._val - low
+    out[i:i + len(a)] = a
+    j = r._val - low
+    out[j:j + len(b)] = map(op, out[j:j + len(b)], b)
+    hi = len(out)
+    while hi and not out[hi - 1]:
+        hi -= 1
+    lo = 0
+    while lo < hi and not out[lo]:
+        lo += 1
+    return _poly(low + lo, tuple(out[lo:hi]))
+
+
+def _pack(coeffs: tuple[int, ...], width: int) -> int:
+    """sum(c * 256**(width * i)): the positive coefficients and the
+    magnitudes of the negative ones each fill ``width``-byte slots of one
+    int, and the second int is subtracted from the first."""
+    zero = bytes(width)
+    pos = b"".join([c.to_bytes(width, "little") if c > 0 else zero for c in coeffs])
+    if min(coeffs) >= 0:
+        return int.from_bytes(pos, "little")
+    negs = b"".join([(-c).to_bytes(width, "little") if c < 0 else zero for c in coeffs])
+    return int.from_bytes(pos, "little") - int.from_bytes(negs, "little")
+
+
+def _packed_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The coefficients of a * b by Kronecker substitution: one big-int
+    product of the two packs, then each slot read back less the bias."""
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    # every product coefficient c has |c| <= bound < 16**digits, and a
+    # slot of digits // 2 + 1 bytes holds c + 2**(8 * width - 1) >= 0
+    width = len(format(bound, "x")) // 2 + 1
+    size = len(a) + len(b) - 1
+    pa = _pack(a, width)
+    pb = pa if b is a else _pack(b, width)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
+    buf = (pa * pb + bias).to_bytes(width * size, "little")
+    half = 1 << (8 * width - 1)
+    return tuple([int.from_bytes(buf[i:i + width], "little") - half
+                  for i in range(0, width * size, width)])
+
+
 ZERO = LaurentPoly()
 ONE = LaurentPoly(((0, 1),))
 Q = LaurentPoly(((1, 1),))
@@ -204,24 +319,18 @@ def as_poly(value: PolyLike) -> LaurentPoly:
     if isinstance(value, LaurentPoly):
         return value
     if isinstance(value, int):
-        return LaurentPoly._trusted({0: value})
+        return _poly(0, (value,) if value else ())
     raise TypeError(f"cannot interpret {value!r} as a polynomial")
 
 
-def geometric(n: int) -> LaurentPoly:
-    """1 + q + ... + q**(n-1); the q-analog of the integer n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return LaurentPoly({e: 1 for e in range(n)})
-
-
 def q_factorial(n: int) -> LaurentPoly:
-    """Product of the q-analogs 1..n; the inversion generating function."""
+    """Product of the q-analogs 1..n; the inversion generating function.
+    Each factor [i]_q is applied by ``LaurentPoly.times_geometric``."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     result = ONE
-    for i in range(1, n + 1):
-        result = result * geometric(i)
+    for i in range(2, n + 1):
+        result = result.times_geometric(i)
     return result
 
 

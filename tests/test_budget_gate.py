@@ -8,7 +8,9 @@ constructions build valid trees and congruences directly, and the check
 table witnesses them.  And every module-level name of the library has a
 caller in the library or the benchmark, or a reason why tests alone
 need it; every name a module imports with ``from`` is read in that
-module, or has a reason why a reader outside it needs the binding."""
+module, or has a reason why a reader outside it needs the binding.
+Only ``qpoly`` reads the private slots of ``LaurentPoly``, so its
+representation is a one-module concern."""
 
 import ast
 from pathlib import Path
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import idealcensus
+from idealcensus.qpoly import LaurentPoly
 
 PACKAGE = Path(idealcensus.__file__).parent
 
@@ -51,6 +54,12 @@ def test_only_charge_raises_too_large():
 def test_only_charge_reads_a_bit_length():
     assert _sites(lambda n: isinstance(n, ast.Attribute)
                   and n.attr == "bit_length") == [("linfq", "charge")]
+
+
+def test_only_qpoly_reads_the_polynomial_slots():
+    slots = set(LaurentPoly.__slots__)
+    readers = _sites(lambda n: isinstance(n, ast.Attribute) and n.attr in slots)
+    assert {module for module, _ in readers} == {"qpoly"}
 
 
 def _catchers(name: str) -> list[tuple[str, str]]:

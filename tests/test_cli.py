@@ -226,6 +226,14 @@ def test_count_formula_codim_thirty(capsys):
         "db12bae098913a794a3b3cc1a34ed7b53e02868d05270542a8b726cd1333b05e")
 
 
+def test_count_formula_codim_forty_bytes(capsys):
+    # recorded from the sparse-pair LaurentPoly, before products were packed
+    code, out, _ = run(capsys, "count", "--codim", "40", "--no-header")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "92c87d6dc8ec890cfa99f680f766c02246476e77178321c7a8a9c12376dffd08")
+
+
 def test_count_cross_check_mismatch(capsys, monkeypatch):
     # one lying route at a time; each mismatch names the route and both values
     lies = [

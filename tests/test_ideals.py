@@ -51,6 +51,28 @@ def test_formula_frozen_values():
     assert str(ideal_count_formula(2)) == "q^6 - q^5 - 3q^4 + 5q^3 - 2q^2"
 
 
+def _census_in_ints(n: int, q: int) -> int:
+    """The census at the integer q from the recursion
+    P_j = [j]_q! - sum_{k<j} P_k [j-k]_q!, in plain ints: no qpoly code."""
+    m = n + 1
+    fact = [1]
+    for j in range(1, m + 1):
+        fact.append(fact[-1] * ((q ** j - 1) // (q - 1)))
+    indec = [0]
+    for j in range(1, m + 1):
+        indec.append(fact[j] - sum(indec[k] * fact[j - k] for k in range(1, j)))
+    return (q - 1) ** m * q ** (m * (n - 2) // 2) * indec[m]
+
+
+def test_formula_at_codim_forty_matches_the_int_recursion():
+    # the packed products run at sizes the dict oracle of test_qpoly
+    # cannot reach; the census evaluated at q = 2 and q = 3 must equal
+    # the same recursion solved in ints at that q
+    f = ideal_count_formula(40)
+    for q in (2, 3):
+        assert f.evaluate(q) == _census_in_ints(40, q)
+
+
 def test_formula_at_codim_thirty():
     f = ideal_count_formula(30)
     assert f.valuation >= 0

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from idealcensus import qpoly
 from idealcensus.qpoly import (
+    KRONECKER_CUTOFF,
     EvalAtZero,
     LaurentPoly,
     NonUnitConstantTerm,
@@ -15,7 +17,6 @@ from idealcensus.qpoly import (
     TruncatedSeries,
     ZERO,
     as_poly,
-    geometric,
     q_factorial,
 )
 
@@ -87,9 +88,102 @@ def test_ring_operations_build_the_canonical_form():
             assert got == LaurentPoly(raw) and hash(got) == hash(LaurentPoly(raw))
 
 
+def _dense_operand(rng, length, low, bits):
+    """{exponent: coefficient} over ``length`` consecutive exponents from
+    ``low``, nonzero at both ends, signed, with interior zeros."""
+    coefs = [rng.choice((-1, 1)) * rng.randrange(1, 2 ** bits) for _ in range(length)]
+    for i in range(1, length - 1):
+        if rng.random() < 0.2:
+            coefs[i] = 0
+    return {low + i: c for i, c in enumerate(coefs)}
+
+
+def _assert_canonical(got, raw):
+    want = LaurentPoly(raw)
+    assert got.terms == want.terms
+    assert got == want and hash(got) == hash(want)
+    if got:
+        assert got.coefficient(got.valuation) and got.coefficient(got.degree)
+        assert got.terms[0][0] == got.valuation and got.terms[-1][0] == got.degree
+
+
+# operand lengths on both sides of the packed product's cutoff
+LENGTHS = sorted({1, 2, KRONECKER_CUTOFF - 1, KRONECKER_CUTOFF, KRONECKER_CUTOFF + 1,
+                  3 * KRONECKER_CUTOFF, 61})
+
+
+def test_packed_product_matches_the_dict_product():
+    rng = random.Random(24)
+    for la in LENGTHS:
+        for lb in LENGTHS:
+            for bits in (1, 8, 63, 64, 65, 200):
+                a = _dense_operand(rng, la, rng.randint(-9, 9), bits)
+                b = _dense_operand(rng, lb, rng.randint(-9, 9), bits)
+                p, r = LaurentPoly(a), LaurentPoly(b)
+                _assert_canonical(p * r, _dict_mul(a, b))
+                _assert_canonical(p * p, _dict_mul(a, a))
+                # operands whose ends cancelled when they were built
+                ends = {min(b): -b[min(b)], max(b): -b[max(b)]}
+                r_trim = r + LaurentPoly(ends)
+                _assert_canonical(r_trim, _dict_add(b, ends))
+                _assert_canonical(p * r_trim, _dict_mul(a, _dict_add(b, ends)))
+                # a difference of products whose ends cancel
+                s = LaurentPoly(_dict_add(b, {max(b) + 1: 1}))
+                _assert_canonical(p * s - p * r, _dict_mul(a, {max(b) + 1: 1}))
+
+
+def test_packed_product_at_its_coefficient_bound():
+    # every coefficient at +-m, so the middle coefficient of the product
+    # reaches the slot's bound max|a| * max|b| * min(len a, len b) exactly
+    for m in (1, 15, 16, 255, 256, 2 ** 64 - 1, 2 ** 64, 16 ** 40):
+        for la, lb in ((KRONECKER_CUTOFF, KRONECKER_CUTOFF), (KRONECKER_CUTOFF, 40), (50, 50)):
+            for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+                a = {e: sa * m for e in range(la)}
+                b = {e - 3: sb * m for e in range(lb)}
+                got = LaurentPoly(a) * LaurentPoly(b)
+                _assert_canonical(got, _dict_mul(a, b))
+                assert got.coefficient(min(la, lb) - 4) == sa * sb * m * m * min(la, lb)
+
+
+def test_packed_product_at_every_length():
+    # the packed path alone, below the cutoff too, against the schoolbook one
+    rng = random.Random(25)
+    for la in range(1, 2 * KRONECKER_CUTOFF):
+        for lb in range(1, 2 * KRONECKER_CUTOFF):
+            a = tuple(_dense_operand(rng, la, 0, 70).values())
+            b = tuple(_dense_operand(rng, lb, 0, 5).values())
+            want = _dict_mul(dict(enumerate(a)), dict(enumerate(b)))
+            assert qpoly._packed_product(a, b) == tuple(want.get(e, 0) for e in range(la + lb - 1))
+
+
+def test_products_with_a_monomial_a_scalar_or_zero():
+    rng = random.Random(26)
+    for length in LENGTHS:
+        a = _dense_operand(rng, length, -4, 90)
+        p = LaurentPoly(a)
+        for e, c in ((0, 1), (3, -1), (-7, 2 ** 70), (2, -(3 ** 50))):
+            _assert_canonical(p * LaurentPoly.monomial(e, c), _dict_mul(a, {e: c}))
+            _assert_canonical(LaurentPoly.monomial(e, c) * p, _dict_mul(a, {e: c}))
+        for k in (0, 1, -1, 2 ** 80, -(2 ** 65)):
+            _assert_canonical(p * k, _dict_mul(a, {0: k}))
+            _assert_canonical(k * p, _dict_mul(a, {0: k}))
+        _assert_canonical(p * ZERO, {})
+        _assert_canonical(ZERO * p, {})
+        _assert_canonical(p.shift(-11) * ONE, {e - 11: c for e, c in a.items()})
+
+
+def test_times_geometric_is_the_product_by_the_q_analog():
+    rng = random.Random(27)
+    for length in LENGTHS:
+        a = _dense_operand(rng, length, rng.randint(-5, 5), 70)
+        for n in range(0, 14):
+            geometric = {e: 1 for e in range(n)}
+            _assert_canonical(LaurentPoly(a).times_geometric(n), _dict_mul(a, geometric))
+
+
 def test_immutable():
     with pytest.raises(AttributeError):
-        Q._terms = ()
+        Q._dense = ()
 
 
 def test_monomial_and_accessors():
@@ -153,9 +247,12 @@ def test_str_rendering():
 
 
 def test_geometric_and_q_factorial():
-    assert geometric(0) == ZERO
-    assert geometric(1) == ONE
-    assert geometric(3) == LaurentPoly({0: 1, 1: 1, 2: 1})
+    assert ONE.times_geometric(0) == ZERO
+    assert ONE.times_geometric(1) == ONE
+    assert ONE.times_geometric(3) == LaurentPoly({0: 1, 1: 1, 2: 1})
+    assert ZERO.times_geometric(4) == ZERO
+    with pytest.raises(ValueError):
+        ONE.times_geometric(-1)
     assert q_factorial(0) == ONE
     assert q_factorial(3) == LaurentPoly({0: 1, 1: 2, 2: 2, 3: 1})
     # [4]_q! at q=1 is 4!
