@@ -202,6 +202,7 @@ def check_tree_parts(cfg: CheckConfig) -> Cases:
     for tree in trees(1, cfg.max_n):
         c_a, c_b, p_a, p_b = tree.parts
         yield tree, (len(c_a) == len(p_b) and len(c_b) == len(p_a)
+                     and sum(words.signature(tree).lengths) == tree.n
                      and sorted(words.strip_a_run(c) for c in c_a) == sorted(p_b)
                      and sorted(words.strip_b_run(c) for c in c_b) == sorted(p_a))
 
@@ -216,7 +217,7 @@ def check_prefix_sum_route(cfg: CheckConfig) -> Cases:
     for tree in trees(1, cfg.max_n):
         rank = {p: i + 1 for i, p in enumerate(tree.prefixes)}
         parents = tuple(rank[c[:-1]] for c in tree.leaves if c.endswith("a"))
-        yield tree, parents == words.tree_stats(tree).prefix_sums
+        yield tree, parents == tuple(itertools.accumulate(words.signature(tree).lengths))
 
 
 def rank_sum_identity(lo: int, hi: int) -> Cases:
@@ -360,13 +361,13 @@ def check_action_tables(cfg: CheckConfig) -> Cases:
 def check_hook_through_correspondence(cfg: CheckConfig) -> Cases:
     for rc in regular(1, min(cfg.max_n, 5), cfg.budget):
         theta = congruence.to_indecomposable(rc)
-        st = words.tree_stats(rc.tree)
         sig = words.signature(rc.tree)
-        k = st.a_count
+        sums = tuple(itertools.accumulate(sig.lengths))
+        k = len(sig.ranks)
         sigma = permstat.strip_lr_maxima(theta)
         expected = (permstat.hook_union_size(sigma) + (rc.tree.n + 1) * k
-                    - k * (k - 1) // 2 - sum(sig.ranks) + sum(st.prefix_sums))
-        yield rc, (permstat.lr_maxima(theta).values == tuple(s + 1 for s in st.prefix_sums)
+                    - k * (k - 1) // 2 - sum(sig.ranks) + sum(sums))
+        yield rc, (permstat.lr_maxima(theta).values == tuple(s + 1 for s in sums)
                    and permstat.hook_union_size(theta) == expected)
 
 
@@ -421,9 +422,8 @@ def check_haglund_degree(cfg: CheckConfig) -> Cases:
 
 def word_level_entry(tree: words.CodeTree) -> ideals.TreeEntry:
     """The census entry of ``tree``, read off its words."""
-    st = words.tree_stats(tree)
-    return ideals.TreeEntry(words.signature(tree), st.a_count, st.a_cells, st.b_cells,
-                            st.partition, ideals.tree_contribution(tree))
+    return ideals.TreeEntry(words.signature(tree), words.tree_stats(tree),
+                            ideals.tree_contribution(tree))
 
 
 def check_census_routes(cfg: CheckConfig) -> Cases:

@@ -84,14 +84,15 @@ def census_json(n: int, route: Route, q: int | None, census: Census) -> dict:
     if census.indec is not None:
         out["factored"] = factored_census_str(n, census.indec)
     if route.per_tree:
-        out["trees"] = [{
+        # a generator: ``json_chunks`` writes each tree as it is encoded
+        out["trees"] = ({
             "signature": {"ranks": list(e.sig.ranks), "lengths": list(e.sig.lengths)},
-            "k": e.a_count,
-            "N": e.a_cells,
-            "M": e.b_cells,
-            "lambda": list(e.partition),
+            "k": e.stats.a_count,
+            "N": e.stats.a_cells,
+            "M": e.stats.b_cells,
+            "lambda": list(e.stats.partition),
             "contribution": contrib(e.contribution),
-        } for e in census.entries]
+        } for e in census.entries)
     return out
 
 
@@ -103,18 +104,20 @@ def census_lines(n: int, route: Route, q: int | None, census: Census) -> list[st
     lines.append(f"{'total' if route.per_tree else 'expanded'}: {census.total}")
     text = cache(str)  # trees share contributions: render each value once
     for i, e in enumerate(census.entries, start=1):
+        st = e.stats
         lines.append(
             f"tree {i}: ranks={list(e.sig.ranks)} lengths={list(e.sig.lengths)}"
-            f" k={e.a_count} N={e.a_cells} M={e.b_cells}"
-            f" lambda={list(e.partition)} contribution: {text(e.contribution)}")
+            f" k={st.a_count} N={st.a_cells} M={st.b_cells}"
+            f" lambda={list(st.partition)} contribution: {text(e.contribution)}")
     return lines
 
 
 def census_csv_rows(census: Census) -> Iterator[list]:
     text = cache(str)  # trees share contributions: render each value once
     for e in census.entries:
+        st = e.stats
         yield [" ".join(map(str, e.sig.ranks)), " ".join(map(str, e.sig.lengths)),
-               e.a_count, e.a_cells, e.b_cells, " ".join(map(str, e.partition)),
+               st.a_count, st.a_cells, st.b_cells, " ".join(map(str, st.partition)),
                text(e.contribution)]
 
 

@@ -22,7 +22,6 @@ generating set {c · f(c)^-1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import factorial
 from typing import Iterable, Iterator, Mapping
 
@@ -78,13 +77,6 @@ class RightCongruence:
             if not p < c:
                 raise ValueError(f"image must be alphabetically smaller: {word_str(c)} -> {word_str(p)}")
         return cls(tree, tuple(mapping[c] for c in tree.leaves))
-
-    @cached_property
-    def as_dict(self) -> dict[str, str]:
-        return dict(zip(self.tree.leaves, self.images))
-
-    def image_of(self, leaf: str) -> str:
-        return self.as_dict[leaf]
 
     def __str__(self) -> str:
         body = ", ".join(f"{word_str(c)}->{word_str(p)}"
@@ -171,8 +163,8 @@ def to_indecomposable(rc: RightCongruence) -> Perm:
         raise NotRegular(f"congruence {rc} is not regular")
     extended = sorted([*rc.tree.prefixes, A_INVERSE], key=twisted_key)
     rank = {p: i for i, p in enumerate(extended, start=1)}
-    return tuple(rank[A_INVERSE] if not strip_a_run(c) else rank[rc.image_of(c)]
-                 for c in rc.tree.leaves)
+    return tuple(rank[A_INVERSE] if not strip_a_run(c) else rank[p]
+                 for c, p in zip(rc.tree.leaves, rc.images))
 
 
 def from_indecomposable(theta: Perm) -> RightCongruence:
@@ -275,11 +267,8 @@ def subgroup_generators(rc: RightCongruence) -> tuple[GroupWord, ...]:
     one reduced word c * f(c)^-1 per leaf, in leaf order."""
     if not is_regular(rc):
         raise NotRegular(f"congruence {rc} is not regular")
-    gens = []
-    for c in rc.tree.leaves:
-        gens.append(group_concat(monoid_to_group(c),
-                                 group_inverse(monoid_to_group(rc.image_of(c)))))
-    return tuple(gens)
+    return tuple(group_concat(monoid_to_group(c), group_inverse(monoid_to_group(p)))
+                 for c, p in zip(rc.tree.leaves, rc.images))
 
 
 def class_index(rc: RightCongruence, word: GroupWord) -> int:

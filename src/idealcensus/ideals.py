@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
@@ -74,15 +75,13 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeEntry:
-    """Per-tree line of a census."""
+    """Per-tree line of a census: the tree's signature, its ``TreeStats``
+    and its term of the census."""
 
     sig: TreeSignature
-    a_count: int
-    a_cells: int
-    b_cells: int
-    partition: tuple[int, ...]
+    stats: TreeStats
     contribution: Contribution
 
 
@@ -136,8 +135,7 @@ def _tree_census(n: int, budget: int,
     order, becomes one entry.  Trees share contributions, so the total
     adds each distinct one once, times the number of entries that hold it."""
     charge(n, catalan, budget, f"Catalan({n}) trees")
-    entries = tuple(TreeEntry(sig, st.a_count, st.a_cells, st.b_cells, st.partition, value)
-                    for sig, st, value in records)
+    entries = tuple(TreeEntry(sig, st, value) for sig, st, value in records)
     counts = Counter(e.contribution for e in entries)
     return Census(sum((value * m for value, m in counts.items()), 0), entries)
 
@@ -145,29 +143,23 @@ def _tree_census(n: int, budget: int,
 def ideal_count_by_trees(n: int, budget: int = DEFAULT_BUDGET) -> Census:
     """One entry per code tree, in ``enumerate_trees`` order, from the
     composed records of ``words.tree_records``.  Trees with the same key
-    (k, a_cells + b_cells, partition) share one immutable contribution,
-    the key's staircase factor (q-1)^k * haglund_product(partition)
-    shifted by its cells.  The partition has n + 1 - k parts, so it
-    fixes k: each factor is built once per partition, from (q-1)^k
-    built once per k.  Catalan(n) trees above ``budget`` raise
-    TooLarge."""
+    (free cells, partition λ) share one immutable contribution: λ has
+    n + 1 - k parts, so it fixes k, and the staircase factor
+    (q-1)^k * haglund_product(λ) is built once per λ and shifted once
+    per key.  Catalan(n) trees above ``budget`` raise TooLarge."""
     _require_codim(n)
-    powers: dict[int, LaurentPoly] = {}
-    factors: dict[tuple[int, ...], LaurentPoly] = {}
-    contributions: dict[tuple, LaurentPoly] = {}
 
-    def value(st: TreeStats) -> LaurentPoly:
-        key = (st.a_count, st.a_cells + st.b_cells, st.partition)
-        if key not in contributions:
-            k, cells, lam = key
-            if lam not in factors:
-                if k not in powers:
-                    powers[k] = (Q - ONE) ** k
-                factors[lam] = powers[k] * haglund_product(lam)
-            contributions[key] = factors[lam].shift(cells)
-        return contributions[key]
+    @cache
+    def factor(lam: tuple[int, ...]) -> LaurentPoly:
+        return (Q - ONE) ** (n + 1 - len(lam)) * haglund_product(lam)
 
-    return _tree_census(n, budget, ((sig, st, value(st)) for sig, st in tree_records(n)))
+    @cache
+    def contribution(cells: int, lam: tuple[int, ...]) -> LaurentPoly:
+        return factor(lam).shift(cells)
+
+    return _tree_census(n, budget, (
+        (sig, st, contribution(st.a_cells + st.b_cells, st.partition))
+        for sig, st in tree_records(n)))
 
 
 # -- explicit ideal data over a fixed prime field -------------------------

@@ -27,8 +27,12 @@ one generator frame per node.  The signature and ``tree_stats`` of T
 compose from those of L and R (``tree_records``, which builds no word):
 the ranks are L's, or (1) when L is the leaf, then R's shifted past
 L's leaves; the partition is (1 + λ(L)) ++ (|P_a(L)| + λ(R)), or
-(1 + |P_a(L)|) for the second part when R is the leaf; k, the cells and
-|P_a|, |P_b| - 1, |C_b| add up with a cross term.
+(1 + |P_a(L)|) for the second part when R is the leaf; the cells add up
+with a cross term.  Every other count of a tree with n >= 1 internal
+nodes follows from n and k = |C_a|: the run lengths sum to n,
+|C_a| = |P_b| = k and |C_b| = |P_a| = n + 1 - k (all four are 0 for
+the leaf), so a composed record keeps only the ranks, the lengths, the
+two cell counts and the partition.
 
 The identities and order properties stated here (the rank-sum identity,
 power separation, class intervals, the twist comparison, the branch
@@ -318,7 +322,7 @@ def _iter_leaf_sets(n: int) -> Iterator[tuple[str, ...]]:
         pending = ((w + "a", left), ((w + "b", m - 1 - left), pending))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeSignature:
     """Positions (1-based ranks in sorted C) of the 'a'-ending leaves and
     the lengths of their trailing 'a'-runs."""
@@ -378,13 +382,13 @@ def reconstruct(sig: TreeSignature) -> CodeTree:
     return CodeTree._trusted(tuple(leaves))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeStats:
     """Derived counting data of a tree.
 
     a_count: number of leaves ending in 'a' (k)
-    prefix_sums: partial sums s_i of the trailing-run lengths
-    a_cells: sum of (s_i - 1), the free-cell count of the a-action
+    a_cells: sum of (s_i - 1) over the partial sums s_i of the
+        signature's run lengths, the free-cell count of the a-action
     b_cells: dominance pairs (p, c) in (P_b minus 1) x C_b with p < c,
         the free-cell count of the b-action
     partition: for each c in sorted C_b, how many members of P_a are
@@ -392,7 +396,6 @@ class TreeStats:
     """
 
     a_count: int
-    prefix_sums: tuple[int, ...]
     a_cells: int
     b_cells: int
     partition: tuple[int, ...]
@@ -400,17 +403,13 @@ class TreeStats:
 
 def tree_stats(tree: CodeTree) -> TreeStats:
     if tree.n == 0:
-        return TreeStats(0, (), 0, 0, ())
+        return TreeStats(0, 0, 0, ())
     c_a, c_b, p_a, p_b = tree.parts
-    sums: list[int] = []
-    total = 0
-    for c in c_a:
-        total += len(c) - len(strip_a_run(c))
-        sums.append(total)
+    sums = itertools.accumulate(len(c) - len(strip_a_run(c)) for c in c_a)
     a_cells = sum(s - 1 for s in sums)
     b_cells = sum(1 for p in p_b if p for c in c_b if p < c)
     partition = tuple(sum(1 for p in p_a if p < c) for c in c_b)
-    return TreeStats(len(c_a), tuple(sums), a_cells, b_cells, partition)
+    return TreeStats(len(c_a), a_cells, b_cells, partition)
 
 
 def tree_records(n: int) -> Iterator[tuple[TreeSignature, TreeStats]]:
@@ -426,58 +425,64 @@ def tree_records(n: int) -> Iterator[tuple[TreeSignature, TreeStats]]:
     return _iter_records(n)
 
 
-# A record is (ranks, lengths, k, S, a_cells, b_cells, partition, |P_a|,
-# |P_b| - 1, |C_b|), S the sum of the lengths; the leaf's is all empty.
-_LEAF_RECORD = ((), (), 0, 0, 0, 0, (), 0, 0, 0)
+# A record is (ranks, lengths, a_cells, b_cells, partition); the leaf's is
+# all empty.
+_LEAF_RECORD = ((), (), 0, 0, ())
 
 
-def _compose(n_left: int, left: tuple, right: tuple, shared: dict) -> tuple:
-    """The record of a·L ∪ b·R from those of L (n_left internal nodes)
-    and R.  L's leaves come first, the all-'a' one a letter longer ('a'
-    itself when L is the leaf), and R's ranks move past them.  Below
-    each a·w in C_b lie the root and the a·p, p in P_a(L) below w; below
-    each b·w, the root, all of a·P_a(L), and the b·p, p in P_a(R) minus
-    1 below w.  Each a·p, p in P_b(L) minus 1, lies below the c new
-    b-leaves, c = |C_b(R)|, or 1 (the leaf 'b') when R is the leaf; when
-    R is not the leaf, 'b' joins P_b and lies below all |C_b(R)| of
-    them.  Many trees share their ranks, lengths or partition, so each
-    such tuple is taken from ``shared``, one copy per value."""
-    ranks_l, lengths_l, k_l, s_l, a_l, b_l, lam_l, pa_l, pb_l, cb_l = left
-    ranks_r, lengths_r, k_r, s_r, a_r, b_r, lam_r, pa_r, pb_r, cb_r = right
+def _compose(n_left: int, n_right: int, left: tuple, right: tuple, shared: dict) -> tuple:
+    """The record of a·L ∪ b·R from those of L and R, with n_left and
+    n_right internal nodes.  L's leaves come first, the all-'a' one a
+    letter longer ('a' itself when L is the leaf), and R's ranks move
+    past them.  Below each a·w in C_b lie the root and the a·p, p in
+    P_a(L) below w; below each b·w, the root, all of a·P_a(L), and the
+    b·p, p in P_a(R) minus 1 below w.  Each a·p, p in P_b(L) minus 1,
+    lies below the c new b-leaves; when R is not the leaf, 'b' joins
+    P_b and lies below all c of them.  The counts the record does not
+    keep follow from the sizes and k = len(ranks): |P_a(L)| =
+    n_left + 1 - max(k_L, 1), |P_b(L)| - 1 = max(k_L - 1, 0), and
+    c = |C_b(R)| = n_right + 1 - k_R, which is 1 (the leaf 'b') when R
+    is the leaf; L's run lengths sum to n_left.  Many trees share their
+    ranks, lengths or partition, so each such tuple is taken from
+    ``shared``, one copy per value."""
+    ranks_l, lengths_l, a_l, b_l, lam_l = left
+    ranks_r, lengths_r, a_r, b_r, lam_r = right
+    k_l, k_r = len(ranks_l), len(ranks_r)
+    pa_l = n_left + 1 - max(k_l, 1)
+    pb_l = max(k_l - 1, 0)
+    c = n_right + 1 - k_r
     shift = n_left + 1
     ranks = (ranks_l or (1,)) + tuple(r + shift for r in ranks_r)
     lengths = ((lengths_l[0] + 1,) + lengths_l[1:] if lengths_l else (1,)) + lengths_r
     lam = tuple(1 + x for x in lam_l)
     if ranks_r:
-        c = cb_r
         lam += tuple(pa_l + x for x in lam_r)
-        b_cells = b_l + pb_l * c + b_r + cb_r
-        pb = pb_l + pb_r + 1
+        b_cells = b_l + pb_l * c + b_r + c
     else:
-        c = 1
         lam += (1 + pa_l,)
         b_cells = b_l + pb_l
-        pb = pb_l
     one = shared.setdefault
-    return (one(ranks, ranks), one(lengths, lengths), max(k_l, 1) + k_r, s_l + 1 + s_r,
-            a_l + k_l + a_r + k_r * (s_l + 1), b_cells, one(lam, lam),
-            pa_l + max(pa_r, 1), pb, cb_l + c)
+    return (one(ranks, ranks), one(lengths, lengths), a_l + k_l + a_r + k_r * shift,
+            b_cells, one(lam, lam))
+
+
+def _composed(m: int, memo: list, shared: dict) -> Iterator[tuple]:
+    """The records of size m in ``enumerate_trees`` order, one per root
+    split into the records of ``memo``'s smaller sizes."""
+    for left in range(m):
+        right = m - 1 - left
+        for l_rec in memo[left]:
+            for r_rec in memo[right]:
+                yield _compose(left, right, l_rec, r_rec, shared)
 
 
 def _iter_records(n: int) -> Iterator[tuple[TreeSignature, TreeStats]]:
     shared: dict[tuple, tuple] = {}
     memo = [[_LEAF_RECORD]]
     for m in range(1, n):
-        memo.append([_compose(left, l_rec, r_rec, shared) for left in range(m)
-                     for l_rec in memo[left] for r_rec in memo[m - 1 - left]])
-    for left in range(n):
-        for l_rec in memo[left]:
-            for r_rec in memo[n - 1 - left]:
-                ranks, lengths, k, _, a_cells, b_cells, lam, _, _, _ = _compose(
-                    left, l_rec, r_rec, shared)
-                yield (TreeSignature(n, ranks, lengths),
-                       TreeStats(k, tuple(itertools.accumulate(lengths)),
-                                 a_cells, b_cells, lam))
+        memo.append(list(_composed(m, memo, shared)))
+    for ranks, lengths, a_cells, b_cells, lam in _composed(n, memo, shared):
+        yield TreeSignature(n, ranks, lengths), TreeStats(len(ranks), a_cells, b_cells, lam)
 
 
 def rank_identity_bijection(tree: CodeTree) -> dict:

@@ -25,7 +25,7 @@ import idealcensus.permstat as permstat
 import idealcensus.words as words
 from idealcensus.ideals import Census, TreeEntry
 from idealcensus.qpoly import LaurentPoly
-from idealcensus.words import TreeSignature
+from idealcensus.words import TreeSignature, TreeStats
 
 
 def run(capsys, *argv):
@@ -232,6 +232,20 @@ def test_count_formula_codim_forty_bytes(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "92c87d6dc8ec890cfa99f680f766c02246476e77178321c7a8a9c12376dffd08")
+
+
+def test_structural_census_bytes(capsys):
+    # recorded from the ten-field tree record, before it shrank to five
+    code, out, _ = run(capsys, "count", "--codim", "9", "--method", "structural",
+                       "--no-header")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f4441b8ec36e8e270f3206ebdd5f032fc2891a96f027152b64f6c22c2cee13ff")
+    code, out, _ = run(capsys, "export", "--object", "ideal-census", "--n", "8",
+                       "--format", "json", "--no-header")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a1d72ed046882785c5e93e9442ccb8ca3b549ea22e47cc14aa825e8f632af2ad")
 
 
 def test_count_cross_check_mismatch(capsys, monkeypatch):
@@ -631,10 +645,8 @@ def report_from_json(payload: dict) -> Census:
         sig=TreeSignature(size=payload["n"],
                           ranks=tuple(t["signature"]["ranks"]),
                           lengths=tuple(t["signature"]["lengths"])),
-        a_count=t["k"],
-        a_cells=t["N"],
-        b_cells=t["M"],
-        partition=tuple(t["lambda"]),
+        stats=TreeStats(a_count=t["k"], a_cells=t["N"], b_cells=t["M"],
+                        partition=tuple(t["lambda"])),
         contribution=uncontrib(t["contribution"]),
     ) for t in payload["trees"])
     report = Census(uncontrib(payload["total"]), entries)
@@ -711,10 +723,11 @@ def test_export_invalid_arguments(capsys):
     assert run(capsys, "export", "--object", "mystery", "--n", "2")[0] == 2
 
 
-@pytest.mark.parametrize("obj", ["cells", "congruences", "subgroups"])
+@pytest.mark.parametrize("obj", ["cells", "congruences", "subgroups", "ideal-census",
+                                 "ideal-census --q 3"])
 def test_json_export_rows_stream_as_their_list_encodes(capsys, obj):
     for n in (1, 4):
-        code, out, _ = run(capsys, "export", "--object", obj, "--n", str(n),
+        code, out, _ = run(capsys, "export", "--object", *obj.split(), "--n", str(n),
                            "--format", "json", "--no-header")
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
