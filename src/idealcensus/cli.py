@@ -75,8 +75,9 @@ def factored_census_str(n: int, core: LaurentPoly) -> str:
 
 
 def census_json(n: int, route: Route, q: int | None, census: Census) -> dict:
-    # trees share contributions: one term list per distinct value
-    contrib = cache(lambda value: value if isinstance(value, int) else poly_terms(value))
+    # trees share contributions: one term tuple per distinct value, which
+    # ``json_chunks`` encodes once
+    contrib = cache(lambda value: value if isinstance(value, int) else tuple(poly_terms(value)))
     out: dict = {"n": n, "method": route.name}
     if route.needs_q:
         out["q"] = q
@@ -149,11 +150,31 @@ def json_chunks(body: dict) -> Iterator[str]:
     chunk.  A value of ``body`` that is an iterator is written as a list,
     each item as it is drawn, so an export's rows are never held
     together: ``json`` encodes lists only.  JSON strings hold no raw
-    newline, so indenting each chunk's newlines nests it a level deeper."""
+    newline, so indenting each chunk's newlines nests it a level deeper.
+    A tuple that is a field of such a row (a contribution that
+    ``census_json`` shares between trees) is encoded once per object:
+    the memo keeps the tuple, so its id names it until the end."""
     encode = json.JSONEncoder(indent=2).iterencode
+    encoded: dict[int, tuple[tuple, str]] = {}
 
     def nested(value, depth: int) -> Iterator[str]:
         return (chunk.replace("\n", "\n" + "  " * depth) for chunk in encode(value))
+
+    def row(item, depth: int) -> Iterator[str]:
+        if not isinstance(item, dict) or not item:
+            yield from nested(item, depth)
+            return
+        sep = "{"
+        for key, value in item.items():  # every export's row keys are strings
+            yield f"{sep}\n{'  ' * (depth + 1)}{json.dumps(key)}: "
+            sep = ","
+            if isinstance(value, tuple):
+                if id(value) not in encoded:
+                    encoded[id(value)] = value, "".join(nested(value, depth + 1))
+                yield encoded[id(value)][1]
+            else:
+                yield from nested(value, depth + 1)
+        yield "\n" + "  " * depth + "}"
 
     sep = "{"
     for key, value in body.items():
@@ -166,7 +187,7 @@ def json_chunks(body: dict) -> Iterator[str]:
         for item in value:
             yield ",\n    " if opened else "[\n    "
             opened = True
-            yield from nested(item, 2)
+            yield from row(item, 2)
         yield "\n  ]" if opened else "[]"
     yield "\n}\n"
 

@@ -133,11 +133,16 @@ def _tree_census(n: int, budget: int,
     against ``budget`` before the first record is drawn, then each
     (signature, stats, contribution) record, in ``enumerate_trees``
     order, becomes one entry.  Trees share contributions, so the total
-    adds each distinct one once, times the number of entries that hold it."""
+    adds each distinct object once, times the number of entries that hold
+    it: objects are told apart by identity, which hashes no value, and
+    equal values in different objects are added apart, which keeps the
+    sum exact."""
     charge(n, catalan, budget, f"Catalan({n}) trees")
     entries = tuple(TreeEntry(sig, st, value) for sig, st, value in records)
-    counts = Counter(e.contribution for e in entries)
-    return Census(sum((value * m for value, m in counts.items()), 0), entries)
+    values = [e.contribution for e in entries]
+    distinct = dict(zip(map(id, values), values))
+    counts = Counter(map(id, values))
+    return Census(sum((distinct[i] * m for i, m in counts.items()), 0), entries)
 
 
 def ideal_count_by_trees(n: int, budget: int = DEFAULT_BUDGET) -> Census:
@@ -145,13 +150,17 @@ def ideal_count_by_trees(n: int, budget: int = DEFAULT_BUDGET) -> Census:
     composed records of ``words.tree_records``.  Trees with the same key
     (free cells, partition λ) share one immutable contribution: λ has
     n + 1 - k parts, so it fixes k, and the staircase factor
-    (q-1)^k * haglund_product(λ) is built once per λ and shifted once
-    per key.  Catalan(n) trees above ``budget`` raise TooLarge."""
+    (q-1)^k * haglund_product(λ) is built once per λ, each factor q - 1
+    as a shift minus the value, and shifted once per key.  Catalan(n)
+    trees above ``budget`` raise TooLarge."""
     _require_codim(n)
 
     @cache
     def factor(lam: tuple[int, ...]) -> LaurentPoly:
-        return (Q - ONE) ** (n + 1 - len(lam)) * haglund_product(lam)
+        value = haglund_product(lam)
+        for _ in range(n + 1 - len(lam)):
+            value = value.shift(1) - value
+        return value
 
     @cache
     def contribution(cells: int, lam: tuple[int, ...]) -> LaurentPoly:

@@ -32,7 +32,10 @@ with a cross term.  Every other count of a tree with n >= 1 internal
 nodes follows from n and k = |C_a|: the run lengths sum to n,
 |C_a| = |P_b| = k and |C_b| = |P_a| = n + 1 - k (all four are 0 for
 the leaf), so a composed record keeps only the ranks, the lengths, the
-two cell counts and the partition.
+two cell counts and the partition.  Each size is composed split by
+split: what depends on R alone is tabulated once per split, what
+depends on L alone once per record of L, and the loop over the pairs
+(L, R) only joins the two halves.
 
 The identities and order properties stated here (the rank-sum identity,
 power separation, class intervals, the twist comparison, the branch
@@ -415,7 +418,7 @@ def tree_stats(tree: CodeTree) -> TreeStats:
 def tree_records(n: int) -> Iterator[tuple[TreeSignature, TreeStats]]:
     """(signature, tree_stats) of every tree with n >= 1 internal nodes,
     in ``enumerate_trees`` order, composed over the root split
-    T = a·L ∪ b·R without building a word (see ``_compose``).  The
+    T = a·L ∪ b·R without building a word (see ``_composed``).  The
     records of the smaller sizes are kept in lists local to the call;
     those of size n are composed as they are yielded."""
     if n < 0:
@@ -430,58 +433,80 @@ def tree_records(n: int) -> Iterator[tuple[TreeSignature, TreeStats]]:
 _LEAF_RECORD = ((), (), 0, 0, ())
 
 
-def _compose(n_left: int, n_right: int, left: tuple, right: tuple, shared: dict) -> tuple:
-    """The record of a·L ∪ b·R from those of L and R, with n_left and
-    n_right internal nodes.  L's leaves come first, the all-'a' one a
-    letter longer ('a' itself when L is the leaf), and R's ranks move
-    past them.  Below each a·w in C_b lie the root and the a·p, p in
-    P_a(L) below w; below each b·w, the root, all of a·P_a(L), and the
-    b·p, p in P_a(R) minus 1 below w.  Each a·p, p in P_b(L) minus 1,
-    lies below the c new b-leaves; when R is not the leaf, 'b' joins
-    P_b and lies below all c of them.  The counts the record does not
-    keep follow from the sizes and k = len(ranks): |P_a(L)| =
-    n_left + 1 - max(k_L, 1), |P_b(L)| - 1 = max(k_L - 1, 0), and
-    c = |C_b(R)| = n_right + 1 - k_R, which is 1 (the leaf 'b') when R
-    is the leaf; L's run lengths sum to n_left.  Many trees share their
-    ranks, lengths or partition, so each such tuple is taken from
-    ``shared``, one copy per value."""
-    ranks_l, lengths_l, a_l, b_l, lam_l = left
-    ranks_r, lengths_r, a_r, b_r, lam_r = right
-    k_l, k_r = len(ranks_l), len(ranks_r)
-    pa_l = n_left + 1 - max(k_l, 1)
-    pb_l = max(k_l - 1, 0)
-    c = n_right + 1 - k_r
-    shift = n_left + 1
-    ranks = (ranks_l or (1,)) + tuple(r + shift for r in ranks_r)
-    lengths = ((lengths_l[0] + 1,) + lengths_l[1:] if lengths_l else (1,)) + lengths_r
-    lam = tuple(1 + x for x in lam_l)
-    if ranks_r:
-        lam += tuple(pa_l + x for x in lam_r)
-        b_cells = b_l + pb_l * c + b_r + c
-    else:
-        lam += (1 + pa_l,)
-        b_cells = b_l + pb_l
+def _composed(m: int, memo: list, shared: dict, raised: dict) -> Iterator[tuple]:
+    """The records of size m in ``enumerate_trees`` order: for each root
+    split into L and R with ``left`` and ``right`` = m - 1 - left
+    internal nodes, the record of a·L ∪ b·R for each record of L in
+    ``memo[left]`` and, inside that, each record of R in ``memo[right]``.
+
+    L's leaves come first, the all-'a' one a letter longer ('a' itself
+    when L is the leaf), and R's ranks move past L's left + 1 leaves.
+    Below each a·w in C_b lie the root and the a·p, p in P_a(L) below w;
+    below each b·w, the root, all of a·P_a(L), and the b·p, p in P_a(R)
+    minus 1 below w.  Each a·p, p in P_b(L) minus 1, lies below the c
+    new b-leaves; when R is not the leaf, 'b' joins P_b and lies below
+    all c of them.  The counts a record does not keep follow from the
+    sizes and k = len(ranks): |P_a(L)| = |C_b(L)| = len(λ(L)),
+    |P_b(L)| - 1 = max(k_L - 1, 0), and c = |C_b(R)| = right + 1 - k_R,
+    which is 1 (the leaf 'b') when R is the leaf; L's run lengths sum
+    to ``left``.
+
+    No work is repeated for a part that depends on one side only.  A
+    table built once per split holds R's shifted ranks and its terms of
+    the two cell counts; L's head of each tuple and of each count is
+    built once per record of L, and 1 + λ(L) once per value of λ(L),
+    kept in ``raised`` for the whole call; R's part of the partition,
+    |P_a(L)| + λ(R), is built once per value of |P_a(L)| in the split.
+    The loop over the pairs then only joins the two sides.  Many trees
+    share their ranks, lengths or partition, so each such tuple is taken
+    from ``shared``, one copy per value, and so are the tables' shifted
+    ranks and partition tails: R's records repeat few values, and one
+    copy of each keeps the peak memory as low as when no table was
+    built."""
     one = shared.setdefault
-    return (one(ranks, ranks), one(lengths, lengths), a_l + k_l + a_r + k_r * shift,
-            b_cells, one(lam, lam))
-
-
-def _composed(m: int, memo: list, shared: dict) -> Iterator[tuple]:
-    """The records of size m in ``enumerate_trees`` order, one per root
-    split into the records of ``memo``'s smaller sizes."""
     for left in range(m):
         right = m - 1 - left
-        for l_rec in memo[left]:
-            for r_rec in memo[right]:
-                yield _compose(left, right, l_rec, r_rec, shared)
+        shift = left + 1
+        table, lams_r = [], []
+        for ranks_r, lengths_r, a_r, b_r, lam_r in memo[right]:
+            k_r = len(ranks_r)
+            c = right + 1 - k_r
+            shifted = tuple(r + shift for r in ranks_r)
+            table.append((one(shifted, shifted), lengths_r,
+                          a_r + k_r * shift, b_r + c if ranks_r else 0, c))
+            lams_r.append(lam_r)
+        tails: dict[int, list] = {}
+        for ranks_l, lengths_l, a_l, b_l, lam_l in memo[left]:
+            k_l = len(ranks_l)
+            head = ranks_l or (1,)
+            lens = (lengths_l[0] + 1,) + lengths_l[1:] if lengths_l else (1,)
+            lam_head = raised.get(lam_l)
+            if lam_head is None:
+                lam_head = raised[lam_l] = tuple(1 + x for x in lam_l)
+            a_head = a_l + k_l
+            pb_l = max(k_l - 1, 0)
+            pa_l = len(lam_l)
+            tail = tails.get(pa_l)
+            if tail is None:
+                tail = tails[pa_l] = []
+                for lam_r in lams_r:
+                    t = tuple(pa_l + x for x in lam_r) if lam_r else (1 + pa_l,)
+                    tail.append(one(t, t))
+            for (shifted, lengths_r, a_term, b_term, c), lam_r in zip(table, tail):
+                ranks = head + shifted
+                lengths = lens + lengths_r
+                lam = lam_head + lam_r
+                yield (one(ranks, ranks), one(lengths, lengths), a_head + a_term,
+                       b_l + pb_l * c + b_term, one(lam, lam))
 
 
 def _iter_records(n: int) -> Iterator[tuple[TreeSignature, TreeStats]]:
     shared: dict[tuple, tuple] = {}
+    raised: dict[tuple, tuple] = {}
     memo = [[_LEAF_RECORD]]
     for m in range(1, n):
-        memo.append(list(_composed(m, memo, shared)))
-    for ranks, lengths, a_cells, b_cells, lam in _composed(n, memo, shared):
+        memo.append(list(_composed(m, memo, shared, raised)))
+    for ranks, lengths, a_cells, b_cells, lam in _composed(n, memo, shared, raised):
         yield TreeSignature(n, ranks, lengths), TreeStats(len(ranks), a_cells, b_cells, lam)
 
 

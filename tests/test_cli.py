@@ -43,6 +43,14 @@ def child_env(**extra):
 # -- count -------------------------------------------------------------------
 
 
+def test_package_runs_as_a_module(capsys):
+    argv = ["count", "--codim", "2", "--no-header"]
+    proc = subprocess.run([sys.executable, "-m", "idealcensus", *argv],
+                          capture_output=True, text=True, env=child_env(), timeout=60)
+    code, out, _ = run(capsys, *argv)
+    assert (proc.returncode, proc.stdout) == (code, out)
+
+
 def test_count_formula_text(capsys):
     code, out, _ = run(capsys, "count", "--codim", "2", "--no-header")
     assert code == 0
@@ -246,6 +254,15 @@ def test_structural_census_bytes(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "a1d72ed046882785c5e93e9442ccb8ca3b549ea22e47cc14aa825e8f632af2ad")
+
+
+def test_json_census_export_bytes(capsys):
+    # recorded while each tree's contribution was still encoded anew
+    code, out, _ = run(capsys, "export", "--object", "ideal-census", "--n", "9",
+                       "--format", "json", "--no-header")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2d1ba09e553ad1bb4f7342baefc4aa942725b8199fdfb0ea8e3a0e0856059ece")
 
 
 def test_count_cross_check_mismatch(capsys, monkeypatch):

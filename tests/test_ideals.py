@@ -137,6 +137,25 @@ def test_report_total_is_the_sum_of_its_entries():
     assert report.total == sum(e.contribution for e in report.entries)
 
 
+def test_tree_census_adds_equal_values_held_by_different_objects():
+    # the total counts contributions by identity; equal values in distinct
+    # objects are added apart and the sum stays exact
+    records = list(words.tree_records(3))
+    big = [int("1000") for _ in records]
+    assert len({id(v) for v in big}) == len(records) == 5
+    census = ideals._tree_census(3, DEFAULT_BUDGET, [
+        (sig, st, v) for (sig, st), v in zip(records, big)])
+    assert census.total == 5000
+    census = ideals._tree_census(3, DEFAULT_BUDGET, [
+        (sig, st, LaurentPoly({1: 2, 3: -1})) for sig, st in records])
+    assert census.total == LaurentPoly({1: 10, 3: -5})
+    # at n = 8, distinct tree keys already give equal contributions
+    report = ideal_count_by_trees(8)
+    values = {id(e.contribution): e.contribution for e in report.entries}
+    assert len(set(values.values())) < len(values)
+    assert report.total == ideal_count_formula(8)
+
+
 @pytest.mark.parametrize("route", ideals.ROUTES.values(), ids=list(ideals.ROUTES))
 def test_every_route_returns_a_census(route):
     census = route.run(2, 3 if route.needs_q else None, DEFAULT_BUDGET)

@@ -194,6 +194,15 @@ def test_tree_records_equal_the_word_level_data(n):
                                      for t in enumerate_trees(n)]
 
 
+def test_tree_records_hold_one_tuple_per_value():
+    # the census holds these tuples for every tree: one copy per value
+    records = list(tree_records(9))
+    for field, values in ((lambda r: r[0].ranks, 256), (lambda r: r[0].lengths, 256),
+                          (lambda r: r[1].partition, 153)):
+        tuples = [field(r) for r in records]
+        assert len({id(t) for t in tuples}) == len(set(tuples)) == values
+
+
 def test_tree_records_need_an_internal_node():
     with pytest.raises(TrivialTree):
         tree_records(0)
