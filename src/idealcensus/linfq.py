@@ -12,10 +12,19 @@ rows above it.  The candidates of one node that span the same subspace
 share one search of it, and each node of the last level counts the
 last-row candidates outside its own span.  Nothing is reused from one
 node to another, and no count is ever multiplied out from a formula.
+The search stores a vector of F_p^n as one int: entry j in lane j, of
+w bits, with w one more than the bit length of p.  Two reduced vectors
+add lane by lane with no carry between lanes, since each lane of the
+sum is below 2p < 2**w, and the sum is reduced in all lanes at once by
+a few int operations: t - (((t + bias) & high) >> (w - 1)) * p, where
+``high`` holds the top bit 2**(w-1) of every lane and ``bias`` holds
+2**(w-1) - p in every lane, so a lane's top bit is set after adding
+``bias`` exactly where the lane is at least p.
 ``enumerate_matrices`` walks every assignment of the free cells with
-``itertools.product`` and stays the reference: the tests compare the
-counts against it, and ``checks.per_tree_action_counts`` filters each
-letter's matrices through ``is_invertible`` for every small tree.
+``itertools.product`` and, with ``is_invertible``, stays tuple-based as
+the reference: the tests compare the counts against it, and
+``checks.per_tree_action_counts`` filters each letter's matrices
+through ``is_invertible`` for every small tree.
 
 ``charge`` is the one budget gate of the package: every enumerating
 route, here and in ``ideals`` and ``congruence``, calls it with the size
@@ -196,12 +205,20 @@ def count_invertible_rows(rows: Sequence[tuple[Sequence[int], Sequence[int]]],
     So a node searches each S' once, for its first candidate in it, and
     maps every vector of S' to that subtree count, not to the set S'; a
     later candidate already mapped adds its count without descending.
-    On the last row the candidates outside the span are counted by one
-    set difference.  Rows are visited in order of increasing freedom,
-    which does not change whether a matrix is invertible, so the widest
-    row is only tested, never expanded.  The budget bounds p**(free
-    cells), the number of matrices described, and then p**n: a span set
-    holds at most p**(n-1) vectors, and a node's map at most p**n.
+    On the last row the candidates outside the span are counted: all of
+    them less those in the span, by one set intersection.  Rows are
+    visited in order of increasing freedom, which does not change whether
+    a matrix is invertible, so the widest row is only tested, never
+    expanded.  The budget bounds p**(free cells), the number of matrices
+    described, and then p**n: a span set holds at most p**(n-1) vectors,
+    and a node's map at most p**n.
+
+    Every candidate, span set, map key and last-row vector is one int of
+    n lanes, w bits each, with 2**(w-1) > p; entry j sits in lane j.  A
+    free column's lane is set to each value of F_p, whatever the fixed
+    row holds there.  Lane by lane, a sum of two reduced vectors is below
+    2p < 2**w, so no lane carries into the next, and one mask step
+    reduces every lane at once (see ``_extend_span``).
     """
     m, cells = _check_rows(rows, p)
     n = len(rows)
@@ -211,46 +228,66 @@ def count_invertible_rows(rows: Sequence[tuple[Sequence[int], Sequence[int]]],
     charge(n, lambda k: p ** k, budget, f"{p}**{n} span vectors")
     if n == 0:
         return 1
-    candidates = sorted((_row_candidates(fixed, free, p) for fixed, free in rows), key=len)
-    last = set(candidates.pop())
+    width = len(format(p, "b")) + 1
+    ones = sum(1 << j * width for j in range(n))
+    # (shift, bias, high): bias lifts a lane holding p to the lane's top
+    # bit, and high holds the top bit of every lane
+    lanes = (width - 1, ones * ((1 << width - 1) - p), ones << width - 1)
+    *inner, widest = sorted(rows, key=lambda row: len(row[1]))
+    candidates = [_row_candidates(fixed, free, p, width) for fixed, free in inner]
+    last = _row_candidates(*widest, p, width)
+    return _completions(0, {0}, candidates, last, p, lanes)
 
-    def descend(level: int, span: set[tuple[int, ...]]) -> int:
-        if level == len(candidates):
-            return len(last - span)
-        # w in span(S, v) \ S spans the same superspace as v, whose subtree
-        # count depends on that superspace alone: search it once
-        wider: dict[tuple[int, ...], int] = {}
-        total = 0
-        for v in candidates[level]:
-            if v in span:
-                continue
-            count = wider.get(v)
-            if count is None:
-                extended = _extend_span(span, v, p)
-                count = descend(level + 1, extended)
-                wider.update(dict.fromkeys(extended, count))
-            total += count
-        return total
 
-    return descend(0, {(0,) * n})
+def _completions(level: int, span: set[int], candidates: list[set[int]],
+                 last: set[int], p: int, lanes: tuple[int, int, int]) -> int:
+    """Number of ways to complete rows with span ``span`` to an invertible
+    matrix by one vector of ``candidates[level]``, one of each set after
+    it and one of ``last``.  A module function, not a closure, so that no
+    reference cycle keeps the candidate sets alive after the count
+    returns."""
+    if level == len(candidates):
+        return len(last) - len(last & span)
+    # w in span(S, v) \ S spans the same superspace as v, whose subtree
+    # count depends on that superspace alone: search it once
+    wider: dict[int, int] = {}
+    total = 0
+    for v in candidates[level]:
+        if v in span:
+            continue
+        count = wider.get(v)
+        if count is None:
+            extended = _extend_span(span, v, p, lanes)
+            count = _completions(level + 1, extended, candidates, last, p, lanes)
+            wider.update(dict.fromkeys(extended, count))
+        total += count
+    return total
 
 
 def _row_candidates(fixed: Sequence[int], free: Sequence[int],
-                    p: int) -> list[tuple[int, ...]]:
-    row = [v % p for v in fixed]
-    out = []
-    for values in product(range(p), repeat=len(free)):
-        for j, v in zip(free, values):
-            row[j] = v
-        out.append(tuple(row))
+                    p: int, width: int) -> set[int]:
+    """The row's vectors packed ``width`` bits a lane: the fixed row
+    reduced mod p, each free column overwritten by every value of F_p."""
+    out = {sum(v % p << j * width for j, v in enumerate(fixed) if j not in free)}
+    for j in free:
+        unit = 1 << j * width
+        out = {c + u for c in out for u in range(0, p * unit, unit)}
     return out
 
 
-def _extend_span(span: set[tuple[int, ...]], v: tuple[int, ...],
-                 p: int) -> set[tuple[int, ...]]:
-    """The span of ``span`` and v: every s + c*v with c in F_p."""
-    multiples = [tuple(c * x % p for x in v) for c in range(p)]
-    return {tuple((a + b) % p for a, b in zip(s, m)) for s in span for m in multiples}
+def _extend_span(span: set[int], v: int, p: int,
+                 lanes: tuple[int, int, int]) -> set[int]:
+    """The span of ``span`` and v: every s + c*v with c in F_p.  Each lane
+    of a sum t is below 2p; adding ``bias`` sets the lane's top bit
+    (``high``) exactly where it is at least p, and there p is taken off."""
+    shift, bias, high = lanes
+    multiples = [(0, bias)]
+    for _ in range(p - 1):
+        t = multiples[-1][0] + v
+        c_v = t - (((t + bias) & high) >> shift) * p
+        multiples.append((c_v, c_v + bias))
+    return {s + c_v - (((s + c_v_bias) & high) >> shift) * p
+            for c_v, c_v_bias in multiples for s in span}
 
 
 def count_invertible_support(parts: Sequence[int], p: int,

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from idealcensus import linfq
+from idealcensus.haglund import haglund_product
 from idealcensus.linfq import (
     FqMatrix,
     NonSquare,
@@ -216,9 +217,9 @@ def test_one_span_per_superspace(monkeypatch):
     extend = linfq._extend_span
     built = []
 
-    def extend_span(span, v, p):
+    def extend_span(span, v, *args):
         built.append(v)
-        return extend(span, v, p)
+        return extend(span, v, *args)
 
     monkeypatch.setattr(linfq, "_extend_span", extend_span)
     assert count_invertible_support((3, 3, 3), 5) == 1488000
@@ -261,6 +262,46 @@ def test_rows_count_matches_filtered_enumeration_at_five():
             rows.append((fixed, free))
         direct = sum(1 for m in enumerate_matrices(rows, p) if is_invertible(m))
         assert count_invertible_rows(rows, p) == direct
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_free_columns_overwrite_their_fixed_entries(p):
+    # a fixed entry inside a free column, however large or negative, is
+    # overwritten by the free value, never added to it
+    assert count_invertible_rows([([5], [0])], 11) == 10
+    assert count_invertible_rows([([-1], [0])], p) == p - 1
+    rng = random.Random(100 + p)
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        left = 4  # at most p**4 matrices per family
+        rows = []
+        for _ in range(n):
+            free = rng.sample(range(n), rng.randint(0, min(n, left)))
+            left -= len(free)
+            fixed = [rng.choice([rng.randrange(1, p), -rng.randrange(1, p),
+                                 p + rng.randrange(p), 0]) for _ in range(n)]
+            rows.append((fixed, free))
+        direct = sum(1 for m in enumerate_matrices(rows, p) if is_invertible(m))
+        assert count_invertible_rows(rows, p) == direct, rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 17, 31, 127, 131, 8191])
+def test_counts_across_lane_widths(p):
+    # primes on both sides of each step of the packed vectors' lane width
+    assert count_invertible_rows([([1, 0], []), ([0, 0], [1])], p) == p - 1
+    assert count_invertible_rows([([1, 0], []), ([p + 3, 0], [1])], p) == p - 1
+    if p <= 131:
+        gl2 = (p * p - 1) * (p * p - p)
+        assert count_invertible_rows([([0, 0], [0, 1])] * 2, p, budget=p ** 4) == gl2
+    if p <= 5:
+        rows = [([0, 0, 0], [0, 1, 2])] * 2 + [([0, 1, 0], [2])]
+        direct = sum(1 for m in enumerate_matrices(rows, p) if is_invertible(m))
+        assert count_invertible_rows(rows, p) == direct
+
+
+def test_staircase_at_thirteen_matches_the_haglund_product():
+    parts = (1, 3, 3)
+    assert count_invertible_support(parts, 13) == haglund_product(parts).evaluate(13)
 
 
 def test_count_invertible_rows_validation():
