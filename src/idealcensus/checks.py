@@ -255,11 +255,14 @@ def power_separation(max_len: int) -> Cases:
     """p <= q forces p·a^i < q·b^j for every i >= 0, j >= 1, one case per
     word pair (p, q) of length at most max_len, with i, j <= max_len.
     In a total order every p·a^i is below every q·b^j exactly when the
-    largest of the first is below the smallest of the second."""
+    largest of the first is below the smallest of the second; each
+    word's two extremes are taken once, not once per pair."""
     a_runs = ["a" * i for i in range(max_len + 1)]
     b_runs = ["b" * j for j in range(1, max_len + 1)]
-    for p, q in itertools.combinations_with_replacement(sorted(words.all_words(max_len)), 2):
-        yield (p, q), max(p + x for x in a_runs) < min(q + y for y in b_runs)
+    extremes = [(w, max(w + x for x in a_runs), min(w + y for y in b_runs))
+                for w in sorted(words.all_words(max_len))]
+    for (p, high, _), (q, _, low) in itertools.combinations_with_replacement(extremes, 2):
+        yield (p, q), high < low
 
 
 def class_intervals(max_len: int) -> Cases:
@@ -349,13 +352,17 @@ def check_congruence_brute_filter(cfg: CheckConfig) -> Cases:
 def check_action_tables(cfg: CheckConfig) -> Cases:
     # enumerate_regular builds its congruences without validating them:
     # each image must be a class representative below its leaf, and both
-    # letter actions must permute the classes
+    # letter actions must permute the classes; the congruences come in
+    # runs of one tree, so the tree's constants are built once per run
+    tree = None
     for rc in regular(1, cfg.max_n, cfg.budget):
-        prefixes = set(rc.tree.prefixes)
+        if rc.tree is not tree:
+            tree = rc.tree
+            prefixes = set(tree.prefixes)
+            states = list(range(tree.n))
         table = congruence.action_table(rc)
-        yield rc, (all(p in prefixes and p < c for c, p in zip(rc.tree.leaves, rc.images))
-                   and all(sorted(row) == list(range(rc.tree.n))
-                           for row in (table.a_next, table.b_next)))
+        yield rc, (all(p in prefixes and p < c for c, p in zip(tree.leaves, rc.images))
+                   and sorted(table.a_next) == states and sorted(table.b_next) == states)
 
 
 def check_hook_through_correspondence(cfg: CheckConfig) -> Cases:

@@ -5,8 +5,9 @@ notation; sigma maps position i (1-based) to sigma[i-1].  Its matrix has
 a 1 in row i, column sigma(i).  The hook of a 1-cell is the set of cells
 strictly to its left in its row together with the cells strictly below it
 in its column; the statistic of interest is the size of the union of all
-hooks, counted here both directly on the grid and through the inversion
-count (two deliberately separate routes).
+hooks, counted here both directly on the grid, one int bitset of marked
+cells per row, and through the inversion count (two deliberately
+separate routes).
 
 A permutation is indecomposable when no proper prefix {1..i}, i < n, is
 stabilized.  ``enumerate_indecomposables`` streams them in lexicographic
@@ -92,18 +93,19 @@ def inversions(s: Perm) -> int:
 def hook_union_size(s: Perm) -> int:
     """Size of the union of all hooks, counted directly on the grid.
 
-    This marks cells and counts them; it shares no code with the
-    inversion route ``hook_number`` on purpose.
+    This marks cells and counts them, row by row; it shares no code with
+    the inversion route ``hook_number`` on purpose.  Row i's marked cells
+    are one int's set bits: the cells left of its 1, bits 0..s(i)-2,
+    together with ``above``, the columns that hold a 1 in a row above
+    (each such 1 marks the cells below it).  ``above`` gains the column
+    of row i's 1 after the row is counted by ``int.bit_count``.
     """
-    n = len(s)
-    marked = [[False] * n for _ in range(n)]
-    for i, v in enumerate(s):
-        row = marked[i]
-        for j in range(v - 1):
-            row[j] = True
-        for k in range(i + 1, n):
-            marked[k][v - 1] = True
-    return sum(1 for row in marked for cell in row if cell)
+    above = 0
+    count = 0
+    for v in s:
+        count += (((1 << (v - 1)) - 1) | above).bit_count()
+        above |= 1 << (v - 1)
+    return count
 
 
 def hook_number(s: Perm) -> int:

@@ -66,7 +66,7 @@ class InvalidSignature(ValueError):
 
 
 def check_word(w: str) -> str:
-    if not isinstance(w, str) or any(ch not in "ab" for ch in w):
+    if not isinstance(w, str) or w.strip("ab"):
         raise ValueError(f"not a word over a, b: {w!r}")
     return w
 
@@ -89,10 +89,13 @@ def read_exponent(text: str, i: int, kind: str) -> tuple[int, int]:
 
 
 def parse_word(text: str) -> str:
-    """Parse 'ba^2b' or plain 'baab'; '1' is the empty word.  Exponents
-    are ASCII digits.  A word longer than MAX_WORD_LENGTH is rejected
-    before it is built, and an exponent with more digits than
-    MAX_WORD_LENGTH has before it is read."""
+    """Parse 'ba^2b' or plain 'baab'; '1' is the empty word, and blank
+    text is rejected rather than read as it.  Exponents are ASCII
+    digits.  A word longer than MAX_WORD_LENGTH is rejected before it is
+    built, and an exponent with more digits than MAX_WORD_LENGTH has
+    before it is read."""
+    if not text.strip():
+        raise ValueError(f"blank word {text!r}: the empty word is written 1")
     text = text.strip()
     if text == "1":
         return ""

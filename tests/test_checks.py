@@ -1,6 +1,8 @@
 """Every entry of the check table that ``idealcensus verify`` runs, at
 ``--max-n 6 --primes 2``: one prime keeps the brute-force checks quick."""
 
+import dataclasses
+import itertools
 from math import comb
 
 import pytest
@@ -142,3 +144,39 @@ def test_subgroup_generators_need_their_printed_text(monkeypatch):
     monkeypatch.setattr(checks.congruence, "group_word_str", lambda word: "1")
     ok, _, _, _ = run_check(checks.check_subgroup_generators, CheckConfig(max_n=2))
     assert not ok
+
+
+@pytest.mark.parametrize("row", ["a_next", "b_next"])
+def test_action_tables_fail_on_a_row_that_is_not_a_permutation(monkeypatch, row):
+    # the tenth congruence (a tree with three states) gets a repeated state
+    real, seen = checks.congruence.action_table, []
+
+    def action_table(rc):
+        seen.append(rc)
+        table = real(rc)
+        if len(seen) != 10:
+            return table
+        return dataclasses.replace(table, **{row: (0,) * len(getattr(table, row))})
+
+    monkeypatch.setattr(checks.congruence, "action_table", action_table)
+    ok, detail, cases, _ = run_check(checks.check_action_tables, CheckConfig(max_n=3))
+    assert not ok
+    assert (cases, detail) == (10, str(seen[9]))
+    assert seen[9].tree.n == 3
+
+
+def per_pair_power_separation(max_len):
+    """``checks.power_separation`` as first written: both extremes are
+    taken anew for every pair."""
+    a_runs = ["a" * i for i in range(max_len + 1)]
+    b_runs = ["b" * j for j in range(1, max_len + 1)]
+    ws = sorted(checks.words.all_words(max_len))
+    for p, q in itertools.combinations_with_replacement(ws, 2):
+        yield (p, q), max(p + x for x in a_runs) < min(q + y for y in b_runs)
+
+
+def test_power_separation_matches_the_per_pair_reference():
+    got = list(checks.power_separation(5))
+    assert got == list(per_pair_power_separation(5))
+    assert len(got) == 63 * 64 // 2
+    assert all(ok for _, ok in got)

@@ -4,7 +4,7 @@ error, and on any text either return a result or raise ValueError."""
 import pytest
 from hypothesis import given, strategies as st
 
-from idealcensus.cli import parse_congruence_text
+from idealcensus.cli import main, parse_congruence_text
 from idealcensus.congruence import parse_group_word
 from idealcensus.permstat import parse_permutation
 from idealcensus.words import parse_word
@@ -34,6 +34,25 @@ def test_ascii_exponents_still_parse():
     assert parse_group_word("a^1000b^-0003") == (("a", 1000), ("b", -3))
     assert parse_permutation("2, 01") == (2, 1)
     assert parse_word("b^2a") == "bba"
+
+
+@pytest.mark.parametrize("text", ["", " ", "\t\n"])
+def test_blank_text_is_not_the_empty_word(text):
+    with pytest.raises(ValueError, match="the empty word is written 1") as info:
+        parse_word(text)
+    assert repr(text) in str(info.value)
+
+
+def test_a_congruence_line_with_an_empty_side_is_rejected(tmp_path, capsys):
+    with pytest.raises(ValueError, match="blank word"):
+        parse_congruence_text("a -> 1\nb -> \n")
+    source = tmp_path / "empty_side.txt"
+    source.write_text("a -> 1\nb -> \n")
+    code = main(["bijection", "--congruence-file", str(source)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(
+        "argument --congruence-file: blank word '': the empty word is written 1")
 
 
 # any text, and texts near the grammar that reach the digit paths

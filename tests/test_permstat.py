@@ -202,6 +202,36 @@ def test_inversions_past_one_machine_word(n):
     assert inversions(tuple(range(n, 0, -1))) == comb(n, 2)
 
 
+def marked_grid_size(s):
+    """The hook-union size by its literal definition: mark every hook
+    cell of the n x n grid, then count the marked cells."""
+    n = len(s)
+    marked = [[False] * n for _ in range(n)]
+    for i, v in enumerate(s):
+        row = marked[i]
+        for j in range(v - 1):
+            row[j] = True
+        for k in range(i + 1, n):
+            marked[k][v - 1] = True
+    return sum(1 for row in marked for cell in row if cell)
+
+
+def test_grid_route_matches_the_marked_grid_on_every_small_permutation():
+    for n in range(9):
+        for s in enumerate_permutations(n):
+            assert hook_union_size(s) == marked_grid_size(s), s
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_grid_route_matches_the_marked_grid_past_one_machine_word(n):
+    rng = random.Random(n)
+    for _ in range(3):
+        s = list(range(1, n + 1))
+        rng.shuffle(s)
+        s = tuple(s)
+        assert hook_union_size(s) == marked_grid_size(s)
+
+
 @given(perms, perms)
 def test_inversions_add_under_shifted_concat(a, b):
     assert inversions(shifted_concat(a, b)) == inversions(a) + inversions(b)

@@ -16,6 +16,7 @@ from idealcensus.words import (
     TrivialTree,
     all_words,
     alph_compare,
+    check_word,
     enumerate_trees,
     parse_word,
     rank_identity_bijection,
@@ -49,6 +50,24 @@ def test_parse_word():
         parse_word("ac")
     with pytest.raises(ValueError):
         parse_word("a^")
+
+
+def test_check_word_accepts_exactly_the_words_over_a_b():
+    for w in ("", "a", "abba"):
+        assert check_word(w) == w
+    for bad in ("Xab", "aXb", "abX", "A", "ä", "a b", 5):
+        with pytest.raises(ValueError) as info:
+            check_word(bad)
+        assert str(info.value) == f"not a word over a, b: {bad!r}"
+
+
+@given(st.text(alphabet="abAB äX\n", max_size=8) | st.text(max_size=8))
+def test_check_word_agrees_with_the_per_character_test(w):
+    if all(ch in "ab" for ch in w):
+        assert check_word(w) == w
+    else:
+        with pytest.raises(ValueError):
+            check_word(w)
 
 
 def test_parse_word_rejects_a_long_word_before_building_it():
