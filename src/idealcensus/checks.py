@@ -21,10 +21,8 @@ import functools
 import itertools
 import random
 import time
-from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import congruence, haglund, ideals, linfq, permstat, qpoly, words
 from .linfq import DEFAULT_BUDGET
@@ -34,8 +32,7 @@ Cases = Iterator[tuple[object, bool]]  # one (case, ok) per case checked
 Check = Callable[["CheckConfig"], Cases]
 
 
-@dataclass(frozen=True)
-class CheckConfig:
+class CheckConfig(NamedTuple):
     max_n: int = 5
     primes: tuple[int, ...] = (2, 3)
     seed: int = 0
@@ -182,6 +179,8 @@ def check_ring_axioms(cfg: CheckConfig) -> Cases:
 
 
 def check_eval_morphism(cfg: CheckConfig) -> Cases:
+    from fractions import Fraction
+
     rng = random.Random(cfg.seed + 1)
     for i in range(400):
         p, r = _random_poly(rng), _random_poly(rng)

@@ -24,16 +24,17 @@ an ``ideals.Census``, rendered by one function per format:
 verify runs live in ``checks.SUITES``; verify prints each as ``[ ok ]``,
 ``[FAIL]``, or ``[skip]`` when it checked no case at the given bounds
 and primes, followed by the reason the check gives, if any.
+
+Every command pays for this module's imports before it counts anything,
+so ``json``, ``csv`` and ``datetime`` are imported by the functions that
+use them; ``tests/test_cli.py`` checks what the import loads.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
-from datetime import datetime, timezone
 from functools import cache
 from itertools import chain
 from math import factorial
@@ -132,7 +133,9 @@ def output(args, body) -> int:
     lines as they are drawn from ``body``, so a lazy body is never held
     whole, and a stdout closed early fails the write of a later chunk
     instead of passing one partial write as whole."""
-    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    if args.header:
+        from datetime import datetime, timezone
+        stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     if args.format == "json":
         if args.header:
             body = {"meta": {"tool": "idealcensus", "version": __version__,
@@ -154,6 +157,8 @@ def json_chunks(body: dict) -> Iterator[str]:
     A tuple that is a field of such a row (a contribution that
     ``census_json`` shares between trees) is encoded once per object:
     the memo keeps the tuple, so its id names it until the end."""
+    import json
+
     encode = json.JSONEncoder(indent=2).iterencode
     encoded: dict[int, tuple[tuple, str]] = {}
 
@@ -195,6 +200,8 @@ def json_chunks(body: dict) -> Iterator[str]:
 def csv_lines(rows) -> Iterator[str]:
     """Each row as one CSV line: ``writerow`` returns what the target's
     ``write`` returns, here the line itself."""
+    import csv
+
     writer = csv.writer(SimpleNamespace(write=lambda line: line), lineterminator="\n")
     return map(writer.writerow, rows)
 
@@ -264,18 +271,23 @@ def cmd_count(args) -> int:
 
 
 def parse_congruence_text(text: str) -> RightCongruence:
+    """The congruence of lines 'c -> f(c)'; blank lines and '#' comments
+    are skipped, and an error in one line names its number."""
     mapping: dict[str, str] = {}
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "->" not in line:
-            raise ValueError(f"expected 'c -> f(c)', got {line!r}")
-        left, right = line.split("->", 1)
-        leaf = parse_word(left)
-        if leaf in mapping:
-            raise ValueError(f"leaf {word_str(leaf)} is given twice")
-        mapping[leaf] = parse_word(right)
+        try:
+            if "->" not in line:
+                raise ValueError(f"expected 'c -> f(c)', got {line!r}")
+            left, right = line.split("->", 1)
+            leaf = parse_word(left)
+            if leaf in mapping:
+                raise ValueError(f"leaf {word_str(leaf)} is given twice")
+            mapping[leaf] = parse_word(right)
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
     tree = CodeTree.from_leaves(mapping.keys())
     return RightCongruence.from_map(tree, mapping)
 

@@ -21,9 +21,8 @@ generating set {c · f(c)^-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import permstat
 from .haglund import constrained_permutations
@@ -55,8 +54,7 @@ class NotIndecomposable(ValueError):
 GroupWord = tuple[tuple[str, int], ...]  # reduced runs: (letter, exponent != 0)
 
 
-@dataclass(frozen=True)
-class RightCongruence:
+class RightCongruence(NamedTuple):
     """Code tree plus reduction map; images aligned with tree.leaves.
 
     ``from_map`` validates a map read from outside the package; the
@@ -84,8 +82,7 @@ class RightCongruence:
         return "{" + body + "}"
 
 
-@dataclass(frozen=True)
-class ActionTable:
+class ActionTable(NamedTuple):
     """Letter actions on the sorted class representatives, as index maps."""
 
     states: tuple[str, ...]

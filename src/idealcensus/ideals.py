@@ -38,10 +38,9 @@ as ``cell_decomposition`` does when it is called, before its first cell.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from math import comb, factorial
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .haglund import haglund_product
 from .linfq import (DEFAULT_BUDGET, FqMatrix, charge, check_prime,
@@ -54,8 +53,8 @@ from .permstat import (
     inversions,
 )
 from .qpoly import LaurentPoly, ONE, Q
-from .words import (CodeTree, TreeSignature, TreeStats, enumerate_trees, signature,
-                    tree_records, tree_stats)
+from .words import (CodeTree, Record, TreeSignature, TreeStats, enumerate_trees,
+                    signature, tree_records, tree_stats)
 
 Contribution = Union[LaurentPoly, int]
 
@@ -75,26 +74,31 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-@dataclass(frozen=True, slots=True)
-class TreeEntry:
+class TreeEntry(Record):
     """Per-tree line of a census: the tree's signature, its ``TreeStats``
     and its term of the census."""
 
-    sig: TreeSignature
-    stats: TreeStats
-    contribution: Contribution
+    __slots__ = ("sig", "stats", "contribution")
+
+    def __init__(self, sig: TreeSignature, stats: TreeStats, contribution: Contribution):
+        object.__setattr__(self, "sig", sig)
+        object.__setattr__(self, "stats", stats)
+        object.__setattr__(self, "contribution", contribution)
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(Record):
     """What every route returns: the census ``total``, a polynomial in q
     or its value at a prime q; one entry per code tree, in
     ``enumerate_trees`` order, from a tree route; and the formula
     route's P_(n+1)."""
 
-    total: Contribution
-    entries: tuple[TreeEntry, ...] = ()
-    indec: LaurentPoly | None = None
+    __slots__ = ("total", "entries", "indec")
+
+    def __init__(self, total: Contribution, entries: tuple[TreeEntry, ...] = (),
+                 indec: LaurentPoly | None = None):
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "indec", indec)
 
 
 def formula_census(n: int, budget: int = DEFAULT_BUDGET) -> Census:
@@ -179,13 +183,30 @@ def assignment_slots(tree: CodeTree) -> tuple[tuple[str, str], ...]:
     return tuple((c, p) for c in tree.leaves for p in tree.prefixes if p < c)
 
 
-@dataclass(frozen=True)
-class CoefficientAssignment:
-    """One scalar per slot; values aligned with ``assignment_slots``."""
-
+class _AssignmentFields(NamedTuple):
     tree: CodeTree
     modulus: int
     values: tuple[int, ...]
+
+
+class CoefficientAssignment(_AssignmentFields):
+    """One scalar per slot; values aligned with ``assignment_slots``,
+    checked at construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, tree: CodeTree, modulus: int, values: tuple[int, ...]):
+        check_prime(modulus)
+        if len(values) != len(assignment_slots(tree)):
+            raise ValueError("one value per slot required")
+        if any(not 0 <= v < modulus for v in values):
+            raise ValueError("values must be reduced mod p")
+        return super().__new__(cls, tree, modulus, values)
+
+    @classmethod
+    def _make(cls, iterable) -> "CoefficientAssignment":
+        # ``_replace`` builds through ``_make``: check its result too
+        return cls(*iterable)
 
     @classmethod
     def from_dict(cls, tree: CodeTree, p: int,
@@ -196,13 +217,6 @@ class CoefficientAssignment:
         if unknown:
             raise ValueError(f"not coefficient slots: {sorted(unknown)!r}")
         return cls(tree, p, tuple(mapping.get(slot, 0) % p for slot in slots))
-
-    def __post_init__(self):
-        check_prime(self.modulus)
-        if len(self.values) != len(assignment_slots(self.tree)):
-            raise ValueError("one value per slot required")
-        if any(not 0 <= v < self.modulus for v in self.values):
-            raise ValueError("values must be reduced mod p")
 
 
 def action_rows(tree: CodeTree) -> dict[str, list[tuple[list[int], list[int]]]]:
@@ -275,8 +289,7 @@ def ideal_count_brute_force(n: int, p: int,
 # -- the table of census routes --------------------------------------------
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(NamedTuple):
     """``run(n, q, budget)`` returns a ``Census`` whose ``total`` is a
     polynomial in q (its value at q if ``needs_q``), with one entry per
     tree if ``per_tree`` and none otherwise.  A ``witness_only`` route is

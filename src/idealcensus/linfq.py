@@ -35,9 +35,8 @@ without computing their cost, so a huge n is refused at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 DEFAULT_BUDGET = 1 << 26
 
@@ -100,8 +99,7 @@ def check_prime(p: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class FqMatrix:
+class FqMatrix(NamedTuple):
     """Immutable matrix over F_p; entries reduced mod p at construction."""
 
     rows: int

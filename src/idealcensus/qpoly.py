@@ -38,10 +38,12 @@ need: multiplication and inversion of a series with constant term 1.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 from operator import add, neg, sub
-from typing import Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction  # imported where evaluation needs it
 
 
 class EvalAtZero(ZeroDivisionError):
@@ -198,12 +200,17 @@ class LaurentPoly:
             if self._dense and self._val < 0:
                 raise EvalAtZero("negative exponent at point 0")
             return self.coefficient(0)
-        x = point if isinstance(point, int) else Fraction(point)
+        if isinstance(point, int):
+            x = point
+        else:
+            from fractions import Fraction
+            x = Fraction(point)
         total = 0
         for c in reversed(self._dense):
             total = total * x + c
         if isinstance(x, int) and self._val >= 0:
             return total * x ** self._val
+        from fractions import Fraction  # a non-int point or a negative exponent
         total = Fraction(total) * Fraction(x) ** self._val
         return int(total) if total.denominator == 1 else total
 

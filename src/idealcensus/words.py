@@ -46,7 +46,6 @@ pair or tree that fails.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
@@ -215,14 +214,52 @@ class ActionLayout(NamedTuple):
     b: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CodeTree:
-    """Maximal prefix-free set (leaves) plus its proper prefixes, sorted.
-    The derived ``parts`` and ``layout`` are built once per tree, on
-    first use."""
+class Record:
+    """Base of the frozen records that are not tuples: the per-tree
+    records, of which a census holds one each per tree (a tuple would
+    take 16 bytes more per object), and the census itself, which no
+    caller should unpack.  A subclass names its fields in ``__slots__``
+    and sets them in ``__init__`` with ``object.__setattr__``; every
+    other assignment raises.  Records are equal when they are of the
+    same class with equal fields, and hash and print by their fields."""
 
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _CodeTreeFields(NamedTuple):
     leaves: tuple[str, ...]
     prefixes: tuple[str, ...]
+
+
+class CodeTree(_CodeTreeFields):
+    """Maximal prefix-free set (leaves) plus its proper prefixes, sorted.
+    The derived ``parts`` and ``layout`` are built once per tree, on
+    first use, and kept in the instance ``__dict__``; every assignment
+    raises."""
+
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
 
     @classmethod
     def from_leaves(cls, words: Iterable[str]) -> "CodeTree":
@@ -328,14 +365,16 @@ def _iter_leaf_sets(n: int) -> Iterator[tuple[str, ...]]:
         pending = ((w + "a", left), ((w + "b", m - 1 - left), pending))
 
 
-@dataclass(frozen=True, slots=True)
-class TreeSignature:
+class TreeSignature(Record):
     """Positions (1-based ranks in sorted C) of the 'a'-ending leaves and
     the lengths of their trailing 'a'-runs."""
 
-    size: int
-    ranks: tuple[int, ...]
-    lengths: tuple[int, ...]
+    __slots__ = ("size", "ranks", "lengths")
+
+    def __init__(self, size: int, ranks: tuple[int, ...], lengths: tuple[int, ...]):
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "lengths", lengths)
 
 
 def signature(tree: CodeTree) -> TreeSignature:
@@ -388,8 +427,7 @@ def reconstruct(sig: TreeSignature) -> CodeTree:
     return CodeTree._trusted(tuple(leaves))
 
 
-@dataclass(frozen=True, slots=True)
-class TreeStats:
+class TreeStats(Record):
     """Derived counting data of a tree.
 
     a_count: number of leaves ending in 'a' (k)
@@ -401,10 +439,14 @@ class TreeStats:
         below c; weakly increasing with parts bounded by its length
     """
 
-    a_count: int
-    a_cells: int
-    b_cells: int
-    partition: tuple[int, ...]
+    __slots__ = ("a_count", "a_cells", "b_cells", "partition")
+
+    def __init__(self, a_count: int, a_cells: int, b_cells: int,
+                 partition: tuple[int, ...]):
+        object.__setattr__(self, "a_count", a_count)
+        object.__setattr__(self, "a_cells", a_cells)
+        object.__setattr__(self, "b_cells", b_cells)
+        object.__setattr__(self, "partition", partition)
 
 
 def tree_stats(tree: CodeTree) -> TreeStats:

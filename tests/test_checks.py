@@ -1,7 +1,6 @@
 """Every entry of the check table that ``idealcensus verify`` runs, at
 ``--max-n 6 --primes 2``: one prime keeps the brute-force checks quick."""
 
-import dataclasses
 import itertools
 from math import comb
 
@@ -156,7 +155,7 @@ def test_action_tables_fail_on_a_row_that_is_not_a_permutation(monkeypatch, row)
         table = real(rc)
         if len(seen) != 10:
             return table
-        return dataclasses.replace(table, **{row: (0,) * len(getattr(table, row))})
+        return table._replace(**{row: (0,) * len(getattr(table, row))})
 
     monkeypatch.setattr(checks.congruence, "action_table", action_table)
     ok, detail, cases, _ = run_check(checks.check_action_tables, CheckConfig(max_n=3))

@@ -51,6 +51,26 @@ def test_package_runs_as_a_module(capsys):
     assert (proc.returncode, proc.stdout) == (code, out)
 
 
+# ``dataclasses`` with what it pulls in, and the modules only some commands use
+LAZY_MODULES = {"dataclasses", "inspect", "fractions", "decimal", "datetime", "csv", "json"}
+
+
+def test_importing_the_cli_loads_no_lazy_module():
+    # -I ignores PYTHONPATH, so the child puts the package on sys.path itself;
+    # what ``site`` loaded before the import does not count
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import idealcensus.cli\n"
+            "idealcensus.cli.build_parser()\n"
+            "print(*sorted(set(sys.modules) - before))\n")
+    proc = subprocess.run([sys.executable, "-I", "-c", code, str(Path(cli.__file__).parents[1])],
+                          capture_output=True, text=True, timeout=60, check=True)
+    loaded = set(proc.stdout.split())
+    assert "idealcensus.cli" in loaded
+    assert not loaded & LAZY_MODULES, sorted(loaded & LAZY_MODULES)
+
+
 def test_count_formula_text(capsys):
     code, out, _ = run(capsys, "count", "--codim", "2", "--no-header")
     assert code == 0
@@ -887,7 +907,7 @@ USAGE_ERRORS = [
     (["bijection", "--congruence-file", "{absent}"], "--congruence-file",
      "cannot read {absent}: "),
     (["bijection", "--congruence-file", "{garbled}"], "--congruence-file",
-     "expected 'c -> f(c)', got 'aa => 1'"),
+     "line 1: expected 'c -> f(c)', got 'aa => 1'"),
     (["count", "--codim", "2", "--budget", "0"], "--budget", "must be at least 1, got 0"),
     (["verify", "--budget", "-5"], "--budget", "must be at least 1, got -5"),
     (["export", "--object", "cells", "--n", "1", "--budget", "0"], "--budget",

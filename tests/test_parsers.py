@@ -52,7 +52,26 @@ def test_a_congruence_line_with_an_empty_side_is_rejected(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert err.splitlines()[-1].endswith(
-        "argument --congruence-file: blank word '': the empty word is written 1")
+        "argument --congruence-file: line 2: blank word '': the empty word is written 1")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a -> 1\nb => 1\n", "line 2: expected 'c -> f(c)', got 'b => 1'"),
+    ("a -> 1\nb -> 2\n", "line 2: bad character '2' in word '2'"),
+    ("ax -> 1\nb -> 1\n", "line 1: bad character 'x' in word 'ax'"),
+    ("a -> 1\n -> 1\n", "line 2: blank word '': the empty word is written 1"),
+    ("# comment\n\na -> 1\nb -> 1\na -> 1\n", "line 5: leaf a is given twice"),
+], ids=["no arrow", "bad image", "bad leaf", "blank leaf", "leaf twice"])
+def test_a_congruence_file_error_names_its_line(tmp_path, capsys, text, message):
+    with pytest.raises(ValueError) as info:
+        parse_congruence_text(text)
+    assert str(info.value) == message
+    source = tmp_path / "congruence.txt"
+    source.write_text(text)
+    code = main(["bijection", "--congruence-file", str(source)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(f"argument --congruence-file: {message}")
 
 
 # any text, and texts near the grammar that reach the digit paths

@@ -231,6 +231,13 @@ def test_evaluate_negative_exponents():
         p.evaluate(0)
 
 
+def test_evaluate_on_the_fraction_paths():
+    # ``fractions`` is imported by these two paths only
+    assert LaurentPoly({2: 1, 0: 1}).evaluate(Fraction(1, 3)) == Fraction(10, 9)
+    value = LaurentPoly({1: 1, -1: 1}).evaluate(2)  # q + q^-1
+    assert value == Fraction(5, 2) and isinstance(value, Fraction)
+
+
 def test_evaluate_zero_with_cancelled_negatives():
     # q^-1 * q = 1 in canonical form, so evaluation at 0 is fine
     p = LaurentPoly.monomial(-1) * Q
