@@ -66,8 +66,6 @@ from .haglund import haglund_hook_sum, haglund_product
 from .ideals import (
     Census,
     CodimensionZero,
-    CoefficientAssignment,
-    build_action_matrices,
     cell_decomposition,
     ideal_count_brute_force,
     ideal_count_by_trees,

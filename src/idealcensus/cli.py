@@ -53,9 +53,9 @@ from .congruence import (
 )
 from .ideals import Census, Route
 from .linfq import DEFAULT_BUDGET, TooLarge
-from .permstat import parse_permutation, permutation_str
+from .permstat import Perm, parse_permutation, permutation_str
 from .qpoly import LaurentPoly
-from .words import CodeTree, parse_word, word_compact, word_str
+from .words import MAX_WORD_LENGTH, CodeTree, parse_word, word_compact, word_str
 
 
 # -- rendering helpers -----------------------------------------------------
@@ -269,6 +269,10 @@ def cmd_count(args) -> int:
 
 # -- bijection ---------------------------------------------------------------
 
+# A theta of size m can have a leaf m - 1 letters long, which a congruence file
+# must be able to hold: both directions of the bijection stop at this size.
+MAX_BIJECTION_SIZE = MAX_WORD_LENGTH + 1
+
 
 def parse_congruence_text(text: str) -> RightCongruence:
     """The congruence of lines 'c -> f(c)'; blank lines and '#' comments
@@ -285,6 +289,8 @@ def parse_congruence_text(text: str) -> RightCongruence:
             leaf = parse_word(left)
             if leaf in mapping:
                 raise ValueError(f"leaf {word_str(leaf)} is given twice")
+            if len(mapping) == MAX_BIJECTION_SIZE:
+                raise ValueError(f"more than {MAX_BIJECTION_SIZE} leaves")
             mapping[leaf] = parse_word(right)
         except ValueError as exc:
             raise ValueError(f"line {number}: {exc}") from None
@@ -453,6 +459,14 @@ def codimension(text: str) -> int:
                               "formula does not cover it)")
 
 
+def bijection_theta(text: str) -> Perm:
+    theta = parse_permutation(text)
+    if len(theta) > MAX_BIJECTION_SIZE:
+        raise ValueError(f"{len(theta)} entries; the bijection takes at most "
+                         f"{MAX_BIJECTION_SIZE}")
+    return theta
+
+
 def prime(text: str) -> int:
     return linfq.check_prime(integer(text))
 
@@ -495,8 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bij = sub.add_parser("bijection",
                            help="translate between congruences and indecomposable permutations")
     group = p_bij.add_mutually_exclusive_group(required=True)
-    group.add_argument("--theta", type=argument_type(parse_permutation), metavar="PERM",
-                       help="one-line permutation, e.g. 325461")
+    group.add_argument("--theta", type=argument_type(bijection_theta), metavar="PERM",
+                       help="one-line permutation, e.g. 325461, of at most "
+                            f"{MAX_BIJECTION_SIZE} entries")
     group.add_argument("--congruence-file", dest="congruence", metavar="PATH",
                        type=argument_type(read_congruence_file),
                        help="file of lines 'c -> f(c)'")

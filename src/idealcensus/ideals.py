@@ -5,8 +5,9 @@ An ideal of codimension n is determined by a code tree with n internal
 nodes (the quotient basis P and the leading words C) plus one scalar per
 pair (c in C, p in P with p < c): the generators are the words c minus
 their lower linear combinations.  The two group generators then act on
-the quotient by structured matrices (``build_action_matrices``), and the
-ideal data is admissible exactly when both actions are invertible.
+the quotient by structured matrices (``action_rows``, read off the
+letter steps of ``CodeTree.layout``), and the ideal data is admissible
+exactly when both actions are invertible.
 
 The routes are one table, ``ROUTES``: a ``Route`` row holds the name,
 the function ``(n, q, budget)``, whether it needs q, and the label of a
@@ -37,14 +38,14 @@ as ``cell_decomposition`` does when it is called, before its first cell.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from functools import cache
 from math import comb, factorial
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from .haglund import haglund_product
-from .linfq import (DEFAULT_BUDGET, FqMatrix, charge, check_prime,
-                    count_invertible_rows)
+from .linfq import DEFAULT_BUDGET, charge, check_prime, count_invertible_rows
 from .linfq import _full_rank  # noqa: F401  re-exported; perfbench traces it here
 from .permstat import (
     Perm,
@@ -175,62 +176,29 @@ def ideal_count_by_trees(n: int, budget: int = DEFAULT_BUDGET) -> Census:
         for sig, st in tree_records(n)))
 
 
-# -- explicit ideal data over a fixed prime field -------------------------
-
-
-def assignment_slots(tree: CodeTree) -> tuple[tuple[str, str], ...]:
-    """All pairs (leading word c, smaller basis word p), in (c, p) order."""
-    return tuple((c, p) for c in tree.leaves for p in tree.prefixes if p < c)
-
-
-class _AssignmentFields(NamedTuple):
-    tree: CodeTree
-    modulus: int
-    values: tuple[int, ...]
-
-
-class CoefficientAssignment(_AssignmentFields):
-    """One scalar per slot; values aligned with ``assignment_slots``,
-    checked at construction."""
-
-    __slots__ = ()
-
-    def __new__(cls, tree: CodeTree, modulus: int, values: tuple[int, ...]):
-        check_prime(modulus)
-        if len(values) != len(assignment_slots(tree)):
-            raise ValueError("one value per slot required")
-        if any(not 0 <= v < modulus for v in values):
-            raise ValueError("values must be reduced mod p")
-        return super().__new__(cls, tree, modulus, values)
-
-    @classmethod
-    def _make(cls, iterable) -> "CoefficientAssignment":
-        # ``_replace`` builds through ``_make``: check its result too
-        return cls(*iterable)
-
-    @classmethod
-    def from_dict(cls, tree: CodeTree, p: int,
-                  mapping: Mapping[tuple[str, str], int] = {}) -> "CoefficientAssignment":
-        check_prime(p)
-        slots = assignment_slots(tree)
-        unknown = set(mapping) - set(slots)
-        if unknown:
-            raise ValueError(f"not coefficient slots: {sorted(unknown)!r}")
-        return cls(tree, p, tuple(mapping.get(slot, 0) % p for slot in slots))
+# -- the letter actions on the quotient basis ------------------------------
 
 
 def action_rows(tree: CodeTree) -> dict[str, list[tuple[list[int], list[int]]]]:
     """The two action matrices on the quotient basis P (sorted
-    alphabetically) as ``linfq`` row families, keyed by letter.  Row p
-    of letter x holds 1 in column px when px stays in P, and is free in
-    the columns r < px when px is a leading word; every other entry is
-    0.  Each leaf c's slots, in ``assignment_slots`` order, are the free
-    cells of row c[:-1] of letter c[-1], so each slot touches exactly
-    one cell of one matrix, and no unit entry."""
-    basis = tree.prefixes
-    return {x: [([int(p + x == r) for r in basis],
-                 [] if p + x in basis else [j for j, r in enumerate(basis) if r < p + x])
-                for p in basis] for x in "ab"}
+    alphabetically) as ``linfq`` row families, keyed by letter, read off
+    the letter steps of ``tree.layout``.  Row p of letter x holds 1 in
+    column px when px stays in P, and is free in the columns r < px when
+    px is a leading word; every other entry is 0.  The free cells of
+    row c[:-1] of letter c[-1] are leaf c's slots, the pairs (c, p) with
+    p < c, so each slot is exactly one cell of one matrix, and no unit
+    entry."""
+    basis, leaves = tree.prefixes, tree.leaves
+
+    def row(step: int) -> tuple[list[int], list[int]]:
+        fixed = [0] * len(basis)
+        if step < 0:
+            return fixed, list(range(bisect_left(basis, leaves[~step])))
+        fixed[step] = 1
+        return fixed, []
+
+    layout = tree.layout
+    return {"a": [row(s) for s in layout.a], "b": [row(s) for s in layout.b]}
 
 
 def letter_slots(tree: CodeTree) -> tuple[int, int]:
@@ -238,21 +206,6 @@ def letter_slots(tree: CodeTree) -> tuple[int, int]:
     letter's brute-force count walks p**(its slots) matrices."""
     rows = action_rows(tree)
     return sum(len(f) for _, f in rows["a"]), sum(len(f) for _, f in rows["b"])
-
-
-def build_action_matrices(ca: CoefficientAssignment) -> tuple[FqMatrix, FqMatrix]:
-    """Matrices of the two letters acting on the quotient basis P
-    (sorted alphabetically): row p, column r holds 1 when p.x = r stays
-    in P, the slot value for (px, r) when px is a leading word and
-    r < px, and 0 otherwise."""
-    rows = action_rows(ca.tree)
-    values = iter(ca.values)
-    for c in ca.tree.leaves:
-        fixed, free = rows[c[-1]][ca.tree.prefixes.index(c[:-1])]
-        for j in free:
-            fixed[j] = next(values)
-    return (FqMatrix.from_rows([fixed for fixed, _ in rows["a"]], ca.modulus),
-            FqMatrix.from_rows([fixed for fixed, _ in rows["b"]], ca.modulus))
 
 
 # -- brute-force censuses --------------------------------------------------

@@ -310,8 +310,10 @@ class CodeTree(_CodeTreeFields):
 
     @cached_property
     def layout(self) -> ActionLayout:
-        """The letter steps of ``congruence.action_table``, leaving only
-        the leaves' images to each congruence."""
+        """The one home of the rule "p.x is px when px is a prefix, else
+        the leaf px": ``congruence.action_table`` reads it and leaves only
+        the leaves' images to each congruence, and ``ideals.action_rows``
+        reads it for the rows of the two action matrices."""
         index = {p: i for i, p in enumerate(self.prefixes)}
         leaf = {c: ~i for i, c in enumerate(self.leaves)}
         a, b = (tuple(index.get(p + x, leaf.get(p + x)) for p in self.prefixes)

@@ -7,12 +7,14 @@ constructors run only on input read from outside the package: its own
 constructions build valid trees and congruences directly, and the check
 table witnesses them.  And every module-level name of the library has a
 caller in the library or the benchmark, or a reason why tests alone
-need it; every name a module imports with ``from`` is read in that
+need it, and each such reason names a library name that nothing else
+reads; every name a module imports with ``from`` is read in that
 module, or has a reason why a reader outside it needs the binding.
 Only ``qpoly`` reads the private slots of ``LaurentPoly``, so its
 representation is a one-module concern."""
 
 import ast
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -110,9 +112,6 @@ def test_regularity_is_tested_only_on_outside_input():
 TEST_REFERENCES = {
     "letter_slots": "test_ideals pins the per-letter slot counts brute force charges "
                     "p**slots for, n*n at the widest tree",
-    "build_action_matrices": "test_ideals filters every assignment of both letters' "
-                             "slots through it, to witness that a tree's count is the "
-                             "product of its two letters' counts",
 }
 
 
@@ -132,20 +131,30 @@ def _defined(node) -> list[str]:
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
-def test_every_library_name_has_a_caller():
-    # one entry per top-level statement of the library and the benchmark
+@cache
+def _unread_names() -> tuple[tuple[str, str], ...]:
+    """(module, name) of each top-level name of the library that no other
+    top-level statement of the library or the benchmark reads."""
     statements = [(path, node, _loaded(node))
                   for path in [*sorted(PACKAGE.glob("*.py")),
                                *sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))]
                   if path.name != "__init__.py"
                   for node in ast.parse(path.read_text(), str(path)).body]
-    uncalled = [f"{path.stem}.{name}" for path, node, _ in statements
-                if path.parent == PACKAGE
-                for name in _defined(node)
-                if name not in TEST_REFERENCES
-                and not any(name in loaded for _, other, loaded in statements
-                            if other is not node)]
-    assert uncalled == []
+    return tuple((path.stem, name) for path, node, _ in statements
+                 if path.parent == PACKAGE
+                 for name in _defined(node)
+                 if not any(name in loaded for _, other, loaded in statements
+                            if other is not node))
+
+
+def test_every_library_name_has_a_caller():
+    assert [f"{module}.{name}" for module, name in _unread_names()
+            if name not in TEST_REFERENCES] == []
+
+
+def test_every_test_reference_is_an_unread_library_name():
+    # an entry is stale once the library stops defining its name or starts reading it
+    assert sorted(set(TEST_REFERENCES) - {name for _, name in _unread_names()}) == []
 
 
 # From-imports that their module never reads, each kept for a reader outside it.

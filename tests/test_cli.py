@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import time
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -455,6 +456,45 @@ def test_bijection_file_rejects_overlong_word(tmp_path, capsys):
         assert code == 2
         assert "longer than 1000 letters" in err
         assert "'a^" in err
+
+
+def staircase(m: int) -> str:
+    """theta = (m, 1, ..., m - 1), whose congruence has a leaf m - 1 letters long."""
+    return ",".join(map(str, [m, *range(1, m)]))
+
+
+def test_bijection_refuses_a_theta_past_the_word_bound(capsys):
+    # its congruence would hold a leaf that --congruence-file cannot read back
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bijection", "--theta", staircase(1002))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(
+        "argument --theta: 1002 entries; the bijection takes at most 1001")
+
+
+def test_bijection_file_refuses_its_1002nd_leaf(tmp_path, capsys):
+    # the 1024 words of length 10 are the leaves of a code tree, which is never built
+    source = tmp_path / "wide.txt"
+    source.write_text("".join(f"{''.join(w)} -> 1\n" for w in product("ab", repeat=10)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bijection", "--congruence-file", str(source))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(
+        "argument --congruence-file: line 1002: more than 1001 leaves")
+
+
+def test_the_largest_staircase_round_trips_through_a_file(tmp_path, capsys):
+    theta = staircase(1001)
+    code, out, _ = run(capsys, "bijection", "--theta", theta, "--roundtrip")
+    *congruence, last = out.splitlines()
+    assert (code, last) == (0, f"roundtrip ok: {theta}")
+    assert congruence[0] == "a^1000 -> 1"
+    source = tmp_path / "staircase.txt"
+    source.write_text("\n".join(congruence))
+    code, out, _ = run(capsys, "bijection", "--congruence-file", str(source), "--roundtrip")
+    assert (code, out.splitlines()) == (0, [theta, "roundtrip ok"])
 
 
 def test_non_maximal_file_names_the_same_node_under_every_hash_seed(tmp_path):

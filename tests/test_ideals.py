@@ -5,7 +5,6 @@ must produce it, and evaluating at small primes must match exhaustive
 enumeration of coefficient assignments.
 """
 
-from itertools import product
 from math import comb
 
 import pytest
@@ -15,9 +14,6 @@ import idealcensus.words as words
 from idealcensus.checks import per_tree_action_counts
 from idealcensus.ideals import (
     CodimensionZero,
-    CoefficientAssignment,
-    assignment_slots,
-    build_action_matrices,
     cell_decomposition,
     count_invertible_a_actions,
     count_invertible_b_actions,
@@ -33,6 +29,11 @@ from idealcensus.words import CodeTree, enumerate_trees, signature, tree_stats
 
 EXAMPLE_TREE = CodeTree.from_leaves(["aa", "ab", "baa", "bab", "bba", "bbb"])
 EDGE = CodeTree.from_leaves(["a", "b"])
+
+
+def assignment_slots(tree: CodeTree) -> tuple[tuple[str, str], ...]:
+    """The normal form's scalars: one per pair (leaf c, prefix p < c), in (c, p) order."""
+    return tuple((c, p) for c in tree.leaves for p in tree.prefixes if p < c)
 
 
 def test_codimension_zero_rejected():
@@ -188,52 +189,14 @@ def test_example_tree_contribution():
 
 
 def test_assignment_slots():
+    assert ideals.letter_slots(EDGE) == (1, 1)
+    assert sum(ideals.letter_slots(EXAMPLE_TREE)) == 22
     assert assignment_slots(EDGE) == (("a", ""), ("b", ""))
     slots = assignment_slots(EXAMPLE_TREE)
     assert len(slots) == 22
     assert slots[0] == ("aa", "")
     assert ("bbb", "bb") in slots
     assert ("aa", "b") not in slots  # b is not below aa
-
-
-def test_coefficient_assignment_validation():
-    ca = CoefficientAssignment.from_dict(EDGE, 3, {("a", ""): 5})
-    assert ca.values == (2, 0)
-    with pytest.raises(ValueError):
-        CoefficientAssignment.from_dict(EDGE, 3, {("a", "a"): 1})
-    with pytest.raises(ValueError):
-        CoefficientAssignment(EDGE, 3, (1,))
-    with pytest.raises(ValueError):
-        CoefficientAssignment(EDGE, 3, (1, 3))
-    with pytest.raises(ValueError):
-        CoefficientAssignment.from_dict(EDGE, 4, {})
-
-
-def test_action_matrices_edge_tree():
-    dead = CoefficientAssignment.from_dict(EDGE, 2)
-    ma, mb = build_action_matrices(dead)
-    assert ma.entries == ((0,),) and mb.entries == ((0,),)
-    live = CoefficientAssignment.from_dict(EDGE, 2, {("a", ""): 1, ("b", ""): 1})
-    ma, mb = build_action_matrices(live)
-    assert is_invertible(ma) and is_invertible(mb)
-
-
-def test_action_matrices_structure():
-    ca = CoefficientAssignment.from_dict(
-        EXAMPLE_TREE, 5,
-        {("aa", ""): 2, ("ab", "a"): 3, ("bbb", "bb"): 4},
-    )
-    ma, mb = build_action_matrices(ca)
-    states = EXAMPLE_TREE.prefixes  # ("", "a", "b", "ba", "bb")
-    # structural ones: "" --a--> a, b --a--> ba stay inside P
-    assert ma.entries[states.index("")][states.index("a")] == 1
-    assert ma.entries[states.index("b")][states.index("ba")] == 1
-    # leaf rows carry the assigned coefficients
-    assert ma.entries[states.index("a")][states.index("")] == 2  # word aa
-    assert mb.entries[states.index("a")][states.index("a")] == 3  # word ab
-    assert mb.entries[states.index("bb")][states.index("bb")] == 4  # word bbb
-    # nothing above the leading word
-    assert mb.entries[states.index("a")][states.index("b")] == 0
 
 
 @pytest.mark.parametrize("n,p,expected", [
@@ -263,7 +226,7 @@ def test_widest_letter_has_n_squared_slots():
 def test_brute_force_budget_counts_matrices_per_letter():
     # codim 2: up to 6 slots per tree, at most 4 of them in one letter
     assert max(max(ideals.letter_slots(t)) for t in enumerate_trees(2)) == 4
-    assert max(len(assignment_slots(t)) for t in enumerate_trees(2)) == 6
+    assert max(sum(ideals.letter_slots(t)) for t in enumerate_trees(2)) == 6
     assert ideal_count_brute_force(2, 2, budget=2 ** 4).total == 16
     with pytest.raises(TooLarge):
         ideal_count_brute_force(2, 2, budget=2 ** 4 - 1)
@@ -280,22 +243,12 @@ def test_edge_tree_counts():
 FAN = CodeTree.from_leaves(["a", "ba", "bba", "bbb"])
 
 
-def test_joint_walk_matches_an_uncached_walk():
-    # every assignment of both letters' slots, in slot order, against the
-    # product of the letter counts
-    p = 3
-    assert ideals.letter_slots(FAN) == (6, 3)
-    walk = sum(all(is_invertible(m) for m in build_action_matrices(
-                   CoefficientAssignment(FAN, p, values)))
-               for values in product(range(p), repeat=len(assignment_slots(FAN))))
-    assert walk == (count_invertible_a_actions(FAN, p)
-                    * count_invertible_b_actions(FAN, p)) == 3888
-
-
 def test_example_tree_action_legs():
     # 11 free cells in the a-action, k = 3 leaves ending in a
     assert count_invertible_a_actions(EXAMPLE_TREE, 2) == 256  # (2-1)^3 * 2^8
     assert count_invertible_b_actions(EXAMPLE_TREE, 2) == 576  # 2^3 * 72
+    assert ideals.letter_slots(FAN) == (6, 3)
+    assert count_invertible_a_actions(FAN, 3) * count_invertible_b_actions(FAN, 3) == 3888
 
 
 @pytest.mark.parametrize("n", (1, 2))
@@ -309,21 +262,11 @@ def small_trees():
 
 
 @pytest.mark.parametrize("tree", small_trees(), ids=str)
-def test_joint_assignments_factor_per_letter(tree):
-    # every assignment of both letters' slots at once, against the product
-    p = 2
-    joint = 0
-    for values in product(range(p), repeat=len(assignment_slots(tree))):
-        ma, mb = build_action_matrices(CoefficientAssignment(tree, p, values))
-        joint += is_invertible(ma) and is_invertible(mb)
-    assert joint == count_invertible_a_actions(tree, p) * count_invertible_b_actions(tree, p)
-
-
-@pytest.mark.parametrize("tree", small_trees(), ids=str)
 @pytest.mark.parametrize("p", (2, 3))
 def test_letter_counts_match_filtered_enumeration(tree, p):
     # each letter's row family, read off the unit entries and the slots, against
-    # the reference walk over every matrix it describes
+    # the reference walk over every matrix it describes; the rows' equality
+    # witnesses that every slot is exactly one free cell of one letter
     index = {w: i for i, w in enumerate(tree.prefixes)}
     for letter, count in (("a", count_invertible_a_actions),
                           ("b", count_invertible_b_actions)):

@@ -8,7 +8,7 @@ import pytest
 
 from idealcensus.checks import CheckConfig
 from idealcensus.congruence import RightCongruence, action_table
-from idealcensus.ideals import Census, CoefficientAssignment, Route, TreeEntry, assignment_slots
+from idealcensus.ideals import Census, Route, TreeEntry
 from idealcensus.linfq import FqMatrix
 from idealcensus.qpoly import LaurentPoly
 from idealcensus.words import CodeTree, TreeSignature, TreeStats, signature, tree_stats
@@ -33,7 +33,6 @@ VALUES = {
     "ActionTable.a_next": lambda: action_table(RightCongruence.from_map(tree(), IMAGES)),
     "FqMatrix.entries": lambda: FqMatrix.identity(2, 3),
     "Route.name": lambda: Route("formula", "formula", len),
-    "CoefficientAssignment.values": lambda: CoefficientAssignment.from_dict(tree(), 3),
     "CodeTree.leaves": tree,
     "TreeSignature.ranks": lambda: signature(tree()),
     "TreeStats.partition": lambda: tree_stats(tree()),
@@ -84,20 +83,6 @@ def test_a_census_is_not_a_tuple():
     # (exit code, stdout), and the structural job answers with a Census
     assert not isinstance(Census(1), tuple)
     assert not isinstance(entry(), tuple)
-
-
-def test_coefficient_assignment_checks_its_values():
-    t = tree()
-    zeros = (0,) * len(assignment_slots(t))
-    assert CoefficientAssignment(t, 3, zeros).values == zeros
-    with pytest.raises(ValueError, match="reduced mod p"):
-        CoefficientAssignment(t, 3, (3,) + zeros[1:])
-    with pytest.raises(ValueError, match="reduced mod p"):
-        CoefficientAssignment(t, 3, zeros)._replace(values=(-1,) + zeros[1:])
-    with pytest.raises(ValueError, match="one value per slot"):
-        CoefficientAssignment(t, 3, zeros[1:])
-    with pytest.raises(ValueError):
-        CoefficientAssignment(t, 4, zeros)
 
 
 def test_code_tree_layout_is_built_once_per_tree():
