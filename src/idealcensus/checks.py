@@ -426,12 +426,6 @@ def check_haglund_degree(cfg: CheckConfig) -> Cases:
             yield parts, h.degree == comb(n, 2) + sum(v - i for i, v in enumerate(parts))
 
 
-def word_level_entry(tree: words.CodeTree) -> ideals.TreeEntry:
-    """The census entry of ``tree``, read off its words."""
-    return ideals.TreeEntry(words.signature(tree), words.tree_stats(tree),
-                            ideals.tree_contribution(tree))
-
-
 def check_census_routes(cfg: CheckConfig) -> Cases:
     for n in range(1, cfg.max_n + 1):
         results = {route: route.run(n, None, cfg.budget)
@@ -440,9 +434,9 @@ def check_census_routes(cfg: CheckConfig) -> Cases:
             yield f"n={n}: {mismatch or route.label}", mismatch is None
             if route.per_tree:
                 # the entries are composed from root splits; the words witness them
-                yield f"n={n}: tree route entries", (
-                    list(results[route].entries)
-                    == list(map(word_level_entry, words.enumerate_trees(n))))
+                yield f"n={n}: tree route entries", list(results[route].entries) == [
+                    ideals.word_entry(t, ideals.tree_contribution(t))
+                    for t in words.enumerate_trees(n)]
 
 
 def check_census_brute(cfg: CheckConfig) -> Cases:

@@ -20,7 +20,8 @@ into ``emit``; ``EXPORTS`` lists export's objects once, with their CSV
 columns, as ``ideals.ROUTES`` lists count's routes.  Every route returns
 an ``ideals.Census``, rendered by one function per format:
 ``census_json`` (count and export), ``census_lines`` (count) and
-``census_csv_rows`` (export).  The checks that
+``census_csv_rows`` (export), each drawing a tree route's entries as it
+writes them and rendering each contribution once.  The checks that
 verify runs live in ``checks.SUITES``; verify prints each as ``[ ok ]``,
 ``[FAIL]``, or ``[skip]`` when it checked no case at the given bounds
 and primes, followed by the reason the check gives, if any.
@@ -35,7 +36,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import cache
 from itertools import chain
 from math import factorial
 from types import SimpleNamespace
@@ -75,10 +75,22 @@ def factored_census_str(n: int, core: LaurentPoly) -> str:
     return " * ".join(pieces)
 
 
+def by_identity(render):
+    """``render`` memoized by its argument's identity, which hashes no
+    value: trees share contribution objects (``ideals.TreeWalk`` keeps
+    one per value).  The memo keeps each argument, so its id stays its own."""
+    memo: dict[int, tuple] = {}
+
+    def rendered(value):
+        if id(value) not in memo:
+            memo[id(value)] = value, render(value)
+        return memo[id(value)][1]
+    return rendered
+
+
 def census_json(n: int, route: Route, q: int | None, census: Census) -> dict:
-    # trees share contributions: one term tuple per distinct value, which
-    # ``json_chunks`` encodes once
-    contrib = cache(lambda value: value if isinstance(value, int) else tuple(poly_terms(value)))
+    # one term tuple per contribution object, which ``json_chunks`` encodes once
+    contrib = by_identity(lambda v: v if isinstance(v, int) else tuple(poly_terms(v)))
     out: dict = {"n": n, "method": route.name}
     if route.needs_q:
         out["q"] = q
@@ -88,39 +100,33 @@ def census_json(n: int, route: Route, q: int | None, census: Census) -> dict:
     if route.per_tree:
         # a generator: ``json_chunks`` writes each tree as it is encoded
         out["trees"] = ({
-            "signature": {"ranks": list(e.sig.ranks), "lengths": list(e.sig.lengths)},
-            "k": e.stats.a_count,
-            "N": e.stats.a_cells,
-            "M": e.stats.b_cells,
-            "lambda": list(e.stats.partition),
-            "contribution": contrib(e.contribution),
-        } for e in census.entries)
+            "signature": {"ranks": list(ranks), "lengths": list(lengths)},
+            "k": k,
+            "N": a_cells,
+            "M": b_cells,
+            "lambda": list(lam),
+            "contribution": contrib(value),
+        } for ranks, lengths, k, a_cells, b_cells, lam, value in census.entries)
     return out
 
 
-def census_lines(n: int, route: Route, q: int | None, census: Census) -> list[str]:
+def census_lines(n: int, route: Route, q: int | None, census: Census) -> Iterator[str]:
     tag = f" at q={q}" if route.needs_q else ""
-    lines = [f"codim {n} census{tag}, {route.name} route"]
+    yield f"codim {n} census{tag}, {route.name} route"
     if census.indec is not None:
-        lines.append(f"factored: {factored_census_str(n, census.indec)}")
-    lines.append(f"{'total' if route.per_tree else 'expanded'}: {census.total}")
-    text = cache(str)  # trees share contributions: render each value once
-    for i, e in enumerate(census.entries, start=1):
-        st = e.stats
-        lines.append(
-            f"tree {i}: ranks={list(e.sig.ranks)} lengths={list(e.sig.lengths)}"
-            f" k={st.a_count} N={st.a_cells} M={st.b_cells}"
-            f" lambda={list(st.partition)} contribution: {text(e.contribution)}")
-    return lines
+        yield f"factored: {factored_census_str(n, census.indec)}"
+    yield f"{'total' if route.per_tree else 'expanded'}: {census.total}"
+    text = by_identity(str)
+    for i, (ranks, lengths, k, a_cells, b_cells, lam, value) in enumerate(census.entries, 1):
+        yield (f"tree {i}: ranks={list(ranks)} lengths={list(lengths)} k={k} N={a_cells}"
+               f" M={b_cells} lambda={list(lam)} contribution: {text(value)}")
 
 
 def census_csv_rows(census: Census) -> Iterator[list]:
-    text = cache(str)  # trees share contributions: render each value once
-    for e in census.entries:
-        st = e.stats
-        yield [" ".join(map(str, e.sig.ranks)), " ".join(map(str, e.sig.lengths)),
-               st.a_count, st.a_cells, st.b_cells, " ".join(map(str, st.partition)),
-               text(e.contribution)]
+    text = by_identity(str)
+    for ranks, lengths, k, a_cells, b_cells, lam, value in census.entries:
+        yield [" ".join(map(str, ranks)), " ".join(map(str, lengths)),
+               k, a_cells, b_cells, " ".join(map(str, lam)), text(value)]
 
 
 def output(args, body) -> int:
@@ -259,12 +265,10 @@ def cmd_count(args) -> int:
             body["cross_check"] = "ok"
         return output(args, body)
 
-    lines = census_lines(n, route, q, census)
-    if at_q:
-        lines.append(f"value at q={q}: {census.total.evaluate(q)}")
+    tail = [f"value at q={q}: {census.total.evaluate(q)}"] if at_q else []
     if args.cross_check:
-        lines.append("cross-check: all routes agree")
-    return output(args, lines)
+        tail.append("cross-check: all routes agree")
+    return output(args, chain(census_lines(n, route, q, census), tail))
 
 
 # -- bijection ---------------------------------------------------------------

@@ -24,7 +24,8 @@ table, so a new route is one row and its function:
   from the inverse-series recursion, which enumerates nothing; the
   other routes are compared with it;
 * ``structural`` (``ideal_count_by_trees``): one term per code tree,
-  (q-1)^k * q^(free cells) * staircase count;
+  (q-1)^k * q^(free cells) * staircase count, added up by tree key; it
+  holds no entry, and draws them anew each time they are read;
 * ``bruteforce`` (``ideal_count_brute_force``): at q = p, the
   coefficient assignments whose two action matrices over F_p are
   invertible, one letter at a time: each slot is one cell of one
@@ -42,7 +43,7 @@ from bisect import bisect_left
 from collections import Counter
 from functools import cache
 from math import comb, factorial
-from typing import Callable, Iterable, Iterator, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .haglund import haglund_product
 from .linfq import DEFAULT_BUDGET, charge, check_prime, count_invertible_rows
@@ -54,8 +55,7 @@ from .permstat import (
     inversions,
 )
 from .qpoly import LaurentPoly, ONE, Q
-from .words import (CodeTree, Record, TreeSignature, TreeStats, enumerate_trees,
-                    signature, tree_records, tree_stats)
+from .words import CodeTree, Record, enumerate_trees, signature, tree_records, tree_stats
 
 Contribution = Union[LaurentPoly, int]
 
@@ -75,31 +75,18 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-class TreeEntry(Record):
-    """Per-tree line of a census: the tree's signature, its ``TreeStats``
-    and its term of the census."""
-
-    __slots__ = ("sig", "stats", "contribution")
-
-    def __init__(self, sig: TreeSignature, stats: TreeStats, contribution: Contribution):
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "stats", stats)
-        object.__setattr__(self, "contribution", contribution)
-
-
 class Census(Record):
     """What every route returns: the census ``total``, a polynomial in q
-    or its value at a prime q; one entry per code tree, in
-    ``enumerate_trees`` order, from a tree route; and the formula
+    or its value at a prime q; a tree route's ``entries``, one tuple
+    (ranks, lengths, k, N, M, λ, contribution) per code tree in
+    ``enumerate_trees`` order, as export's CSV columns; and the formula
     route's P_(n+1)."""
 
     __slots__ = ("total", "entries", "indec")
 
-    def __init__(self, total: Contribution, entries: tuple[TreeEntry, ...] = (),
+    def __init__(self, total: Contribution, entries: Iterable[tuple] = (),
                  indec: LaurentPoly | None = None):
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "indec", indec)
+        super().__init__(total, entries, indec)
 
 
 def formula_census(n: int, budget: int = DEFAULT_BUDGET) -> Census:
@@ -131,34 +118,10 @@ def tree_contribution(tree: CodeTree) -> Contribution:
             * haglund_product(st.partition).shift(st.a_cells + st.b_cells))
 
 
-def _tree_census(n: int, budget: int,
-                 records: Iterable[tuple[TreeSignature, TreeStats, Contribution]]
-                 ) -> Census:
-    """The census both tree routes build: Catalan(n) trees are charged
-    against ``budget`` before the first record is drawn, then each
-    (signature, stats, contribution) record, in ``enumerate_trees``
-    order, becomes one entry.  Trees share contributions, so the total
-    adds each distinct object once, times the number of entries that hold
-    it: objects are told apart by identity, which hashes no value, and
-    equal values in different objects are added apart, which keeps the
-    sum exact."""
-    charge(n, catalan, budget, f"Catalan({n}) trees")
-    entries = tuple(TreeEntry(sig, st, value) for sig, st, value in records)
-    values = [e.contribution for e in entries]
-    distinct = dict(zip(map(id, values), values))
-    counts = Counter(map(id, values))
-    return Census(sum((distinct[i] * m for i, m in counts.items()), 0), entries)
-
-
-def ideal_count_by_trees(n: int, budget: int = DEFAULT_BUDGET) -> Census:
-    """One entry per code tree, in ``enumerate_trees`` order, from the
-    composed records of ``words.tree_records``.  Trees with the same key
-    (free cells, partition λ) share one immutable contribution: λ has
-    n + 1 - k parts, so it fixes k, and the staircase factor
-    (q-1)^k * haglund_product(λ) is built once per λ, each factor q - 1
-    as a shift minus the value, and shifted once per key.  Catalan(n)
-    trees above ``budget`` raise TooLarge."""
-    _require_codim(n)
+def staircase_factors(n: int) -> Callable[[tuple[int, ...]], LaurentPoly]:
+    """(q-1)^k * haglund_product(λ) for the trees with n internal nodes
+    and partition λ, memoized per λ: λ has n + 1 - k parts, so it fixes
+    k, and each factor q - 1 is a shift minus the value."""
 
     @cache
     def factor(lam: tuple[int, ...]) -> LaurentPoly:
@@ -167,13 +130,50 @@ def ideal_count_by_trees(n: int, budget: int = DEFAULT_BUDGET) -> Census:
             value = value.shift(1) - value
         return value
 
-    @cache
-    def contribution(cells: int, lam: tuple[int, ...]) -> LaurentPoly:
-        return factor(lam).shift(cells)
+    return factor
 
-    return _tree_census(n, budget, (
-        (sig, st, contribution(st.a_cells + st.b_cells, st.partition))
-        for sig, st in tree_records(n)))
+
+def census_by_keys(keys: Mapping[tuple, int], factor: Callable) -> Contribution:
+    """Σ_λ factor(λ) * Σ_cells m * q^cells, one product per λ, where
+    ``keys`` maps each tree key (free cells, λ) to its m trees."""
+    by_lam: dict[tuple[int, ...], dict[int, int]] = {}
+    for (cells, lam), m in keys.items():
+        by_lam.setdefault(lam, {})[cells] = m
+    return sum((factor(lam) * LaurentPoly(cells) for lam, cells in by_lam.items()), 0)
+
+
+class TreeWalk(Record):
+    """The structural census's entries, drawn from a new walk of
+    ``tree_records(n)`` each time they are iterated; ``len`` is the number
+    of trees the total's walk counted.  The trees of a key share one term,
+    and equal terms one object, so a renderer memoized by identity hashes
+    none."""
+
+    __slots__ = ("n", "count")
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[tuple]:
+        factor = staircase_factors(self.n)
+        by_key, by_value = {}, {}
+        for ranks, lengths, a_cells, b_cells, lam in tree_records(self.n):
+            key = a_cells + b_cells, lam
+            value = by_key.get(key)
+            if value is None:
+                value = factor(lam).shift(key[0])
+                value = by_key[key] = by_value.setdefault(value, value)
+            yield ranks, lengths, len(ranks), a_cells, b_cells, lam, value
+
+
+def ideal_count_by_trees(n: int, budget: int = DEFAULT_BUDGET) -> Census:
+    """The census as a sum over code trees, charged Catalan(n) trees: one
+    walk of ``words.tree_records`` counts the trees of each key (free
+    cells, λ) for the total, and the entries are a ``TreeWalk``."""
+    _require_codim(n)
+    charge(n, catalan, budget, f"Catalan({n}) trees")
+    keys = Counter((a_cells + b_cells, lam) for _, _, a_cells, b_cells, lam in tree_records(n))
+    return Census(census_by_keys(keys, staircase_factors(n)), TreeWalk(n, sum(keys.values())))
 
 
 # -- the letter actions on the quotient basis ------------------------------
@@ -221,22 +221,29 @@ def count_invertible_b_actions(tree: CodeTree, p: int,
     return count_invertible_rows(action_rows(tree)["b"], p, budget)
 
 
+def word_entry(tree: CodeTree, contribution: Contribution) -> tuple:
+    """The census entry of ``tree``, read off its words."""
+    sig, st = signature(tree), tree_stats(tree)
+    return (sig.ranks, sig.lengths, st.a_count, st.a_cells, st.b_cells, st.partition,
+            contribution)
+
+
 def ideal_count_brute_force(n: int, p: int,
                             budget: int = DEFAULT_BUDGET) -> Census:
     """Exhaustive census at q = p, one entry per code tree in
     ``enumerate_trees`` order: the coefficient assignments with both
     action matrices invertible.  Each slot touches one cell of one
     matrix, so that number is the count for letter a times the count for
-    letter b.  Before the first tree, the budget is charged the Catalan(n)
-    trees and p**(n*n) matrices, as many as the widest letter walks."""
+    letter b.  Before the first tree, the budget is charged p**(n*n)
+    matrices, as many as the widest letter walks, and Catalan(n) trees."""
     _require_codim(n)
     check_prime(p)
     charge(n * n, lambda k: p ** k, budget, f"{p}**{n * n} matrices per letter")
-    return _tree_census(n, budget, (
-        (signature(tree), tree_stats(tree),
-         count_invertible_a_actions(tree, p, budget)
-         * count_invertible_b_actions(tree, p, budget))
-        for tree in enumerate_trees(n)))
+    charge(n, catalan, budget, f"Catalan({n}) trees")
+    entries = tuple(word_entry(tree, count_invertible_a_actions(tree, p, budget)
+                               * count_invertible_b_actions(tree, p, budget))
+                    for tree in enumerate_trees(n))
+    return Census(sum(entry[-1] for entry in entries), entries)
 
 
 # -- the table of census routes --------------------------------------------

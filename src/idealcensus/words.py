@@ -215,15 +215,19 @@ class ActionLayout(NamedTuple):
 
 
 class Record:
-    """Base of the frozen records that are not tuples: the per-tree
-    records, of which a census holds one each per tree (a tuple would
-    take 16 bytes more per object), and the census itself, which no
-    caller should unpack.  A subclass names its fields in ``__slots__``
-    and sets them in ``__init__`` with ``object.__setattr__``; every
-    other assignment raises.  Records are equal when they are of the
-    same class with equal fields, and hash and print by their fields."""
+    """Base of the frozen records that are not tuples: a tree's signature
+    and ``tree_stats``, read by field name, and the census and its
+    ``ideals.TreeWalk``: perfbench's ``jobs.without_timings`` reads a tuple
+    answer as (exit code, stdout) and compares any other by value.  A
+    subclass names its fields in ``__slots__``, which ``__init__`` sets in
+    that order; every other assignment raises.  Records of one class are
+    equal with equal fields, and hash and print by their fields."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -373,11 +377,6 @@ class TreeSignature(Record):
 
     __slots__ = ("size", "ranks", "lengths")
 
-    def __init__(self, size: int, ranks: tuple[int, ...], lengths: tuple[int, ...]):
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "lengths", lengths)
-
 
 def signature(tree: CodeTree) -> TreeSignature:
     if tree.n == 0:
@@ -443,13 +442,6 @@ class TreeStats(Record):
 
     __slots__ = ("a_count", "a_cells", "b_cells", "partition")
 
-    def __init__(self, a_count: int, a_cells: int, b_cells: int,
-                 partition: tuple[int, ...]):
-        object.__setattr__(self, "a_count", a_count)
-        object.__setattr__(self, "a_cells", a_cells)
-        object.__setattr__(self, "b_cells", b_cells)
-        object.__setattr__(self, "partition", partition)
-
 
 def tree_stats(tree: CodeTree) -> TreeStats:
     if tree.n == 0:
@@ -462,22 +454,23 @@ def tree_stats(tree: CodeTree) -> TreeStats:
     return TreeStats(len(c_a), a_cells, b_cells, partition)
 
 
-def tree_records(n: int) -> Iterator[tuple[TreeSignature, TreeStats]]:
-    """(signature, tree_stats) of every tree with n >= 1 internal nodes,
-    in ``enumerate_trees`` order, composed over the root split
-    T = a·L ∪ b·R without building a word (see ``_composed``).  The
-    records of the smaller sizes are kept in lists local to the call;
-    those of size n are composed as they are yielded."""
+def tree_records(n: int) -> Iterator[tuple]:
+    """The record (ranks, lengths, a_cells, b_cells, partition) of every
+    tree with n >= 1 internal nodes, in ``enumerate_trees`` order: its
+    ``signature`` and ``tree_stats`` less n and k = len(ranks), composed
+    over the root split T = a·L ∪ b·R without building a word (see
+    ``_composed``).  The records of the smaller sizes are kept in lists
+    local to the call; those of size n are yielded as they are made."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         raise TrivialTree("the one-leaf tree has no signature")
-    return _iter_records(n)
-
-
-# A record is (ranks, lengths, a_cells, b_cells, partition); the leaf's is
-# all empty.
-_LEAF_RECORD = ((), (), 0, 0, ())
+    shared: dict[tuple, tuple] = {}
+    raised: dict[tuple, tuple] = {}
+    memo = [[((), (), 0, 0, ())]]  # the leaf's record is all empty
+    for m in range(1, n):
+        memo.append(list(_composed(m, memo, shared, raised)))
+    return _composed(n, memo, shared, raised)
 
 
 def _composed(m: int, memo: list, shared: dict, raised: dict) -> Iterator[tuple]:
@@ -545,16 +538,6 @@ def _composed(m: int, memo: list, shared: dict, raised: dict) -> Iterator[tuple]
                 lam = lam_head + lam_r
                 yield (one(ranks, ranks), one(lengths, lengths), a_head + a_term,
                        b_l + pb_l * c + b_term, one(lam, lam))
-
-
-def _iter_records(n: int) -> Iterator[tuple[TreeSignature, TreeStats]]:
-    shared: dict[tuple, tuple] = {}
-    raised: dict[tuple, tuple] = {}
-    memo = [[_LEAF_RECORD]]
-    for m in range(1, n):
-        memo.append(list(_composed(m, memo, shared, raised)))
-    for ranks, lengths, a_cells, b_cells, lam in _composed(n, memo, shared, raised):
-        yield TreeSignature(n, ranks, lengths), TreeStats(len(ranks), a_cells, b_cells, lam)
 
 
 def rank_identity_bijection(tree: CodeTree) -> dict:

@@ -5,6 +5,7 @@ must produce it, and evaluating at small primes must match exhaustive
 enumeration of coefficient assignments.
 """
 
+import tracemalloc
 from math import comb
 
 import pytest
@@ -87,8 +88,7 @@ def test_tree_entries_equal_tree_contributions(n):
     report = ideal_count_by_trees(n)
     assert len(report.entries) == len(trees)
     for tree, entry in zip(trees, report.entries):
-        assert entry.sig == signature(tree)
-        assert entry.contribution == tree_contribution(tree)
+        assert entry == ideals.word_entry(tree, tree_contribution(tree))
 
 
 def test_one_haglund_product_per_partition(monkeypatch):
@@ -106,7 +106,9 @@ def test_one_haglund_product_per_partition(monkeypatch):
     report = ideal_count_by_trees(6)
     assert sorted(calls) == sorted(partitions)
     assert len(partitions) < len(keys) < len(report.entries) == 132
-    assert len({id(e.contribution) for e in report.entries}) == len(keys)
+    # one object per value: the 45 keys hold 40 values
+    values = [entry[-1] for entry in report.entries]
+    assert len({id(v) for v in values}) == len(set(values)) == 40 < len(keys) == 45
 
 
 def test_structural_route_builds_no_word(monkeypatch):
@@ -125,36 +127,59 @@ def test_structural_route_builds_no_word(monkeypatch):
         monkeypatch.setattr(words, name, spy)
         monkeypatch.setattr(ideals, name, spy)
     report = ideal_count_by_trees(6)
+    entries = list(report.entries)
     assert calls == []
     monkeypatch.undo()
-    assert [e.sig for e in report.entries] == [signature(t) for t in enumerate_trees(6)]
+    assert [e[:2] for e in entries] == [(sig.ranks, sig.lengths)
+                                        for sig in map(signature, enumerate_trees(6))]
 
 
 def test_report_total_is_the_sum_of_its_entries():
     for n in range(1, 9):
         report = ideal_count_by_trees(n)
-        assert report.total == sum((e.contribution for e in report.entries), 0)
+        assert report.total == sum((e[-1] for e in report.entries), 0)
     report = ideal_count_brute_force(3, 2)
-    assert report.total == sum(e.contribution for e in report.entries)
+    assert report.total == sum(e[-1] for e in report.entries)
 
 
-def test_tree_census_adds_equal_values_held_by_different_objects():
-    # the total counts contributions by identity; equal values in distinct
-    # objects are added apart and the sum stays exact
-    records = list(words.tree_records(3))
-    big = [int("1000") for _ in records]
-    assert len({id(v) for v in big}) == len(records) == 5
-    census = ideals._tree_census(3, DEFAULT_BUDGET, [
-        (sig, st, v) for (sig, st), v in zip(records, big)])
-    assert census.total == 5000
-    census = ideals._tree_census(3, DEFAULT_BUDGET, [
-        (sig, st, LaurentPoly({1: 2, 3: -1})) for sig, st in records])
-    assert census.total == LaurentPoly({1: 10, 3: -5})
+def test_equal_values_under_distinct_keys_sum_to_the_formula():
     # at n = 8, distinct tree keys already give equal contributions
     report = ideal_count_by_trees(8)
-    values = {id(e.contribution): e.contribution for e in report.entries}
-    assert len(set(values.values())) < len(values)
+    keys = {(e[3] + e[4], e[5]) for e in report.entries}
+    assert len({e[-1] for e in report.entries}) < len(keys)
     assert report.total == ideal_count_formula(8)
+
+
+def test_structural_entries_come_from_the_walk(monkeypatch):
+    report = ideal_count_by_trees(7)
+    first = list(report.entries)
+    assert list(report.entries) == first and len(first) == len(report.entries)
+    # a walk that loses its last tree: the length and the total follow the walk
+    real = ideals.tree_records
+    monkeypatch.setattr(ideals, "tree_records", lambda n: list(real(n))[:-1])
+    census = ideal_count_by_trees(7)
+    assert len(census.entries) == ideals.catalan(7) - 1
+    assert len(list(census.entries)) == ideals.catalan(7) - 1
+    assert census.total != ideal_count_formula(7)
+
+
+def test_two_structural_runs_give_equal_censuses():
+    # perfbench's traced mode compares a traced answer with an untraced one
+    first, second = ideal_count_by_trees(5), ideal_count_by_trees(5)
+    assert first == second and hash(first) == hash(second)
+    assert first != ideal_count_by_trees(6)
+
+
+def test_structural_total_holds_no_per_tree_object():
+    # codim 11 has 58,786 trees; the total's walk keeps its keys only
+    tracemalloc.start()
+    try:
+        census = ideal_count_by_trees(11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(census.entries) == ideals.catalan(11)
+    assert peak < 8 << 20
 
 
 @pytest.mark.parametrize("route", ideals.ROUTES.values(), ids=list(ideals.ROUTES))

@@ -1,14 +1,15 @@
-"""The package's value types.  The small values are NamedTuples; the
-per-tree records and the census are ``words.Record`` classes, which are
-not tuples and hold their fields in ``__slots__``.  Each is frozen, is
-equal to a value of its own type with equal fields, and hashes by its
-fields."""
+"""The package's value types.  The small values are NamedTuples; a
+tree's signature and stats, the census and the structural census's
+``TreeWalk`` are ``words.Record`` classes, which are not tuples and hold
+their fields in ``__slots__``.  Each is frozen, is equal to a value of
+its own type with equal fields, and hashes by its fields.  A census
+entry is a plain tuple."""
 
 import pytest
 
 from idealcensus.checks import CheckConfig
 from idealcensus.congruence import RightCongruence, action_table
-from idealcensus.ideals import Census, Route, TreeEntry
+from idealcensus.ideals import Census, Route, ideal_count_by_trees, word_entry
 from idealcensus.linfq import FqMatrix
 from idealcensus.qpoly import LaurentPoly
 from idealcensus.words import CodeTree, TreeSignature, TreeStats, signature, tree_stats
@@ -21,9 +22,8 @@ def tree() -> CodeTree:
     return CodeTree.from_leaves(LEAVES)
 
 
-def entry() -> TreeEntry:
-    t = tree()
-    return TreeEntry(signature(t), tree_stats(t), 3)
+def entry() -> tuple:
+    return word_entry(tree(), 3)
 
 
 # each builds a new value from the same fields; the name is the field assigned to
@@ -36,8 +36,8 @@ VALUES = {
     "CodeTree.leaves": tree,
     "TreeSignature.ranks": lambda: signature(tree()),
     "TreeStats.partition": lambda: tree_stats(tree()),
-    "TreeEntry.contribution": entry,
     "Census.total": lambda: Census(LaurentPoly({2: 1}), (entry(),)),
+    "TreeWalk.count": lambda: ideal_count_by_trees(3).entries,
 }
 
 
@@ -63,12 +63,10 @@ def test_equal_fields_give_equal_values_and_hashes(name):
 
 
 def test_records_print_their_fields():
-    e = entry()
-    assert repr(e.sig) == "TreeSignature(size=2, ranks=(1,), lengths=(2,))"
-    assert repr(e.stats) == "TreeStats(a_count=1, a_cells=1, b_cells=0, partition=(2, 2))"
-    assert repr(e) == (
-        "TreeEntry(sig=TreeSignature(size=2, ranks=(1,), lengths=(2,)), "
-        "stats=TreeStats(a_count=1, a_cells=1, b_cells=0, partition=(2, 2)), contribution=3)")
+    assert repr(signature(tree())) == "TreeSignature(size=2, ranks=(1,), lengths=(2,))"
+    assert repr(tree_stats(tree())) == (
+        "TreeStats(a_count=1, a_cells=1, b_cells=0, partition=(2, 2))")
+    assert entry() == ((1,), (2,), 1, 1, 0, (2, 2), 3)
 
 
 def test_a_record_equals_only_its_own_class():
@@ -82,7 +80,6 @@ def test_a_census_is_not_a_tuple():
     # perfbench's ``jobs.without_timings`` reads any tuple answer as
     # (exit code, stdout), and the structural job answers with a Census
     assert not isinstance(Census(1), tuple)
-    assert not isinstance(entry(), tuple)
 
 
 def test_code_tree_layout_is_built_once_per_tree():

@@ -209,15 +209,17 @@ def test_tree_enumeration_reaches_past_the_recursion_limit():
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_tree_records_equal_the_word_level_data(n):
-    assert list(tree_records(n)) == [(signature(t), tree_stats(t))
-                                     for t in enumerate_trees(n)]
+    assert list(tree_records(n)) == [
+        (sig.ranks, sig.lengths, st.a_cells, st.b_cells, st.partition)
+        for sig, st in ((signature(t), tree_stats(t)) for t in enumerate_trees(n))]
 
 
 def test_tree_records_hold_one_tuple_per_value():
-    # the census holds these tuples for every tree: one copy per value
+    # the records of the smaller sizes are held while a size is composed:
+    # one copy per value
     records = list(tree_records(9))
-    for field, values in ((lambda r: r[0].ranks, 256), (lambda r: r[0].lengths, 256),
-                          (lambda r: r[1].partition, 153)):
+    for field, values in ((lambda r: r[0], 256), (lambda r: r[1], 256),
+                          (lambda r: r[4], 153)):
         tuples = [field(r) for r in records]
         assert len({id(t) for t in tuples}) == len(set(tuples)) == values
 
