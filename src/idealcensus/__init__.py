@@ -21,6 +21,7 @@ from .permstat import (
     indec_inversion_polynomials,
     inversions,
     is_indecomposable,
+    lehmer_indec_polynomial,
     lr_maxima,
     standardize,
     strip_lr_maxima,

@@ -112,9 +112,31 @@ def check_transpose_symmetry(cfg: CheckConfig) -> Cases:
                   and permstat.hook_union_size(s) == permstat.hook_union_size(t))
 
 
+def lehmer_indecomposable(s: permstat.Perm) -> bool:
+    """max_{i<=k}(c_i + i) > k for every k < n, where c is the Lehmer
+    code of s: c_i counts the values after position i below s(i)."""
+    reach = 0
+    for k, u in enumerate(s[:-1], 1):
+        c = len([v for v in s[k:] if v < u])
+        if c + k > reach:
+            reach = c + k
+        if reach == k:
+            return False
+    return True
+
+
 def check_indec_criteria(cfg: CheckConfig) -> Cases:
     for s in perms(1, cfg.max_n):
-        yield s, permstat.is_indecomposable(s) == permstat.is_indecomposable_lr(s)
+        yield s, (permstat.is_indecomposable(s) == permstat.is_indecomposable_lr(s)
+                  == lehmer_indecomposable(s))
+
+
+def check_lehmer_dp(cfg: CheckConfig) -> Cases:
+    """The Lehmer-code DP against the inverse-series recursion, which
+    shares nothing with it, for every m <= 20: one recursion, one DP per m."""
+    recursion = permstat.indec_inversion_polynomials(20, cfg.budget)
+    for m, expect in enumerate(recursion, start=1):
+        yield f"m={m}", permstat.lehmer_indec_polynomial(m, cfg.budget) == expect
 
 
 def hook_strip_identity(lo: int, hi: int) -> Cases:
@@ -498,6 +520,7 @@ SUITES: dict[str, list[tuple[str, Check]]] = {
         ("hook statistic: grid route = inversion routes", check_hook_routes),
         ("transpose symmetry of inv and hook", check_transpose_symmetry),
         ("indecomposability criteria agree", check_indec_criteria),
+        ("Lehmer-code DP equals the recursion", check_lehmer_dp),
         ("hook statistic strip identity", lambda cfg: hook_strip_identity(0, cfg.max_n)),
         ("unique factorization into indecomposables", check_factorization),
         ("inversion distribution equals the q-factorial", check_inversion_distribution),

@@ -500,9 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--cross-check", action="store_true",
                          help="run the independent routes and compare")
     p_count.add_argument("--budget", type=positive, default=DEFAULT_BUDGET,
-                         help="bound on each route's work: coefficient products "
-                              "of the recursion (formula; the default reaches "
-                              "codim 60), trees and matrices per letter and tree "
+                         help="bound on each route's work: slots of the "
+                              "Lehmer-code DP (formula; the default reaches "
+                              "codim 166), trees and matrices per letter and tree "
                               "(bruteforce), trees (structural), permutations "
                               "(hook route of --cross-check); exit 3 when exceeded")
     p_count.add_argument("--format", choices=["text", "json"], default="text")

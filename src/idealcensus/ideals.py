@@ -21,8 +21,10 @@ table, so a new route is one row and its function:
   per indecomposable theta of size n+1, with d = hook(theta) - (n+1);
   it enumerates S_(n+1); a cross-check witness, no ``count --method``;
 * ``formula`` (``formula_census``): the same prefactor against P_(n+1)
-  from the inverse-series recursion, which enumerates nothing; the
-  other routes are compared with it;
+  from the Lehmer-code DP (``permstat.lehmer_indec_polynomial``), which
+  enumerates nothing and multiplies no polynomials; the other routes
+  are compared with it, and ``verify`` compares the DP with the
+  inverse-series recursion;
 * ``structural`` (``ideal_count_by_trees``): one term per code tree,
   (q-1)^k * q^(free cells) * staircase count, added up by tree key; it
   holds no entry, and draws them anew each time they are read;
@@ -51,8 +53,8 @@ from .linfq import _full_rank  # noqa: F401  re-exported; perfbench traces it he
 from .permstat import (
     Perm,
     enumerate_indecomposables,
-    indec_inversion_polynomials,
     inversions,
+    lehmer_indec_polynomial,
 )
 from .qpoly import LaurentPoly, ONE, Q
 from .words import CodeTree, Record, enumerate_trees, signature, tree_records, tree_stats
@@ -91,10 +93,12 @@ class Census(Record):
 
 def formula_census(n: int, budget: int = DEFAULT_BUDGET) -> Census:
     """(q-1)^(n+1) * q^((n+1)(n-2)/2) * P_(n+1), an ordinary polynomial,
-    with P_(n+1) from the inverse-series recursion, which is charged its
-    coefficient products, ``permstat.recursion_cost(n + 1)``."""
+    with P_(n+1) from the Lehmer-code DP, which is charged its slots,
+    ``permstat.lehmer_cost(n + 1)``.  It computes P_(n+1) alone; the
+    inverse-series recursion, which ``verify`` compares with it, is not
+    run."""
     _require_codim(n)
-    indec = indec_inversion_polynomials(n + 1, budget)[-1]
+    indec = lehmer_indec_polynomial(n + 1, budget)
     return Census((Q - ONE) ** (n + 1) * indec.shift((n + 1) * (n - 2) // 2), indec=indec)
 
 

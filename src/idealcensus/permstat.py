@@ -14,21 +14,29 @@ stabilized.  ``enumerate_indecomposables`` streams them in lexicographic
 order; the size-0 permutation is the unit of shifted concatenation and is
 excluded from that stream.
 
-The inversion polynomial P_m of the indecomposables of size m has two
-routes here: ``indec_inversion_polynomials`` solves the inverse-series
-recursion P_m = [m]_q! - sum_{k<m} P_k [m-k]_q! in O(m^2) polynomial
-products (Comtet; OEIS A003319 at q = 1), and
-``indec_inversion_polynomial`` enumerates S_m.  The census formula uses
-the first; the second stays as its witness.  The hook strip identity and
-the generating-series identity are checked in ``checks``, which names the
-permutation or t-order that fails.
+The inversion polynomial P_m of the indecomposables of size m has three
+derivations here, each with its role:
+
+* ``lehmer_indec_polynomial`` runs a DP over Lehmer codes, one packed
+  int per state, with shifts and additions and no polynomial product.
+  The census formula takes its P_(n+1) from it.
+* ``indec_inversion_polynomials`` solves the inverse-series recursion
+  P_m = [m]_q! - sum_{k<m} P_k [m-k]_q! in O(m^2) polynomial products
+  (Comtet; OEIS A003319 at q = 1).  It gives every P_j, j <= m, for
+  ``export --object indec-polys``, and it is the DP's witness: the two
+  share nothing, and ``checks`` compares them for every m <= 20.
+* ``indec_inversion_polynomial`` enumerates S_m, the witness of both at
+  small m.
+
+The hook strip identity and the generating-series identity are checked
+in ``checks``, which names the permutation or t-order that fails.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from math import comb
+from math import comb, factorial
 from typing import Iterator, NamedTuple, Sequence
 
 from .linfq import DEFAULT_BUDGET, charge
@@ -263,6 +271,69 @@ def indec_inversion_polynomials(m: int, budget: int = DEFAULT_BUDGET) -> list[La
         tail = sum((polys[k - 1] * fact[j - k] for k in range(1, j)), ZERO)
         polys.append(fact[j] - tail)
     return polys
+
+
+def lehmer_cost(m: int) -> int:
+    """Slots of the ints that ``lehmer_indec_polynomial(m)`` builds.
+
+    After step j it holds F_j[M] for M = j+1..m.  That polynomial has
+    degree jM - C(j+1, 2) (every c_i = M - i) and is held times
+    (q-1)^(j-1), so its int spans jM - C(j+1, 2) + j slots, and every
+    operation on it is a shift, an addition or a subtraction of about
+    that many slots.  The sum over 1 <= j < M <= m, plus the C(m, 2) + 1
+    slots of P_m as they are read back, is a polynomial of degree 4 in
+    m, written here in the binomial basis, so a huge m costs O(1)
+    big-int steps.  The one exact division at the end, about m^3 / 2
+    slot pairs, is of lower order and is not charged.
+    """
+    return 1 + 3 * comb(m, 2) + 4 * comb(m, 3) + 2 * comb(m, 4)
+
+
+def lehmer_indec_polynomial(m: int, budget: int = DEFAULT_BUDGET) -> LaurentPoly:
+    """P_m, the sum of q**inv over the indecomposable permutations of
+    size m, from a DP over Lehmer codes that multiplies no polynomials.
+
+    The code c_i = #{j > i : θ_j < θ_i} has 0 <= c_i <= m - i and sums to
+    inv(θ), and θ_1..θ_k is {1..k} exactly when max_{i<=k}(c_i + i) = k.
+    Let F_k[M] sum q^(c_1+...+c_k) over the code prefixes with that
+    maximum M and no split so far.  c_(k+1) keeps the maximum or raises
+    it to M', so
+
+        F_(k+1)[M'] = F_k[M'] [M'-k]_q + q^(M'-k-1) sum_{M<M'} F_k[M],
+
+    keeping M' > k + 1; and P_m = F_(m-1)[m], since c_m = 0.
+
+    The DP runs at q = 2^w, one int per state: every coefficient of P_m
+    lies in 0..m!, so slots of w >= bitlen(m!) + 1 bits, in whole bytes,
+    read P_m back from P_m(2^w) exactly.  The states after step k are
+    held times (q-1)^(k-1), so [j]_q = (q^j - 1)/(q - 1) costs a shift
+    and a subtraction, not a division; one exact division by
+    (q-1)^(m-2) at the end gives P_m(2^w).  Its slots (``lehmer_cost``)
+    are charged against ``budget`` first.
+    """
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    # charged at size 1: the cost is cheap to compute at any m
+    cost = lehmer_cost(m)
+    charge(1, lambda _: cost, budget, f"{cost} slots of the Lehmer-code DP for P_{m}")
+    width = len(format(factorial(m), "x")) // 2 + 1  # bytes per slot
+    w = 8 * width
+    # F_1[M] = q^(M-1), c_1 = M - 1; at m = 1 the one state is P_1 = 1
+    states = [1 << w * (top - 1) for top in range(min(m, 2), m + 1)]
+    for k in range(1, m - 1):
+        # states[i] is F_k[k+1+i] times (q-1)^(k-1).  M' = k+1 would split
+        # after k+1, so states[0] goes on only in ``below``, and each new
+        # state, x (q^(i+1) - 1) + (q - 1) q^i below, moves down one place
+        below = states[0]
+        for i in range(1, len(states)):
+            x = states[i]
+            states[i - 1] = ((x + below) << w * (i + 1)) - x - (below << w * i)
+            below += x
+        states.pop()
+    value = states[0] // ((1 << w) - 1) ** max(m - 2, 0)
+    buf = value.to_bytes(width * (comb(m, 2) + 1), "little")
+    return LaurentPoly(enumerate(int.from_bytes(buf[i:i + width], "little")
+                                 for i in range(0, len(buf), width)))
 
 
 def inversion_distribution(n: int) -> LaurentPoly:

@@ -20,6 +20,7 @@ CASES = {
     "permstat: hook statistic: grid route = inversion routes": 874,
     "permstat: transpose symmetry of inv and hook": 874,
     "permstat: indecomposability criteria agree": 873,
+    "permstat: Lehmer-code DP equals the recursion": 20,
     "permstat: hook statistic strip identity": 874,
     "permstat: unique factorization into indecomposables": 1752,
     "permstat: inversion distribution equals the q-factorial": 8,
@@ -53,7 +54,7 @@ CASES = {
 
 def test_table_shape():
     assert list(SUITES) == ["permstat", "words", "congruence", "haglund", "ideals"]
-    assert len(ENTRIES) == 32
+    assert len(ENTRIES) == 33
     assert list(CASES) == list(ENTRIES)
 
 

@@ -125,19 +125,24 @@ def test_count_structural_skips_the_formula_route(capsys, monkeypatch):
     assert out.splitlines()[0] == "codim 2 census, structural route"
 
 
-def test_count_formula_solves_the_recursion_once(capsys, monkeypatch):
+def test_count_formula_runs_the_dp_once_and_the_recursion_never(capsys, monkeypatch):
     calls = []
-    real = permstat.indec_inversion_polynomials
 
-    def counted(m, budget):
-        calls.append(m)
-        return real(m, budget)
+    def spy(name):
+        real = getattr(permstat, name)
 
-    monkeypatch.setattr(permstat, "indec_inversion_polynomials", counted)
-    monkeypatch.setattr(ideals, "indec_inversion_polynomials", counted)
+        def counted(m, budget):
+            calls.append((name, m))
+            return real(m, budget)
+        return counted
+
+    dp, recursion = spy("lehmer_indec_polynomial"), spy("indec_inversion_polynomials")
+    monkeypatch.setattr(permstat, "lehmer_indec_polynomial", dp)
+    monkeypatch.setattr(ideals, "lehmer_indec_polynomial", dp)
+    monkeypatch.setattr(permstat, "indec_inversion_polynomials", recursion)
     code, _, _ = run(capsys, "count", "--codim", "5", "--no-header")
     assert code == 0
-    assert calls == [6]
+    assert calls == [("lehmer_indec_polynomial", 6)]
 
 
 def test_count_json_meta_present_by_default(capsys):
@@ -198,7 +203,7 @@ def test_enumerating_routes_exit_3_quickly(capsys):
     ("count", "--codim", "100000000", "--cross-check", "--budget", "1"),
     ("export", "--object", "ideal-census", "--n", "2000", "--q", "2", "--budget", "1"),
     ("count", "--codim", "40", "--cross-check", "--budget", "1"),
-    # the formula route's coefficient products
+    # the slots of the formula route's Lehmer-code DP
     ("count", "--codim", "100", "--budget", "1"),
     ("count", "--codim", "200"),
     ("count", "--codim", "100000"),

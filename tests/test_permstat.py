@@ -25,6 +25,8 @@ from idealcensus.permstat import (
     inversion_distribution,
     inversions,
     is_indecomposable,
+    lehmer_cost,
+    lehmer_indec_polynomial,
     lr_maxima,
     parse_permutation,
     permutation_str,
@@ -35,7 +37,7 @@ from idealcensus.permstat import (
 from idealcensus.congruence import hall_count
 from idealcensus.ideals import cell_decomposition
 from idealcensus.linfq import DEFAULT_BUDGET, TooLarge
-from idealcensus.qpoly import LaurentPoly, q_factorial
+from idealcensus.qpoly import ONE, Q, ZERO, LaurentPoly, q_factorial
 
 perms = st.permutations(range(1, 8)).map(tuple)
 
@@ -138,6 +140,50 @@ def test_recursion_cost_is_its_coefficient_products():
 def test_recursion_rejects_empty_size():
     with pytest.raises(ValueError):
         indec_inversion_polynomials(0)
+
+
+def test_lehmer_dp_matches_the_frozen_table():
+    assert [lehmer_indec_polynomial(m) for m in range(1, 5)] == [
+        LaurentPoly({0: 1}), LaurentPoly({1: 1}), LaurentPoly({3: 1, 2: 2}),
+        LaurentPoly({6: 1, 5: 3, 4: 5, 3: 4})]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_lehmer_dp_matches_enumeration(m):
+    assert lehmer_indec_polynomial(m) == indec_inversion_polynomial(m)
+
+
+@pytest.mark.parametrize("m", [31, 41])
+def test_lehmer_dp_matches_the_recursion(m):
+    assert lehmer_indec_polynomial(m) == indec_inversion_polynomials(m)[-1]
+
+
+def test_lehmer_cost_counts_the_slots_of_its_states():
+    # the DP's states as polynomials: F_j[M] times (q-1)^(j-1) for
+    # j < M <= m, each packed in degree + 1 slots, and P_m read back
+    recursion = indec_inversion_polynomials(12)
+    for m in range(1, 13):
+        states = {top: Q ** (top - 1) for top in range(2, m + 1)}
+        slots = sum(f.degree + 1 for f in states.values())
+        for j in range(2, m):
+            below, new = ZERO, {}
+            for top in range(j, m + 1):
+                if top > j:
+                    new[top] = (states[top] * (Q ** (top - j + 1) - ONE)
+                                + (Q - ONE) * below.shift(top - j))
+                below += states[top]
+            states = new
+            slots += sum(f.degree + 1 for f in states.values())
+        if m > 1:
+            assert states[m] == recursion[m - 1] * (Q - ONE) ** (m - 2)
+        assert lehmer_cost(m) == slots + comb(m, 2) + 1
+    # the default budget reaches P_167, the formula route's codim 166
+    assert lehmer_cost(167) == 65604114 <= DEFAULT_BUDGET < lehmer_cost(168) == 67184769
+    lehmer_indec_polynomial(5, budget=lehmer_cost(5))
+    with pytest.raises(TooLarge):
+        lehmer_indec_polynomial(5, budget=lehmer_cost(5) - 1)
+    with pytest.raises(ValueError):
+        lehmer_indec_polynomial(0)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
