@@ -22,6 +22,7 @@ from .permstat import (
     inversions,
     is_indecomposable,
     lehmer_indec_polynomial,
+    lehmer_indec_polynomials,
     lr_maxima,
     standardize,
     strip_lr_maxima,

@@ -132,11 +132,13 @@ def check_indec_criteria(cfg: CheckConfig) -> Cases:
 
 
 def check_lehmer_dp(cfg: CheckConfig) -> Cases:
-    """The Lehmer-code DP against the inverse-series recursion, which
-    shares nothing with it, for every m <= 20: one recursion, one DP per m."""
+    """The Lehmer-code DP, as ``export --object indec-polys`` runs it,
+    against the inverse-series recursion, which shares nothing with it,
+    for every m <= 20."""
     recursion = permstat.indec_inversion_polynomials(20, cfg.budget)
-    for m, expect in enumerate(recursion, start=1):
-        yield f"m={m}", permstat.lehmer_indec_polynomial(m, cfg.budget) == expect
+    dp = permstat.lehmer_indec_polynomials(20, cfg.budget)
+    for m, (got, expect) in enumerate(zip(dp, recursion), start=1):
+        yield f"m={m}", got == expect
 
 
 def hook_strip_identity(lo: int, hi: int) -> Cases:

@@ -89,12 +89,11 @@ def by_identity(render):
 
 
 def census_json(n: int, route: Route, q: int | None, census: Census) -> dict:
-    # one term tuple per contribution object, which ``json_chunks`` encodes once
-    contrib = by_identity(lambda v: v if isinstance(v, int) else tuple(poly_terms(v)))
+    # contributions stay objects: ``json_chunks`` encodes each one once
     out: dict = {"n": n, "method": route.name}
     if route.needs_q:
         out["q"] = q
-    out["total"] = contrib(census.total)
+    out["total"] = census.total
     if census.indec is not None:
         out["factored"] = factored_census_str(n, census.indec)
     if route.per_tree:
@@ -105,7 +104,7 @@ def census_json(n: int, route: Route, q: int | None, census: Census) -> dict:
             "N": a_cells,
             "M": b_cells,
             "lambda": list(lam),
-            "contribution": contrib(value),
+            "contribution": value,
         } for ranks, lengths, k, a_cells, b_cells, lam, value in census.entries)
     return out
 
@@ -160,32 +159,32 @@ def json_chunks(body: dict) -> Iterator[str]:
     each item as it is drawn, so an export's rows are never held
     together: ``json`` encodes lists only.  JSON strings hold no raw
     newline, so indenting each chunk's newlines nests it a level deeper.
-    A tuple that is a field of such a row (a contribution that
-    ``census_json`` shares between trees) is encoded once per object:
-    the memo keeps the tuple, so its id names it until the end."""
+    A LaurentPoly is written as its term list (``poly_terms``); one that
+    is a field of such a row (a contribution that trees share) is
+    encoded once per object."""
     import json
 
-    encode = json.JSONEncoder(indent=2).iterencode
-    encoded: dict[int, tuple[tuple, str]] = {}
+    encode = json.JSONEncoder(indent=2, default=poly_terms).iterencode
 
     def nested(value, depth: int) -> Iterator[str]:
         return (chunk.replace("\n", "\n" + "  " * depth) for chunk in encode(value))
 
-    def row(item, depth: int) -> Iterator[str]:
+    # a row is at depth 2 and its fields at depth 3
+    field = by_identity(lambda poly: "".join(nested(poly, 3)))
+
+    def row(item) -> Iterator[str]:
         if not isinstance(item, dict) or not item:
-            yield from nested(item, depth)
+            yield from nested(item, 2)
             return
         sep = "{"
         for key, value in item.items():  # every export's row keys are strings
-            yield f"{sep}\n{'  ' * (depth + 1)}{json.dumps(key)}: "
+            yield f"{sep}\n      {json.dumps(key)}: "
             sep = ","
-            if isinstance(value, tuple):
-                if id(value) not in encoded:
-                    encoded[id(value)] = value, "".join(nested(value, depth + 1))
-                yield encoded[id(value)][1]
+            if isinstance(value, LaurentPoly):
+                yield field(value)
             else:
-                yield from nested(value, depth + 1)
-        yield "\n" + "  " * depth + "}"
+                yield from nested(value, 3)
+        yield "\n    }"
 
     sep = "{"
     for key, value in body.items():
@@ -198,7 +197,7 @@ def json_chunks(body: dict) -> Iterator[str]:
         for item in value:
             yield ",\n    " if opened else "[\n    "
             opened = True
-            yield from row(item, 2)
+            yield from row(item)
         yield "\n  ]" if opened else "[]"
     yield "\n}\n"
 
@@ -369,10 +368,10 @@ def cmd_verify(args) -> int:
 
 
 def export_indec_polys(args):
-    polys = enumerate(permstat.indec_inversion_polynomials(args.n, args.budget), start=1)
+    polys = enumerate(permstat.lehmer_indec_polynomials(args.n, args.budget), start=1)
     if args.format == "json":
         return {"max_m": args.n,
-                "polynomials": [{"m": m, "terms": poly_terms(p)} for m, p in polys]}
+                "polynomials": [{"m": m, "terms": p} for m, p in polys]}
     return ([m, e, c] for m, p in polys for e, c in p.terms)
 
 
@@ -549,8 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--budget", type=positive, default=DEFAULT_BUDGET,
                           help="bound on the ideal-census enumeration (trees, or "
                                "matrices per letter and tree with --q), on the "
-                               "indec-polys' coefficient products (the default "
-                               "reaches n = 61), the "
+                               "indec-polys' slots of the Lehmer-code DP (the "
+                               "default reaches n = 82), the "
                                "cells' (n+1)! permutations and the congruences' "
                                "hall_count(n) candidates; exit 3 when exceeded")
     p_export.set_defaults(func=cmd_export)

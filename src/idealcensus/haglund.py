@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 
 from .linfq import count_invertible_support  # noqa: F401  re-exported; perfbench traces it here
 from .permstat import Perm, hook_number
-from .qpoly import LaurentPoly, ONE, Q, ZERO
+from .qpoly import LaurentPoly, ZERO
 
 Partition = tuple[int, ...]
 
@@ -71,13 +71,11 @@ def constrained_permutations(parts: Sequence[int]) -> Iterator[Perm]:
 
 def haglund_hook_sum(parts: Sequence[int]) -> LaurentPoly:
     """(q-1)^n times the hook-statistic sum over fitting permutations,
-    each exponent counted once per permutation that has it; ``ZERO``,
-    with no (q-1)^n built, when no permutation fits."""
+    each exponent counted once per permutation that has it; ``ZERO``
+    when no permutation fits."""
     t = check_partition(parts)
     hooks = Counter(map(hook_number, constrained_permutations(t)))
-    if not hooks:
-        return ZERO
-    return (Q - ONE) ** len(t) * LaurentPoly(hooks)
+    return LaurentPoly(hooks).times_q_minus_one(len(t))
 
 
 def partitions_bounded(n: int) -> Iterator[Partition]:

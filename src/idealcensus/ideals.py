@@ -20,8 +20,9 @@ table, so a new route is one row and its function:
   ``cell_decomposition``, the census as cells (F_q*)^(n+1) x F_q^d, one
   per indecomposable theta of size n+1, with d = hook(theta) - (n+1);
   it enumerates S_(n+1); a cross-check witness, no ``count --method``;
-* ``formula`` (``formula_census``): the same prefactor against P_(n+1)
-  from the Lehmer-code DP (``permstat.lehmer_indec_polynomial``), which
+* ``formula`` (``formula_census``): the same prefactor, applied as
+  shifts (``LaurentPoly.times_q_minus_one``), against P_(n+1) from the
+  Lehmer-code DP (``permstat.lehmer_indec_polynomial``), which
   enumerates nothing and multiplies no polynomials; the other routes
   are compared with it, and ``verify`` compares the DP with the
   inverse-series recursion;
@@ -56,7 +57,7 @@ from .permstat import (
     inversions,
     lehmer_indec_polynomial,
 )
-from .qpoly import LaurentPoly, ONE, Q
+from .qpoly import LaurentPoly
 from .words import CodeTree, Record, enumerate_trees, signature, tree_records, tree_stats
 
 Contribution = Union[LaurentPoly, int]
@@ -99,7 +100,8 @@ def formula_census(n: int, budget: int = DEFAULT_BUDGET) -> Census:
     run."""
     _require_codim(n)
     indec = lehmer_indec_polynomial(n + 1, budget)
-    return Census((Q - ONE) ** (n + 1) * indec.shift((n + 1) * (n - 2) // 2), indec=indec)
+    total = indec.shift((n + 1) * (n - 2) // 2).times_q_minus_one(n + 1)
+    return Census(total, indec=indec)
 
 
 def ideal_count_formula(n: int, budget: int = DEFAULT_BUDGET) -> LaurentPoly:
@@ -112,27 +114,24 @@ def ideal_count_hook_formula(n: int, budget: int = DEFAULT_BUDGET) -> LaurentPol
     sum of q^d over its cells, an independent route to the census.  It
     walks S_(n+1), so it is charged (n+1)! permutations."""
     dims = Counter(d for _, d in cell_decomposition(n, budget))
-    return (Q - ONE) ** (n + 1) * LaurentPoly(dims)
+    return LaurentPoly(dims).times_q_minus_one(n + 1)
 
 
 def tree_contribution(tree: CodeTree) -> Contribution:
     """(q-1)^k * q^(a_cells + b_cells) * staircase count of the tree."""
     st = tree_stats(tree)
-    return ((Q - ONE) ** st.a_count
-            * haglund_product(st.partition).shift(st.a_cells + st.b_cells))
+    value = haglund_product(st.partition).shift(st.a_cells + st.b_cells)
+    return value.times_q_minus_one(st.a_count)
 
 
 def staircase_factors(n: int) -> Callable[[tuple[int, ...]], LaurentPoly]:
     """(q-1)^k * haglund_product(λ) for the trees with n internal nodes
     and partition λ, memoized per λ: λ has n + 1 - k parts, so it fixes
-    k, and each factor q - 1 is a shift minus the value."""
+    k."""
 
     @cache
     def factor(lam: tuple[int, ...]) -> LaurentPoly:
-        value = haglund_product(lam)
-        for _ in range(n + 1 - len(lam)):
-            value = value.shift(1) - value
-        return value
+        return haglund_product(lam).times_q_minus_one(n + 1 - len(lam))
 
     return factor
 

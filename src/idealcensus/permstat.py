@@ -19,12 +19,13 @@ derivations here, each with its role:
 
 * ``lehmer_indec_polynomial`` runs a DP over Lehmer codes, one packed
   int per state, with shifts and additions and no polynomial product.
-  The census formula takes its P_(n+1) from it.
+  The census formula takes its P_(n+1) from it, and
+  ``lehmer_indec_polynomials`` runs it once per j <= m for
+  ``export --object indec-polys``.
 * ``indec_inversion_polynomials`` solves the inverse-series recursion
   P_m = [m]_q! - sum_{k<m} P_k [m-k]_q! in O(m^2) polynomial products
-  (Comtet; OEIS A003319 at q = 1).  It gives every P_j, j <= m, for
-  ``export --object indec-polys``, and it is the DP's witness: the two
-  share nothing, and ``checks`` compares them for every m <= 20.
+  (Comtet; OEIS A003319 at q = 1).  It is the DP's witness only: the
+  two share nothing, and ``checks`` compares them for every m <= 20.
 * ``indec_inversion_polynomial`` enumerates S_m, the witness of both at
   small m.
 
@@ -241,8 +242,7 @@ def recursion_cost(m: int) -> int:
     degree 6 in m, written here in the binomial basis (its forward
     differences at m = 0), so a huge m costs O(1) big-int steps.  The
     [j]_q factors are applied by ``LaurentPoly.times_geometric``, a
-    window sum that multiplies no pairs, but they are still charged, so
-    the default budget admits the same m as before.
+    window sum that multiplies no pairs, but they are still charged.
     """
     return sum(c * comb(m, i) for i, c in enumerate((0, 1, 2, 4, 5, 1, 1)))
 
@@ -334,6 +334,24 @@ def lehmer_indec_polynomial(m: int, budget: int = DEFAULT_BUDGET) -> LaurentPoly
     buf = value.to_bytes(width * (comb(m, 2) + 1), "little")
     return LaurentPoly(enumerate(int.from_bytes(buf[i:i + width], "little")
                                  for i in range(0, len(buf), width)))
+
+
+def lehmer_total_cost(m: int) -> int:
+    """Slots of ``lehmer_indec_polynomials(m)``: the sum of
+    ``lehmer_cost(j)`` over j <= m, in the binomial basis too (each
+    C(j, i) sums to C(m+1, i+1))."""
+    return m + 3 * comb(m + 1, 3) + 4 * comb(m + 1, 4) + 2 * comb(m + 1, 5)
+
+
+def lehmer_indec_polynomials(m: int, budget: int = DEFAULT_BUDGET) -> list[LaurentPoly]:
+    """[P_1, ..., P_m], one ``lehmer_indec_polynomial(j)`` per j; their
+    slots (``lehmer_total_cost``) are charged against ``budget`` first."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    cost = lehmer_total_cost(m)
+    charge(1, lambda _: cost, budget, f"{cost} slots of the Lehmer-code DP up to P_{m}")
+    # each P_j's own charge is below the whole, so none of them refuses
+    return [lehmer_indec_polynomial(j, budget) for j in range(1, m + 1)]
 
 
 def inversion_distribution(n: int) -> LaurentPoly:

@@ -15,20 +15,14 @@ build their results from ints they made themselves and skip that check.
 ``terms`` derives the sparse (exponent, coefficient) pairs, so rendering
 reads the same pairs it always did.
 
-Shifting by q^k only moves the valuation, and multiplying by a scalar or
-by [n]_q (``LaurentPoly.times_geometric``, a running window sum) is one
-pass.  Products whose shorter operand has fewer than
-``KRONECKER_CUTOFF`` coefficients run a dense schoolbook loop; longer
-ones use Kronecker substitution (Harvey, "Faster polynomial
-multiplication via multipoint Kronecker substitution", J. Symb. Comp.
-2009): each operand is evaluated at 2^(8w) by packing its coefficients
-into w-byte slots of one int, the two ints are multiplied by CPython's
-big-int product, and the product's slots are read back.  The slot
-holds the bound max|a| * max|b| * min(len a, len b) on every product
-coefficient plus a sign bit.  An operand's positive and negative
-coefficients are packed apart and the two packs subtracted, and a bias of
-2^(8w-1) in every slot makes each slot of the product nonnegative before
-it is read.
+Shifting by q^k only moves the valuation, and multiplying by a scalar,
+by [n]_q (``LaurentPoly.times_geometric``, a running window sum) or by
+(q - 1)^k (``LaurentPoly.times_q_minus_one``, k passes of a shift less
+the value) is one pass per factor.  Every other product runs one dense
+schoolbook loop.  The census's long products are by these factors, and
+its P_m comes from a DP over packed ints (``permstat``), so the long
+schoolbook products left are those of the inverse-series recursion, a
+witness.
 
 ``TruncatedSeries`` layers formal power series in an auxiliary variable t
 on top, with LaurentPoly coefficients, up to a fixed truncation order.  It
@@ -55,10 +49,6 @@ class NonUnitConstantTerm(ValueError):
 
 
 PolyLike = Union["LaurentPoly", int]
-
-# Length of the shorter operand from which a product is packed into ints:
-# below it the schoolbook loop is faster.
-KRONECKER_CUTOFF = 8
 
 
 class LaurentPoly:
@@ -140,15 +130,12 @@ class LaurentPoly:
             a, b = b, a
         # over the integers the end coefficients of a product are the
         # nonzero products of the operands' end coefficients: no trim
-        val = self._val + other._val
-        if len(a) >= KRONECKER_CUTOFF:
-            return _poly(val, _packed_product(a, b))
         width = len(b)
         out = [0] * (len(a) + width - 1)
         for i, c in enumerate(a):
             if c:
                 out[i:i + width] = map(add, out[i:i + width], map(c.__mul__, b))
-        return _poly(val, tuple(out))
+        return _poly(self._val + other._val, tuple(out))
 
     __rmul__ = __mul__
 
@@ -185,6 +172,21 @@ class LaurentPoly:
         ext += accumulate(self._dense, initial=0)
         ext += [ext[-1]] * (n - 1)
         return _poly(self._val, tuple(map(sub, ext[n:], ext)))
+
+    def times_q_minus_one(self, k: int) -> "LaurentPoly":
+        """Multiply by (q - 1)**k in k passes: each is q times the value
+        less the value, so coefficient i becomes c[i-1] - c[i].  The end
+        coefficients -c[0] and c[-1] stay nonzero: no trim."""
+        if k < 0:
+            raise ValueError("k must be nonnegative")
+        if not self._dense:
+            return self
+        # lists between passes: the many short tuples a pass per value
+        # would free are kept by the interpreter's tuple free lists
+        dense = [*self._dense]
+        for _ in range(k):
+            dense = [*map(sub, [0, *dense], [*dense, 0])]
+        return _poly(self._val, tuple(dense))
 
     # -- evaluation ------------------------------------------------------
 
@@ -286,35 +288,6 @@ def _combine(p: LaurentPoly, r: LaurentPoly, op) -> LaurentPoly:
     while lo < hi and not out[lo]:
         lo += 1
     return _poly(low + lo, tuple(out[lo:hi]))
-
-
-def _pack(coeffs: tuple[int, ...], width: int) -> int:
-    """sum(c * 256**(width * i)): the positive coefficients and the
-    magnitudes of the negative ones each fill ``width``-byte slots of one
-    int, and the second int is subtracted from the first."""
-    zero = bytes(width)
-    pos = b"".join([c.to_bytes(width, "little") if c > 0 else zero for c in coeffs])
-    if min(coeffs) >= 0:
-        return int.from_bytes(pos, "little")
-    negs = b"".join([(-c).to_bytes(width, "little") if c < 0 else zero for c in coeffs])
-    return int.from_bytes(pos, "little") - int.from_bytes(negs, "little")
-
-
-def _packed_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """The coefficients of a * b by Kronecker substitution: one big-int
-    product of the two packs, then each slot read back less the bias."""
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    # every product coefficient c has |c| <= bound < 16**digits, and a
-    # slot of digits // 2 + 1 bytes holds c + 2**(8 * width - 1) >= 0
-    width = len(format(bound, "x")) // 2 + 1
-    size = len(a) + len(b) - 1
-    pa = _pack(a, width)
-    pb = pa if b is a else _pack(b, width)
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
-    buf = (pa * pb + bias).to_bytes(width * size, "little")
-    half = 1 << (8 * width - 1)
-    return tuple([int.from_bytes(buf[i:i + width], "little") - half
-                  for i in range(0, width * size, width)])
 
 
 ZERO = LaurentPoly()

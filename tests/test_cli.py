@@ -207,6 +207,7 @@ def test_enumerating_routes_exit_3_quickly(capsys):
     ("count", "--codim", "100", "--budget", "1"),
     ("count", "--codim", "200"),
     ("count", "--codim", "100000"),
+    ("export", "--object", "indec-polys", "--n", "83"),
     ("export", "--object", "indec-polys", "--n", "100000"),
     # brute force: p**(n*n) matrices of the widest letter, before the first tree
     ("count", "--codim", "6", "--q", "2", "--method", "bruteforce"),

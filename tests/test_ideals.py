@@ -67,8 +67,8 @@ def _census_in_ints(n: int, q: int) -> int:
 
 
 def test_formula_at_codim_forty_matches_the_int_recursion():
-    # the packed products run at sizes the dict oracle of test_qpoly
-    # cannot reach; the census evaluated at q = 2 and q = 3 must equal
+    # the DP and the (q-1)^41 shifts run at sizes the dict oracle of
+    # test_qpoly cannot reach; the census evaluated at q = 2 and q = 3 must equal
     # the same recursion solved in ints at that q
     f = ideal_count_formula(40)
     for q in (2, 3):

@@ -27,6 +27,8 @@ from idealcensus.permstat import (
     is_indecomposable,
     lehmer_cost,
     lehmer_indec_polynomial,
+    lehmer_indec_polynomials,
+    lehmer_total_cost,
     lr_maxima,
     parse_permutation,
     permutation_str,
@@ -130,7 +132,7 @@ def test_recursion_cost_is_its_coefficient_products():
             (comb(k, 2) - k + 2) * (comb(j - k, 2) + 1)
             for j in range(1, m + 1) for k in range(1, j))
         assert recursion_cost(m) == direct
-    # the default budget reaches P_61, the formula route's codim 60
+    # the default budget would reach P_61
     assert recursion_cost(61) == 64231475 <= DEFAULT_BUDGET < recursion_cost(62) == 70889870
     indec_inversion_polynomials(5, budget=recursion_cost(5))
     with pytest.raises(TooLarge):
@@ -184,6 +186,26 @@ def test_lehmer_cost_counts_the_slots_of_its_states():
         lehmer_indec_polynomial(5, budget=lehmer_cost(5) - 1)
     with pytest.raises(ValueError):
         lehmer_indec_polynomial(0)
+
+
+def test_lehmer_dp_lists_match_the_recursion():
+    recursion = indec_inversion_polynomials(20)
+    for m in range(1, 21):
+        assert lehmer_indec_polynomials(m) == recursion[:m]
+    with pytest.raises(ValueError):
+        lehmer_indec_polynomials(0)
+
+
+def test_lehmer_total_cost_sums_the_slots_of_each_dp():
+    total = 0
+    for m in range(201):
+        assert lehmer_total_cost(m) == total
+        total += lehmer_cost(m + 1)
+    # the default budget reaches P_82, export's indec-polys at n = 82
+    assert lehmer_total_cost(82) == 65694997 <= DEFAULT_BUDGET < lehmer_total_cost(83) == 69747971
+    lehmer_indec_polynomials(5, budget=lehmer_total_cost(5))
+    with pytest.raises(TooLarge):
+        lehmer_indec_polynomials(5, budget=lehmer_total_cost(5) - 1)
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -6,9 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from idealcensus import qpoly
 from idealcensus.qpoly import (
-    KRONECKER_CUTOFF,
     EvalAtZero,
     LaurentPoly,
     NonUnitConstantTerm,
@@ -107,12 +105,10 @@ def _assert_canonical(got, raw):
         assert got.terms[0][0] == got.valuation and got.terms[-1][0] == got.degree
 
 
-# operand lengths on both sides of the packed product's cutoff
-LENGTHS = sorted({1, 2, KRONECKER_CUTOFF - 1, KRONECKER_CUTOFF, KRONECKER_CUTOFF + 1,
-                  3 * KRONECKER_CUTOFF, 61})
+LENGTHS = (1, 2, 7, 8, 9, 24, 61)
 
 
-def test_packed_product_matches_the_dict_product():
+def test_product_matches_the_dict_product():
     rng = random.Random(24)
     for la in LENGTHS:
         for lb in LENGTHS:
@@ -132,28 +128,17 @@ def test_packed_product_matches_the_dict_product():
                 _assert_canonical(p * s - p * r, _dict_mul(a, {max(b) + 1: 1}))
 
 
-def test_packed_product_at_its_coefficient_bound():
-    # every coefficient at +-m, so the middle coefficient of the product
-    # reaches the slot's bound max|a| * max|b| * min(len a, len b) exactly
+def test_product_with_large_coefficients():
+    # every coefficient at +-m, so the middle coefficients of the product
+    # reach max|a| * max|b| * min(len a, len b) exactly
     for m in (1, 15, 16, 255, 256, 2 ** 64 - 1, 2 ** 64, 16 ** 40):
-        for la, lb in ((KRONECKER_CUTOFF, KRONECKER_CUTOFF), (KRONECKER_CUTOFF, 40), (50, 50)):
+        for la, lb in ((8, 8), (8, 40), (50, 50)):
             for sa, sb in ((1, 1), (1, -1), (-1, -1)):
                 a = {e: sa * m for e in range(la)}
                 b = {e - 3: sb * m for e in range(lb)}
                 got = LaurentPoly(a) * LaurentPoly(b)
                 _assert_canonical(got, _dict_mul(a, b))
                 assert got.coefficient(min(la, lb) - 4) == sa * sb * m * m * min(la, lb)
-
-
-def test_packed_product_at_every_length():
-    # the packed path alone, below the cutoff too, against the schoolbook one
-    rng = random.Random(25)
-    for la in range(1, 2 * KRONECKER_CUTOFF):
-        for lb in range(1, 2 * KRONECKER_CUTOFF):
-            a = tuple(_dense_operand(rng, la, 0, 70).values())
-            b = tuple(_dense_operand(rng, lb, 0, 5).values())
-            want = _dict_mul(dict(enumerate(a)), dict(enumerate(b)))
-            assert qpoly._packed_product(a, b) == tuple(want.get(e, 0) for e in range(la + lb - 1))
 
 
 def test_products_with_a_monomial_a_scalar_or_zero():
@@ -179,6 +164,19 @@ def test_times_geometric_is_the_product_by_the_q_analog():
         for n in range(0, 14):
             geometric = {e: 1 for e in range(n)}
             _assert_canonical(LaurentPoly(a).times_geometric(n), _dict_mul(a, geometric))
+
+
+def test_times_q_minus_one_is_the_product_by_its_power():
+    rng = random.Random(28)
+    for length in LENGTHS:
+        a = _dense_operand(rng, length, rng.randint(-5, 5), 70)
+        for k in range(0, 13):
+            _assert_canonical(LaurentPoly(a).times_q_minus_one(k),
+                              ((Q - ONE) ** k * LaurentPoly(a)).terms)
+    for k in range(0, 13):
+        assert ZERO.times_q_minus_one(k) == ZERO
+    with pytest.raises(ValueError):
+        ONE.times_q_minus_one(-1)
 
 
 def test_immutable():
