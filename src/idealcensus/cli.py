@@ -157,47 +157,64 @@ def json_chunks(body: dict) -> Iterator[str]:
     """The bytes of ``json.dumps(body, indent=2)`` and a newline, chunk by
     chunk.  A value of ``body`` that is an iterator is written as a list,
     each item as it is drawn, so an export's rows are never held
-    together: ``json`` encodes lists only.  JSON strings hold no raw
-    newline, so indenting each chunk's newlines nests it a level deeper.
-    A LaurentPoly is written as its term list (``poly_terms``); one that
-    is a field of such a row (a contribution that trees share) is
-    encoded once per object."""
+    together: ``json`` encodes lists only.  A LaurentPoly is written as
+    its term list (``poly_terms``); one that is a field of such a row (a
+    contribution that trees share) is rendered once per object.
+
+    Ints, strings, LaurentPolys and lists, tuples and string-keyed dicts
+    of them are rendered in one pass (``render``), ints by ``str`` and
+    strings by the encoder's own escape; anything else (a bool, None, a
+    float) goes through ``json.JSONEncoder``, whose output is nested by
+    indenting its newlines: JSON strings hold no raw newline."""
     import json
+    from json.encoder import encode_basestring_ascii as quote
 
     encode = json.JSONEncoder(indent=2, default=poly_terms).iterencode
 
-    def nested(value, depth: int) -> Iterator[str]:
-        return (chunk.replace("\n", "\n" + "  " * depth) for chunk in encode(value))
+    def render(value, depth: int) -> str:
+        kind = type(value)
+        if kind is int:
+            return str(value)
+        if kind is str:
+            return quote(value)
+        if kind is LaurentPoly:
+            return render(poly_terms(value), depth)
+        pad = "\n" + "  " * (depth + 1)
+        if kind is list or kind is tuple:
+            if not value:
+                return "[]"
+            items = [str(v) if type(v) is int else render(v, depth + 1) for v in value]
+            return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+        if kind is dict and all(type(k) is str for k in value):
+            if not value:
+                return "{}"
+            items = [f"{quote(k)}: {str(v) if type(v) is int else render(v, depth + 1)}"
+                     for k, v in value.items()]
+            return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
+        return "".join(encode(value)).replace("\n", "\n" + "  " * depth)
 
     # a row is at depth 2 and its fields at depth 3
-    field = by_identity(lambda poly: "".join(nested(poly, 3)))
+    field = by_identity(lambda poly: render(poly, 3))
 
-    def row(item) -> Iterator[str]:
-        if not isinstance(item, dict) or not item:
-            yield from nested(item, 2)
-            return
-        sep = "{"
-        for key, value in item.items():  # every export's row keys are strings
-            yield f"{sep}\n      {json.dumps(key)}: "
-            sep = ","
-            if isinstance(value, LaurentPoly):
-                yield field(value)
-            else:
-                yield from nested(value, 3)
-        yield "\n    }"
+    def row(item) -> str:
+        if type(item) is not dict or not item or not all(type(k) is str for k in item):
+            return render(item, 2)
+        return "{\n      " + ",\n      ".join(
+            f"{quote(key)}: {field(value) if type(value) is LaurentPoly else render(value, 3)}"
+            for key, value in item.items()) + "\n    }"
 
     sep = "{"
     for key, value in body.items():
-        yield f"{sep}\n  {json.dumps(key)}: "
+        yield f"{sep}\n  {quote(key)}: "
         sep = ","
         if not isinstance(value, Iterator):
-            yield from nested(value, 1)
+            yield render(value, 1)
             continue
         opened = False
         for item in value:
             yield ",\n    " if opened else "[\n    "
             opened = True
-            yield from row(item)
+            yield row(item)
         yield "\n  ]" if opened else "[]"
     yield "\n}\n"
 

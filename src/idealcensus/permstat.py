@@ -41,7 +41,7 @@ from math import comb, factorial
 from typing import Iterator, NamedTuple, Sequence
 
 from .linfq import DEFAULT_BUDGET, charge
-from .qpoly import LaurentPoly, ONE, ZERO
+from .qpoly import LaurentPoly, ONE, ZERO, unpack
 
 Perm = tuple[int, ...]
 
@@ -330,10 +330,7 @@ def lehmer_indec_polynomial(m: int, budget: int = DEFAULT_BUDGET) -> LaurentPoly
             states[i - 1] = ((x + below) << w * (i + 1)) - x - (below << w * i)
             below += x
         states.pop()
-    value = states[0] // ((1 << w) - 1) ** max(m - 2, 0)
-    buf = value.to_bytes(width * (comb(m, 2) + 1), "little")
-    return LaurentPoly(enumerate(int.from_bytes(buf[i:i + width], "little")
-                                 for i in range(0, len(buf), width)))
+    return unpack(states[0] // ((1 << w) - 1) ** max(m - 2, 0), width)
 
 
 def lehmer_total_cost(m: int) -> int:

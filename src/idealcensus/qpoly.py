@@ -20,9 +20,14 @@ by [n]_q (``LaurentPoly.times_geometric``, a running window sum) or by
 (q - 1)^k (``LaurentPoly.times_q_minus_one``, k passes of a shift less
 the value) is one pass per factor.  Every other product runs one dense
 schoolbook loop.  The census's long products are by these factors, and
-its P_m comes from a DP over packed ints (``permstat``), so the long
-schoolbook products left are those of the inverse-series recursion, a
-witness.
+the rest of its work runs in packed ints: a polynomial with
+coefficients in 0 .. 2^w - 1 is one int at q = 2^w, and ``unpack``
+reads it back from slots of w / 8 bytes.  The formula route's P_m comes
+from a DP over such ints (``permstat.lehmer_indec_polynomial``, 42 ms
+for P_61), and the tree route's total from one such sum over its tree
+keys (``ideals.census_by_keys``, 1.0 ms at codim 10 against 8.4 ms
+with one product per λ), so the long schoolbook products left are
+those of the inverse-series recursion, a witness.
 
 ``TruncatedSeries`` layers formal power series in an auxiliary variable t
 on top, with LaurentPoly coefficients, up to a fixed truncation order.  It
@@ -301,6 +306,17 @@ def as_poly(value: PolyLike) -> LaurentPoly:
     if isinstance(value, int):
         return _poly(0, (value,) if value else ())
     raise TypeError(f"cannot interpret {value!r} as a polynomial")
+
+
+def unpack(value: int, width: int) -> LaurentPoly:
+    """The polynomial whose value at q = 2^(8 * width) is ``value``, each
+    coefficient read from one slot of ``width`` bytes: exact when every
+    coefficient lies in 0 .. 2^(8 * width) - 1, as the packed DPs of
+    ``permstat`` and ``ideals`` make sure by their choice of width."""
+    size = (len(format(value, "x")) + 1) // 2  # bytes
+    buf = value.to_bytes(-(-size // width) * width, "little")
+    return LaurentPoly(enumerate(int.from_bytes(buf[i:i + width], "little")
+                                 for i in range(0, len(buf), width)))
 
 
 def q_factorial(n: int) -> LaurentPoly:

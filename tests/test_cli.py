@@ -834,6 +834,20 @@ def test_json_chunks_encode_iterators_as_lists():
         {**body, "rows": rows, "none": []}, indent=2) + "\n"
 
 
+def test_json_chunks_render_values_as_json_dumps_does():
+    values = [[], {}, -7, 2 ** 64 + 1, -(3 ** 90), True, False, None, 1.5,
+              'say "hi"\n\ttab \\ back', "Ωmega é ☃ \U0001f600", "",
+              {"outer": {"inner": [[], [-1, [2 ** 70]], {"x": None}], "flag": True}},
+              (1, "t"), {1: "int key"}, [{"a": []}, "", [[[]]]]]
+    poly = LaurentPoly({-2: 3, 5: -(2 ** 80)})
+    values.append([poly])
+    rows = [{"value": v, "more": [v, {"k": v}]} for v in values] + values
+    rows += [{"contribution": poly}] * 2  # one object, rendered once
+    body = {"top": values, "rows": iter(rows), "tail": {"s": "é\n"}}
+    expected = json.dumps({**body, "rows": rows}, indent=2, default=cli.poly_terms)
+    assert "".join(cli.json_chunks(body)) == expected + "\n"
+
+
 def test_json_chunks_draw_each_row_as_it_is_written():
     drawn = []
 

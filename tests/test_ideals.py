@@ -6,6 +6,7 @@ enumeration of coefficient assignments.
 """
 
 import tracemalloc
+from collections import Counter
 from math import comb
 
 import pytest
@@ -16,6 +17,7 @@ from idealcensus.checks import per_tree_action_counts
 from idealcensus.ideals import (
     CodimensionZero,
     cell_decomposition,
+    census_by_keys,
     count_invertible_a_actions,
     count_invertible_b_actions,
     ideal_count_brute_force,
@@ -24,8 +26,9 @@ from idealcensus.ideals import (
     ideal_count_hook_formula,
     tree_contribution,
 )
+from idealcensus.haglund import haglund_product
 from idealcensus.linfq import DEFAULT_BUDGET, TooLarge, enumerate_matrices, is_invertible
-from idealcensus.qpoly import LaurentPoly
+from idealcensus.qpoly import ZERO, LaurentPoly
 from idealcensus.words import CodeTree, enumerate_trees, signature, tree_stats
 
 EXAMPLE_TREE = CodeTree.from_leaves(["aa", "ab", "baa", "bab", "bba", "bbb"])
@@ -104,11 +107,49 @@ def test_one_haglund_product_per_partition(monkeypatch):
     keys = {(st.a_count, st.a_cells + st.b_cells, st.partition) for st in stats}
     partitions = {st.partition for st in stats}
     report = ideal_count_by_trees(6)
+    # the total is packed in one int and builds no Haglund product;
+    # drawing the entries builds one per partition
+    assert calls == []
+    assert len(partitions) < len(keys) < len(list(report.entries)) == 132
     assert sorted(calls) == sorted(partitions)
-    assert len(partitions) < len(keys) < len(report.entries) == 132
     # one object per value: the 45 keys hold 40 values
     values = [entry[-1] for entry in report.entries]
     assert len({id(v) for v in values}) == len(set(values)) == 40 < len(keys) == 45
+
+
+def _census_by_keys_reference(keys, n):
+    """Σ m * haglund_product(λ) * (q-1)^(n+1-ℓ) * q^cells, one product per key."""
+    return sum((LaurentPoly({cells: m}) * haglund_product(lam).times_q_minus_one(n + 1 - len(lam))
+                for (cells, lam), m in keys.items()), ZERO)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_census_by_keys_matches_one_product_per_key(n):
+    keys = Counter((a_cells + b_cells, lam) for *_, a_cells, b_cells, lam in words.tree_records(n))
+    assert census_by_keys(keys, n) == _census_by_keys_reference(keys, n)
+
+
+def test_census_by_keys_on_keys_no_tree_has(monkeypatch):
+    products = []
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(LaurentPoly, name, lambda *args: products.append(args))
+    monkeypatch.setattr(ideals, "haglund_product", lambda *args: products.append(args))
+    huge = {(0, (1, 2)): 10 ** 30, (3, (2, 2, 3)): 7 * 10 ** 30 + 1, (1, (3, 3, 3)): 10 ** 30}
+    vanishing = {**huge, (2, (1, 1, 3)): 5, (0, (0, 2, 3)): 10 ** 40}
+    got = [census_by_keys(keys, 3) for keys in (huge, vanishing, {})]
+    assert products == []
+    monkeypatch.undo()
+    # the slots widen to hold coefficients near 10**31
+    assert got[0] == _census_by_keys_reference(huge, 3)
+    assert max(c for _, c in got[0].terms) > 2 ** 100
+    # λ_1 = 1 <= 1 and λ_0 = 0 <= 0: those terms vanish
+    assert got[1] == got[0]
+    assert got[2] is ZERO
+
+
+def test_structural_total_is_the_formula():
+    for n in range(1, 12):
+        assert ideal_count_by_trees(n).total == ideal_count_formula(n)
 
 
 def test_structural_route_builds_no_word(monkeypatch):

@@ -16,6 +16,7 @@ from idealcensus.qpoly import (
     ZERO,
     as_poly,
     q_factorial,
+    unpack,
 )
 
 polys = st.builds(
@@ -293,6 +294,17 @@ def test_power_matches_repeated_product(a, k):
     for _ in range(k):
         expected = expected * a
     assert a ** k == expected
+
+
+@pytest.mark.parametrize("width", [1, 2, 5])
+def test_unpack_reads_each_slot_back(width):
+    rng = random.Random(width)
+    top = (1 << 8 * width) - 1
+    for _ in range(50):
+        coeffs = {e: rng.choice((0, 1, top, rng.randrange(top + 1))) for e in range(rng.randrange(9))}
+        p = LaurentPoly(coeffs)
+        assert unpack(p.evaluate(1 << 8 * width), width) == p
+    assert unpack(0, width) == ZERO
 
 
 def test_series_validation():
