@@ -455,10 +455,18 @@ def check_census_routes(cfg: CheckConfig) -> Cases:
         results = {route: route.run(n, None, cfg.budget)
                    for route in ideals.ROUTES.values() if not route.needs_q}
         for route, mismatch in ideals.cross_check(results, None):
+            if route.per_tree:
+                # the total need not come from the entries (the structural
+                # route counts tree keys), so the drawn entries witness it
+                census = results[route]
+                entries = list(census.entries)
+                yield f"n={n}: tree route entries add up to the total", (
+                    len(entries) == len(census.entries)
+                    and sum((entry[-1] for entry in entries), 0) == census.total)
             yield f"n={n}: {mismatch or route.label}", mismatch is None
             if route.per_tree:
                 # the entries are composed from root splits; the words witness them
-                yield f"n={n}: tree route entries", list(results[route].entries) == [
+                yield f"n={n}: tree route entries", entries == [
                     ideals.word_entry(t, ideals.tree_contribution(t))
                     for t in words.enumerate_trees(n)]
 

@@ -27,11 +27,13 @@ table, so a new route is one row and its function:
   are compared with it, and ``verify`` compares the DP with the
   inverse-series recursion;
 * ``structural`` (``ideal_count_by_trees``): one term per code tree,
-  (q-1)^k * q^(free cells) * staircase count; the total counts the
-  trees of each tree key and adds the keys' terms in one packed int at
-  q = 2^w (``census_by_keys``), with no polynomial product: 1.0 ms at
-  codim 10 and 2.4 ms at codim 11 in-process, against 8.4 and 21 ms
-  for one product per λ.  It holds no entry, and draws them anew, one
+  (q-1)^k * q^(free cells) * staircase count; the total takes the
+  number of trees of each tree key from ``words.tree_keys``, a DP over
+  the root split that walks no tree, and adds the keys' terms in one
+  packed int at q = 2^w (``census_by_keys``), with no polynomial
+  product: about 5, 11 and 28 ms at codim 10, 11 and 12 in-process,
+  against 36, 126 and 450 ms when it walked the trees to count them.
+  It holds no entry, and draws them anew from a walk of the trees, one
   Haglund product per λ, each time they are read;
 * ``bruteforce`` (``ideal_count_brute_force``): at q = p, the
   coefficient assignments whose two action matrices over F_p are
@@ -62,7 +64,15 @@ from .permstat import (
     lehmer_indec_polynomial,
 )
 from .qpoly import ZERO, LaurentPoly, unpack
-from .words import CodeTree, Record, enumerate_trees, signature, tree_records, tree_stats
+from .words import (
+    CodeTree,
+    Record,
+    enumerate_trees,
+    signature,
+    tree_keys,
+    tree_records,
+    tree_stats,
+)
 
 Contribution = Union[LaurentPoly, int]
 
@@ -184,11 +194,12 @@ def census_by_keys(keys: Mapping[tuple, int], n: int) -> LaurentPoly:
 
 
 class TreeWalk(Record):
-    """The structural census's entries, drawn from a new walk of
+    """The structural census's entries, drawn from a walk of
     ``tree_records(n)`` each time they are iterated; ``len`` is the number
-    of trees the total's walk counted.  The trees of a key share one term,
-    and equal terms one object, so a renderer memoized by identity hashes
-    none."""
+    of trees the total's key DP counted, and ``checks`` compares it and
+    the sum of the drawn contributions with the total.  The trees of a
+    key share one term, and equal terms one object, so a renderer
+    memoized by identity hashes none."""
 
     __slots__ = ("n", "count")
 
@@ -208,12 +219,13 @@ class TreeWalk(Record):
 
 
 def ideal_count_by_trees(n: int, budget: int = DEFAULT_BUDGET) -> Census:
-    """The census as a sum over code trees, charged Catalan(n) trees: one
-    walk of ``words.tree_records`` counts the trees of each key (free
-    cells, λ) for the total, and the entries are a ``TreeWalk``."""
+    """The census as a sum over code trees, charged Catalan(n) trees: the
+    total adds the terms of the tree keys (free cells, λ) that
+    ``words.tree_keys`` counts without walking a tree, and the entries
+    are a ``TreeWalk``, the only walk of the trees."""
     _require_codim(n)
     charge(n, catalan, budget, f"Catalan({n}) trees")
-    keys = Counter((a_cells + b_cells, lam) for _, _, a_cells, b_cells, lam in tree_records(n))
+    keys = tree_keys(n)
     return Census(census_by_keys(keys, n), TreeWalk(n, sum(keys.values())))
 
 

@@ -23,19 +23,29 @@ trees elsewhere in the package.
 Every tree with n >= 1 internal nodes splits at its root as
 T = a·L ∪ b·R, and ``enumerate_trees`` walks the trees in that order:
 left-subtree size, then L, then R, with an explicit stack rather than
-one generator frame per node.  The signature and ``tree_stats`` of T
-compose from those of L and R (``tree_records``, which builds no word):
-the ranks are L's, or (1) when L is the leaf, then R's shifted past
-L's leaves; the partition is (1 + λ(L)) ++ (|P_a(L)| + λ(R)), or
-(1 + |P_a(L)|) for the second part when R is the leaf; the cells add up
-with a cross term.  Every other count of a tree with n >= 1 internal
-nodes follows from n and k = |C_a|: the run lengths sum to n,
-|C_a| = |P_b| = k and |C_b| = |P_a| = n + 1 - k (all four are 0 for
-the leaf), so a composed record keeps only the ranks, the lengths, the
-two cell counts and the partition.  Each size is composed split by
-split: what depends on R alone is tabulated once per split, what
-depends on L alone once per record of L, and the loop over the pairs
-(L, R) only joins the two halves.
+one generator frame per node.  Every count of a tree with n >= 1
+internal nodes beyond its signature and ``tree_stats`` follows from n
+and k = |C_a|: the run lengths sum to n, |C_a| = |P_b| = k and
+|C_b| = |P_a| = len(λ) = n + 1 - k (all four are 0 for the leaf).  With
+``left`` internal nodes in L, pa = |P_a(L)|, pb = max(k_L - 1, 0) and
+c = |C_b(R)| (1 when R is the leaf), the signature and ``tree_stats`` of
+T compose from those of L and R, without building a word:
+
+* ranks: L's, or (1) when L is the leaf, then R's plus left + 1;
+* lengths: L's with the first one longer by 1, or (1) for the leaf,
+  then R's;
+* a_cells: a_L + k_L + a_R + k_R·(left + 1);
+* b_cells: b_L + pb·c, plus b_R + c when R is not the leaf;
+* λ: (1 + λ_L) ++ (pa + λ_R), or (1 + λ_L) ++ (1 + pa) when R is the
+  leaf.
+
+``tree_records`` composes the whole record (ranks, lengths, a_cells,
+b_cells, λ) of every tree; ``tree_keys`` composes only the key
+(a_cells + b_cells, λ) and counts the trees of each key, since the
+rules for the key read no rank and no length.  Both build each size
+split by split: what depends on R alone is tabulated once per split,
+what depends on L alone once per record or key of L, and the loop over
+the pairs (L, R) only joins the two halves.
 
 The identities and order properties stated here (the rank-sum identity,
 power separation, class intervals, the twist comparison, the branch
@@ -538,6 +548,65 @@ def _composed(m: int, memo: list, shared: dict, raised: dict) -> Iterator[tuple]
                 lam = lam_head + lam_r
                 yield (one(ranks, ranks), one(lengths, lengths), a_head + a_term,
                        b_l + pb_l * c + b_term, one(lam, lam))
+
+
+def tree_keys(n: int) -> dict[tuple, int]:
+    """How many trees with n >= 1 internal nodes have each key (free
+    cells, λ), where free cells = a_cells + b_cells: the keys of
+    ``tree_records(n)`` counted without walking a tree.  The counts of
+    every size up to n are composed over the root split by the module's
+    rules for the key (``_composed_keys``), so the work grows with the
+    number of keys, not of trees."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        raise TrivialTree("the one-leaf tree has no signature")
+    memo = [{(): {0: 1}}]  # the leaf
+    for m in range(1, n + 1):
+        memo.append(_composed_keys(m, memo))
+    return {(cells, lam): count for lam, by_cells in memo[n].items()
+            for cells, count in by_cells.items()}
+
+
+def _composed_keys(m: int, memo: list) -> dict[tuple, dict[int, int]]:
+    """The trees of size m, as λ -> {free cells: trees}, from those of
+    the smaller sizes in ``memo``, by the module's rules for the key:
+    a·L ∪ b·R has the key (cells_L + k_L + pb·c + cells_R + term,
+    (1 + λ_L) ++ tail) for each key of L and of R, and m_L·m_R trees
+    have it.  A key of size s >= 1 fixes k = s + 1 - len(λ), and the leaf
+    has k = 0.  R's side, term = k_R·(left + 1) + c (0 for the leaf, with
+    c = 1), is tabulated once per split, and the tail pa + λ_R ((1 + pa,)
+    for the leaf) once per value of pa in the split, as in ``_composed``.
+    Everything but the cells depends on λ_L and λ_R alone, so each pair
+    of partitions joins its λ once, and their cell counts convolve."""
+    out: dict[tuple, dict[int, int]] = {}
+    for left in range(m):
+        right = m - 1 - left
+        shift = left + 1
+        table, lams_r = [], []
+        for lam_r, cells_r in memo[right].items():
+            c = len(lam_r)
+            table.append(((right + 1 - c) * shift + c if c else 0, c or 1, cells_r))
+            lams_r.append(lam_r)
+        tails: dict[int, list] = {}
+        for lam_l, cells_l in memo[left].items():
+            pa = len(lam_l)
+            k_l = left + 1 - pa if pa else 0
+            pb = k_l - 1 if k_l else 0
+            lam_head = tuple(1 + x for x in lam_l)
+            tail = tails.get(pa)
+            if tail is None:
+                tail = tails[pa] = [tuple(pa + x for x in lam_r) if lam_r else (1 + pa,)
+                                    for lam_r in lams_r]
+            for (term, c, cells_r), t in zip(table, tail):
+                by_cells = out.setdefault(lam_head + t, {})
+                get = by_cells.get
+                base = k_l + pb * c + term
+                for a, m_l in cells_l.items():
+                    a += base
+                    for b, m_r in cells_r.items():
+                        by_cells[a + b] = get(a + b, 0) + m_l * m_r
+    return out
 
 
 def rank_identity_bijection(tree: CodeTree) -> dict:

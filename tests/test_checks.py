@@ -45,7 +45,7 @@ CASES = {
     "haglund: product formula peels one row": 196,
     "haglund: brute-force matrix counts at the primes": 28,
     "haglund: degree and vanishing criteria": 1274,
-    "ideals: formula = hook formula = tree sum": 18,
+    "ideals: formula = hook formula = tree sum": 24,
     "ideals: brute-force census at the primes": 3,
     "ideals: per-tree action counts factor as predicted": 8,
     "ideals: census degree, polynomiality, vanishing at q=1": 6,
@@ -137,6 +137,15 @@ def test_tree_route_entries_need_the_word_level_order(monkeypatch):
     ok, detail, _, _ = run_check(checks.check_census_routes, CheckConfig(max_n=3))
     assert not ok
     assert detail == "n=2: tree route entries"
+
+
+def test_tree_route_total_needs_every_tree_key(monkeypatch):
+    # a key DP that loses a key: the total and length no longer match the walk
+    real = checks.ideals.tree_keys
+    monkeypatch.setattr(checks.ideals, "tree_keys", lambda n: dict(list(real(n).items())[1:]))
+    ok, detail, _, _ = run_check(checks.check_census_routes, CheckConfig(max_n=3))
+    assert not ok
+    assert detail == "n=1: tree route entries add up to the total"
 
 
 def test_subgroup_generators_need_their_printed_text(monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 
 import idealcensus.ideals as ideals
 import idealcensus.words as words
-from idealcensus.checks import per_tree_action_counts
+from idealcensus.checks import CheckConfig, check_census_routes, per_tree_action_counts, run_check
 from idealcensus.ideals import (
     CodimensionZero,
     cell_decomposition,
@@ -152,6 +152,14 @@ def test_structural_total_is_the_formula():
         assert ideal_count_by_trees(n).total == ideal_count_formula(n)
 
 
+@pytest.mark.parametrize("n", [12, 13])
+def test_structural_total_reaches_past_the_walk(n):
+    # Catalan(13) = 742,900 trees; the key DP counts 17,276 keys
+    census = ideal_count_by_trees(n)
+    assert census.total == ideal_count_formula(n)
+    assert len(census.entries) == ideals.catalan(n)
+
+
 def test_structural_route_builds_no_word(monkeypatch):
     calls = []
 
@@ -195,13 +203,17 @@ def test_structural_entries_come_from_the_walk(monkeypatch):
     report = ideal_count_by_trees(7)
     first = list(report.entries)
     assert list(report.entries) == first and len(first) == len(report.entries)
-    # a walk that loses its last tree: the length and the total follow the walk
+    # a walk that loses its last tree: the length and the total come from
+    # the key DP, so only the drawn entries change, and the check sees it
     real = ideals.tree_records
     monkeypatch.setattr(ideals, "tree_records", lambda n: list(real(n))[:-1])
     census = ideal_count_by_trees(7)
-    assert len(census.entries) == ideals.catalan(7) - 1
     assert len(list(census.entries)) == ideals.catalan(7) - 1
-    assert census.total != ideal_count_formula(7)
+    assert len(census.entries) == ideals.catalan(7)
+    assert census.total == ideal_count_formula(7)
+    ok, detail, _, _ = run_check(check_census_routes, CheckConfig(max_n=2))
+    assert not ok
+    assert detail == "n=1: tree route entries add up to the total"
 
 
 def test_two_structural_runs_give_equal_censuses():

@@ -2,6 +2,8 @@
 
 import itertools
 import tracemalloc
+from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,6 +27,7 @@ from idealcensus.words import (
     strip_a_run,
     strip_b_run,
     strip_last_run,
+    tree_keys,
     tree_records,
     tree_stats,
     twisted_compare,
@@ -229,6 +232,24 @@ def test_tree_records_need_an_internal_node():
         tree_records(0)
     with pytest.raises(ValueError):
         tree_records(-1)
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_tree_keys_count_the_keys_of_the_records(n):
+    assert tree_keys(n) == Counter(
+        (a_cells + b_cells, lam) for _, _, a_cells, b_cells, lam in tree_records(n))
+
+
+def test_tree_keys_count_every_tree():
+    for n in range(1, 15):
+        assert sum(tree_keys(n).values()) == comb(2 * n, n) // (n + 1)
+
+
+def test_tree_keys_need_an_internal_node():
+    with pytest.raises(TrivialTree):
+        tree_keys(0)
+    with pytest.raises(ValueError):
+        tree_keys(-1)
 
 
 def test_example_signature_and_stats():
