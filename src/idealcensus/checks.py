@@ -22,6 +22,7 @@ import itertools
 import random
 import time
 from math import comb, factorial
+from operator import gt
 from typing import Callable, Iterator, NamedTuple
 
 from . import congruence, haglund, ideals, linfq, permstat, qpoly, words
@@ -100,7 +101,7 @@ def check_hook_routes(cfg: CheckConfig) -> Cases:
     ``inversions`` and, by its definition, pair by pair."""
     for s in perms(0, cfg.max_n):
         n = len(s)
-        pairs = sum(s[i] > s[j] for i in range(n) for j in range(i + 1, n))
+        pairs = sum(itertools.starmap(gt, itertools.combinations(s, 2)))
         yield s, (permstat.hook_union_size(s) == permstat.hook_number(s)
                   == permstat.inversions(s) + comb(n, 2) == pairs + comb(n, 2))
 
@@ -384,7 +385,7 @@ def check_action_tables(cfg: CheckConfig) -> Cases:
             prefixes = set(tree.prefixes)
             states = list(range(tree.n))
         table = congruence.action_table(rc)
-        yield rc, (all(p in prefixes and p < c for c, p in zip(tree.leaves, rc.images))
+        yield rc, (prefixes.issuperset(rc.images) and all(map(str.__lt__, rc.images, tree.leaves))
                    and sorted(table.a_next) == states and sorted(table.b_next) == states)
 
 
@@ -416,8 +417,13 @@ def _vanishes(parts: haglund.Partition) -> bool:
 
 
 def check_haglund_routes(cfg: CheckConfig) -> Cases:
-    for parts in partitions(1, cfg.max_n):
-        yield parts, haglund.haglund_product(parts) == haglund.haglund_hook_sum(parts)
+    """The product against the hook sums of one walk of S_n, and those,
+    up to n = 5, against the hook sum of each staircase by its
+    definition."""
+    for n in range(1, cfg.max_n + 1):
+        for parts, got in haglund.hook_sums(n, cfg.budget).items():
+            yield parts, (haglund.haglund_product(parts) == got
+                          and (n > 5 or haglund.haglund_hook_sum(parts) == got))
 
 
 def check_haglund_recursion(cfg: CheckConfig) -> Cases:

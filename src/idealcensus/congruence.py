@@ -95,9 +95,10 @@ def action_table(rc: RightCongruence) -> ActionTable:
     tree's cached ``layout`` holds every step that does not depend on
     the map; only the leaves' images are looked up here."""
     index, a, b = rc.tree.layout
-    image = [index[p] for p in rc.images]
-    a_next, b_next = (tuple([j if j >= 0 else image[~j] for j in step]) for step in (a, b))
-    return ActionTable(rc.tree.prefixes, a_next, b_next)
+    # the states, then the images in reverse: a step ~i reads ext[~i]
+    ext = [*range(len(index)), *map(index.__getitem__, reversed(rc.images))]
+    return ActionTable(rc.tree.prefixes, tuple(map(ext.__getitem__, a)),
+                       tuple(map(ext.__getitem__, b)))
 
 
 def is_regular(rc: RightCongruence) -> bool:
@@ -150,7 +151,8 @@ def _regular_on(tree: CodeTree) -> Iterator[RightCongruence]:
     for s in constrained_permutations(tree_stats(tree).partition):
         for i, v in zip(b_slots, s):
             images[i] = p_a[v - 1]
-        yield RightCongruence(tree, tuple(images))
+        # built as the tuple it is, past the NamedTuple's Python-level __new__
+        yield tuple.__new__(RightCongruence, (tree, tuple(images)))
 
 
 def to_indecomposable(rc: RightCongruence) -> Perm:

@@ -201,23 +201,34 @@ class LaurentPoly:
         Returns an int whenever the exact result is an integer (always the
         case for an integer point and nonnegative exponents), otherwise a
         Fraction.  Raises EvalAtZero for point 0 when a negative exponent
-        is present in the canonical form.
+        is present in the canonical form.  At a non-int point a/b, Horner's
+        rule runs in ints on the numerator sum c_k a^k b^(d-k), d the
+        degree less the valuation, and one Fraction is built at the end.
         """
         if point == 0:
             if self._dense and self._val < 0:
                 raise EvalAtZero("negative exponent at point 0")
             return self.coefficient(0)
-        if isinstance(point, int):
-            x = point
-        else:
+        if not isinstance(point, int):
             from fractions import Fraction
             x = Fraction(point)
+            a, b = x.numerator, x.denominator
+            # the value is num / b^d times (a/b)^val, d = degree - val
+            num, power = 0, 1
+            for c in reversed(self._dense):
+                num = num * a + c * power
+                power *= b
+            val, top = self._val, self._val + len(self._dense) - 1  # top = d + val
+            value = Fraction(num * a ** max(val, 0) * b ** max(-top, 0),
+                             a ** max(-val, 0) * b ** max(top, 0))
+            return int(value) if value.denominator == 1 else value
+        x = point
         total = 0
         for c in reversed(self._dense):
             total = total * x + c
-        if isinstance(x, int) and self._val >= 0:
+        if self._val >= 0:
             return total * x ** self._val
-        from fractions import Fraction  # a non-int point or a negative exponent
+        from fractions import Fraction  # a negative exponent
         total = Fraction(total) * Fraction(x) ** self._val
         return int(total) if total.denominator == 1 else total
 

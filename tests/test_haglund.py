@@ -2,13 +2,17 @@
 
 import pytest
 
+from idealcensus import checks
 from idealcensus.haglund import (
     check_partition,
     constrained_permutations,
+    haglund_hook_sum,
     haglund_product,
+    hook_sums,
     partitions_bounded,
 )
-from idealcensus.qpoly import LaurentPoly, ZERO
+from idealcensus.linfq import TooLarge
+from idealcensus.qpoly import LaurentPoly, ONE, ZERO
 
 
 def test_check_partition():
@@ -40,8 +44,10 @@ def test_product_vanishes_below_staircase():
 def test_constrained_permutations():
     assert list(constrained_permutations((1, 2, 3))) == [(1, 2, 3)]
     assert list(constrained_permutations((2, 2, 3))) == [(1, 2, 3), (2, 1, 3)]
-    assert list(constrained_permutations((1, 1))) == []
     assert sum(1 for _ in constrained_permutations((3, 3, 3))) == 6
+    # staircases that vanish only in the last two rows, which the odometer skips
+    for parts in ((0, 2), (1, 1), (1, 1, 3), (2, 2, 2)):
+        assert list(constrained_permutations(parts)) == []
 
 
 def recursive_constrained_permutations(parts):
@@ -94,3 +100,29 @@ def test_degree_of_nonzero_products():
         n = len(parts)
         assert h.degree == n * (n - 1) // 2 + sum(v - i for i, v in enumerate(parts))
         assert h.evaluate(1) == 0  # every factor vanishes at q=1
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_hook_sums_are_the_hook_sum_of_each_staircase(n):
+    sums = hook_sums(n)
+    assert list(sums) == list(partitions_bounded(n))
+    for parts, got in sums.items():
+        assert got == haglund_hook_sum(parts)
+        assert (got == ZERO) == any(v < i for i, v in enumerate(parts, start=1))
+
+
+def test_hook_sums_of_the_empty_staircase():
+    assert hook_sums(0) == {(): ONE}
+
+
+def test_hook_sums_charge_the_permutations():
+    assert len(hook_sums(5, budget=120)) == 252
+    with pytest.raises(TooLarge):
+        hook_sums(5, budget=119)
+
+
+def test_haglund_routes_reach_size_eight():
+    ok, detail, cases, _ = checks.run_check(checks.check_haglund_routes,
+                                            checks.CheckConfig(max_n=8))
+    assert ok, detail
+    assert cases == sum(len(list(partitions_bounded(n))) for n in range(1, 9))

@@ -237,6 +237,37 @@ def test_evaluate_on_the_fraction_paths():
     assert value == Fraction(5, 2) and isinstance(value, Fraction)
 
 
+def fraction_horner(p, x):
+    """The value of p at the Fraction x by Horner's rule in Fractions."""
+    total = Fraction(0)
+    for c in reversed([p.coefficient(e) for e in range(p.valuation, p.degree + 1)]):
+        total = total * x + c
+    return total * x ** p.valuation
+
+
+@pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(-5, 2), Fraction(7, 4),
+                               Fraction(-1, 6), Fraction(9, 1)])
+def test_evaluate_at_a_fraction_matches_fraction_horner(x):
+    rng = random.Random(11)
+    for _ in range(200):
+        p = LaurentPoly({rng.randint(-7, 8): rng.randint(-9, 9)
+                         for _ in range(rng.randint(1, 6))})
+        got = p.evaluate(x)
+        expect = fraction_horner(p, x) if p else Fraction(0)
+        assert got == expect
+        assert isinstance(got, int) == (expect.denominator == 1)
+
+
+def test_evaluate_at_a_fraction_returns_an_int_when_integral():
+    assert ZERO.evaluate(Fraction(2, 3)) == 0 and isinstance(ZERO.evaluate(Fraction(2, 3)), int)
+    # 4q^-2 + 2q^2 at 1/2: 16 + 1/2; 8q^3 - 2q^-1 at 1/2: 1 - 4
+    assert LaurentPoly({-2: 4, 2: 2}).evaluate(Fraction(1, 2)) == Fraction(33, 2)
+    value = LaurentPoly({3: 8, -1: -2}).evaluate(Fraction(1, 2))
+    assert value == -3 and isinstance(value, int)
+    value = LaurentPoly({-3: 1}).evaluate(Fraction(-1, 3))
+    assert value == -27 and isinstance(value, int)
+
+
 def test_evaluate_zero_with_cancelled_negatives():
     # q^-1 * q = 1 in canonical form, so evaluation at 0 is fine
     p = LaurentPoly.monomial(-1) * Q
